@@ -12,6 +12,7 @@ from .fock import fock_annihilate, fock_create
 from .gas import (
     GasConfig,
     GasState,
+    Ledger,
     TransactionError,
     TransactionEvent,
     Trajectory,
@@ -57,6 +58,7 @@ __all__ = [
     "CollapseOutcome",
     "GasConfig",
     "GasState",
+    "Ledger",
     "Spectrum",
     "Trajectory",
     "TransactionError",

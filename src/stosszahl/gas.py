@@ -9,12 +9,26 @@ absorption timestamps. Emission strictly precedes absorption in every event,
 total quanta are conserved exactly, and a run is bit-reproducible from its
 seed.
 
-Randomness contract: every event consumes exactly three uniforms from the
-generator, in order: (1) the exponential waiting time by inverse CDF,
-(2) the uniform emitter pick among excited molecules, and (3) the winner
-selection inside :func:`stosszahl.measurement.collapse_sample`. If no event
-can form (no excited molecule, or no ground molecule to confirm) nothing is
-consumed.
+Ledger: :func:`run` returns the events as a :class:`Ledger`, one numpy column
+per field (``t_e, t_a, emitter, absorber, winner_weight,
+confirmation_set_size``) and one row per event. The audit, the rate
+estimator and the CSV writer read these columns. Indexing or iterating a
+ledger yields :class:`TransactionEvent` objects for callers that walk events.
+
+Horizon: a run records every event whose absorption time t_a is at or before
+t_max and stops at the first event whose t_a would pass it. Every recorded
+transaction therefore completes inside the window, and the dwell in the last
+state ends at t_max.
+
+Randomness contract: every recorded event consumes exactly three uniforms
+from the generator, in order: (1) the exponential waiting time by inverse
+CDF, (2) the uniform emitter pick among excited molecules, and (3) the winner
+selection over the confirmation set in ascending id order, by the inverse-CDF
+step :func:`stosszahl.measurement.inverse_cdf` that
+:func:`stosszahl.measurement.collapse_sample` also uses. The event that would
+cross the horizon consumes only its waiting-time uniform, so a run that
+records m events consumes 3m + 1 uniforms. If no event can form (no excited
+molecule, or no ground molecule to confirm) nothing is consumed.
 
 Coarse graining: the macro-observable is k, the number of excited molecules
 in the left half (ids below N/2). Its Boltzmann entropy is the log
@@ -28,12 +42,13 @@ from __future__ import annotations
 
 import bisect
 import csv
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .measurement import collapse_sample
+from .measurement import collapse_sample, inverse_cdf
 from .states import shannon_entropy
 
 
@@ -147,6 +162,71 @@ class Trajectory:
         return self.left_counts[idx]
 
 
+@dataclass(eq=False)
+class Ledger:
+    """Struct-of-arrays event ledger: one numpy column per field, one row per event.
+
+    Columns follow the CSV schema without its index: ``t_e`` and ``t_a``
+    (float), ``emitter`` and ``absorber`` (int64), ``winner_weight`` (float)
+    and ``confirmation_set_size`` (int64). ``len``, integer indexing and
+    iteration give the events as :class:`TransactionEvent` objects.
+    """
+
+    t_e: np.ndarray
+    t_a: np.ndarray
+    emitter: np.ndarray
+    absorber: np.ndarray
+    winner_weight: np.ndarray
+    confirmation_set_size: np.ndarray
+
+    def __len__(self) -> int:
+        return self.t_e.shape[0]
+
+    def __getitem__(self, index: int) -> TransactionEvent:
+        return TransactionEvent(
+            emitter=int(self.emitter[index]),
+            absorber=int(self.absorber[index]),
+            t_emit=float(self.t_e[index]),
+            t_absorb=float(self.t_a[index]),
+            winner_weight=float(self.winner_weight[index]),
+            confirmation_size=int(self.confirmation_set_size[index]),
+        )
+
+    def __iter__(self):
+        columns = (
+            self.emitter, self.absorber, self.t_e, self.t_a,
+            self.winner_weight, self.confirmation_set_size,
+        )
+        for fields in zip(*(column.tolist() for column in columns)):
+            yield TransactionEvent(*fields)
+
+
+def _indexed_ledger(rows) -> tuple:
+    """(event indices, Ledger) of a Ledger, TransactionEvents or raw CSV rows.
+
+    Raw rows are tuples in ``LEDGER_COLUMNS`` order and keep their own
+    event_index; a Ledger or events are indexed by position.
+    """
+    if isinstance(rows, Ledger):
+        return range(len(rows)), rows
+    normalized = [
+        (index, row.t_emit, row.t_absorb, row.emitter, row.absorber,
+         row.winner_weight, row.confirmation_size)
+        if isinstance(row, TransactionEvent) else tuple(row)
+        for index, row in enumerate(rows)
+    ]
+    columns = list(zip(*normalized)) or [()] * len(LEDGER_COLUMNS)
+    ledger = Ledger(
+        t_e=np.array(columns[1], dtype=float),
+        t_a=np.array(columns[2], dtype=float),
+        emitter=np.array(columns[3], dtype=np.int64),
+        absorber=np.array(columns[4], dtype=np.int64),
+        winner_weight=np.array(columns[5], dtype=float),
+        confirmation_set_size=np.array(columns[6], dtype=np.int64),
+    )
+    return columns[0], ledger
+
+
 def init_gas(config: GasConfig) -> GasState:
     """Deterministic initial layout: molecules 0..n_excited-1 excited, t = 0."""
     levels = np.zeros(config.n_molecules, dtype=np.int8)
@@ -182,6 +262,25 @@ def _log_binomial(m: int, k: int) -> float:
     return math.lgamma(m + 1) - math.lgamma(k + 1) - math.lgamma(m - k + 1)
 
 
+@functools.lru_cache(maxsize=16)
+def _entropy_table(n_molecules: int, n_excited: int) -> tuple[int, np.ndarray]:
+    """(k_lo, read-only macrostate entropies for k = k_lo .. min(n, N/2)), N even.
+
+    Every member of an ensemble shares one table; the values are those of
+    :func:`macrostate_entropy` on the physical k window.
+    """
+    half = n_molecules // 2
+    k_lo = max(0, n_excited - half)
+    table = np.array(
+        [
+            _log_binomial(half, k) + _log_binomial(half, n_excited - k)
+            for k in range(k_lo, min(n_excited, half) + 1)
+        ]
+    )
+    table.flags.writeable = False
+    return k_lo, table
+
+
 def next_event(state: GasState, config: GasConfig, rng: np.random.Generator) -> TransactionEvent | None:
     """Draw the next transaction, or None if no emitter/absorber pair can form.
 
@@ -190,6 +289,9 @@ def next_event(state: GasState, config: GasConfig, rng: np.random.Generator) -> 
     uniform among excited molecules. The confirmation set is every
     ground-state molecule at the emission instant, and the winner is sampled
     over the normalized coupling weights.
+
+    With :func:`apply_event` this is the per-event reference that the kernel
+    in :func:`run` must reproduce bit for bit; it is not used by ``run``.
     """
     levels = state.levels
     excited = np.flatnonzero(levels)
@@ -249,120 +351,153 @@ def apply_event(state: GasState, event: TransactionEvent) -> GasState:
     return GasState(levels=new_levels, time=event.t_absorb)
 
 
-def run(config: GasConfig, rng: np.random.Generator | None = None) -> tuple[Trajectory, list[TransactionEvent]]:
-    """Run one trajectory to t_max (or until no event can form).
+# Uniforms the gas kernel draws at a time (three per event).
+_UNIFORM_BLOCK = 768
+
+
+def run(config: GasConfig, rng: np.random.Generator | None = None) -> tuple[Trajectory, Ledger]:
+    """Run one trajectory up to the horizon t_max (or while no event can form).
 
     Returns the coarse-grained trajectory and the complete event ledger.
     Deterministic given (config, seed); pass an explicit generator to drive
     ensemble members from spawned seed sequences instead.
 
-    The loop keeps sorted excited/ground id lists and incremental k counts
-    instead of literally composing :func:`next_event` and
-    :func:`apply_event` per event, but it consumes the random stream and
-    produces the ledger bit-identically to that composition (covered by an
-    equivalence test), since the sorted lists match the ascending id order
-    of the per-step functions and the uniform-weight cumulative sums are
-    cached unchanged.
+    The kernel is Gillespie's direct method. Quanta are conserved, so the
+    total emission rate n * decay_rate and the confirmation-set size N - n
+    are constants of the run. Sorted excited/ground id lists reproduce the
+    ascending id order of :func:`next_event`, and the uniform-coupling
+    cumulative weights are the ones :func:`collapse_sample` builds for
+    ``np.full(N - n, 1 / (N - n))``, computed once. Uniforms are drawn in
+    blocks, which ``Generator.random(k)`` fills with the same doubles as k
+    scalar draws, and the generator is rewound to the exact scalar-draw
+    position on return. So the kernel consumes the random stream and
+    produces the ledger bit-identically to composing :func:`next_event` and
+    :func:`apply_event` (covered by equivalence tests). The trajectory is
+    derived from the ledger columns.
     """
     if rng is None:
         rng = np.random.default_rng(config.seed)
     n = config.n_molecules
     n_quanta = config.n_excited
-    decay = config.decay_rate
-    tau = config.delay
-    t_max = config.t_max
+    m = n - n_quanta
     coupling = config.coupling
-    half = (n + 1) // 2
-    even = n % 2 == 0
+    emit_times: list[float] = []
+    emitters: list[int] = []
+    absorbers: list[int] = []
+    weights: list[float] = []
 
-    excited = list(range(n_quanta))
-    ground = list(range(n_quanta, n))
-    k = min(n_quanta, half)
-
-    # Macrostate entropy by table lookup; k stays in the physical window.
-    if even:
-        k_lo = max(0, n_quanta - n // 2)
-        table = {
-            kk: macrostate_entropy(kk, config) for kk in range(k_lo, min(n_quanta, n // 2) + 1)
-        }
-    else:
-        table = None
-
-    # Per-size uniform sampling arrays, identical to collapse_sample's view
-    # of np.full(m, 1/m).
-    uniform_cum: dict[int, tuple[np.ndarray, float, float]] = {}
-
-    times = [0.0]
-    left = [k]
-    entropies = [table[k] if even else math.nan]
-    events: list[TransactionEvent] = []
-    t = 0.0
-
-    while excited and ground:
-        waiting = -math.log1p(-rng.random()) / (len(excited) * decay)
-        t_emit = t + waiting
-        if t_emit > t_max:
-            break
-
-        n_excited = len(excited)
-        pick = int(rng.random() * n_excited)
-        emitter = excited[min(pick, n_excited - 1)]
-
-        m = len(ground)
+    if n_quanta and m:
+        log1p = math.log1p
+        bisect_right = bisect.bisect_right
+        insort = bisect.insort
+        total_rate = n_quanta * config.decay_rate
+        tau = config.delay
+        t_max = config.t_max
+        last_excited = n_quanta - 1
+        last_ground = m - 1
+        excited = list(range(n_quanta))
+        ground = list(range(n_quanta, n))
         if coupling is None:
-            cached = uniform_cum.get(m)
-            if cached is None:
-                w = np.full(m, 1.0 / m)
-                cached = (np.cumsum(w), float(w.sum()), 1.0 / m)
-                uniform_cum[m] = cached
-            cumulative, total, weight = cached
-            winner = int(np.searchsorted(cumulative, rng.random() * total, side="right"))
-            winner = min(winner, m - 1)
+            uniform = np.full(m, 1.0 / m)
+            cumulative = np.cumsum(uniform).tolist()
+            total = float(uniform.sum())
         else:
-            raw = config.coupling[emitter, np.asarray(ground)]
-            raw_total = float(raw.sum())
-            if raw_total <= 0.0:
-                raise ValueError(
-                    f"coupling weights from emitter {emitter} to the confirmation set are all zero"
-                )
-            weights = raw / raw_total
-            winner = collapse_sample(weights, rng)
-            weight = float(weights[winner])
-        absorber = ground[winner]
+            ground_mask = np.zeros(n, dtype=bool)
+            ground_mask[n_quanta:] = True
 
-        t = t_emit + tau
-        events.append(
-            TransactionEvent(
-                emitter=emitter,
-                absorber=absorber,
-                t_emit=t_emit,
-                t_absorb=t,
-                winner_weight=weight,
-                confirmation_size=m,
-            )
-        )
+        # Uniforms come from blocks; the finally clause rewinds the generator
+        # and redraws exactly the uniforms consumed, so it ends where scalar
+        # draws would have left it, also when a ValueError ends the run.
+        bit_generator = rng.bit_generator
+        start_state = bit_generator.state
+        uniforms: list[float] = []
+        drawn = 0
+        pos = 0  # next unused entry of uniforms
+        t = 0.0
+        try:
+            while True:
+                if pos + 3 > len(uniforms):
+                    uniforms = uniforms[pos:] + rng.random(_UNIFORM_BLOCK).tolist()
+                    drawn += _UNIFORM_BLOCK
+                    pos = 0
+                t_emit = t + -log1p(-uniforms[pos]) / total_rate
+                t = t_emit + tau
+                if t > t_max:  # the horizon: this event would absorb after t_max
+                    pos += 1
+                    break
+                emitter = excited.pop(min(int(uniforms[pos + 1] * n_quanta), last_excited))
+                if coupling is None:
+                    winner = min(bisect_right(cumulative, uniforms[pos + 2] * total), last_ground)
+                else:
+                    raw = coupling[emitter][ground_mask]
+                    raw_total = float(np.add.reduce(raw))
+                    if raw_total <= 0.0:
+                        pos += 2
+                        raise ValueError(
+                            f"coupling weights from emitter {emitter} to the confirmation set "
+                            "are all zero"
+                        )
+                    normalized = raw / raw_total
+                    winner = inverse_cdf(normalized, uniforms[pos + 2])
+                    weights.append(float(normalized[winner]))
+                    ground_mask[emitter] = True
+                    ground_mask[ground[winner]] = False
+                pos += 3
+                absorber = ground.pop(winner)
+                insort(ground, emitter)
+                insort(excited, absorber)
+                emit_times.append(t_emit)
+                emitters.append(emitter)
+                absorbers.append(absorber)
+        finally:
+            bit_generator.state = start_state
+            consumed = drawn - len(uniforms) + pos
+            for _ in range(consumed // _UNIFORM_BLOCK):
+                rng.random(_UNIFORM_BLOCK)
+            rng.random(consumed % _UNIFORM_BLOCK)
 
-        del excited[bisect.bisect_left(excited, emitter)]
-        bisect.insort(ground, emitter)
-        del ground[bisect.bisect_left(ground, absorber)]
-        bisect.insort(excited, absorber)
-        k += (absorber < half) - (emitter < half)
-
-        times.append(t)
-        left.append(k)
-        entropies.append(table[k] if even else math.nan)
-
-    trajectory = Trajectory(
-        times=np.array(times),
-        quanta=np.full(len(times), n_quanta, dtype=int),
-        left_counts=np.array(left, dtype=int),
-        macro_entropies=np.array(entropies),
+    n_events = len(emit_times)
+    if coupling is None and n_events:
+        weights = [1.0 / m] * n_events
+    t_e = np.array(emit_times, dtype=float)
+    ledger = Ledger(
+        t_e=t_e,
+        t_a=t_e + config.delay,
+        emitter=np.array(emitters, dtype=np.int64),
+        absorber=np.array(absorbers, dtype=np.int64),
+        winner_weight=np.array(weights, dtype=float),
+        confirmation_set_size=np.full(n_events, m, dtype=np.int64),
     )
-    return trajectory, events
+    return _trajectory(config, ledger), ledger
+
+
+def _left_counts(config: GasConfig, ledger: Ledger) -> np.ndarray:
+    """k at t = 0 and after every event, from the emitter and absorber columns."""
+    half = (config.n_molecules + 1) // 2
+    steps = (ledger.absorber < half).astype(np.int64) - (ledger.emitter < half)
+    return min(config.n_excited, half) + np.concatenate(([0], np.cumsum(steps)))
+
+
+def _trajectory(config: GasConfig, ledger: Ledger) -> Trajectory:
+    """Trajectory sampled at t = 0 and at every absorption of the ledger."""
+    n = config.n_molecules
+    n_quanta = config.n_excited
+    left = _left_counts(config, ledger)
+    if n % 2 == 0:
+        k_lo, table = _entropy_table(n, n_quanta)
+        entropies = table[left - k_lo]
+    else:
+        entropies = np.full(left.size, math.nan)
+    return Trajectory(
+        times=np.concatenate(([0.0], ledger.t_a)),
+        quanta=np.full(left.size, n_quanta, dtype=int),
+        left_counts=left,
+        macro_entropies=entropies,
+    )
 
 
 def iter_ensemble(config: GasConfig, n_members: int):
-    """Yield (trajectory, events) for n_members independent runs.
+    """Yield (trajectory, ledger) for n_members independent runs.
 
     Member generators come from spawning ``numpy.random.SeedSequence(seed)``,
     so the whole ensemble is reproducible from the single config seed and
@@ -457,41 +592,51 @@ def empirical_rates(
 ) -> EmpiricalRates:
     """Estimate transition rates between state labels from one ledger.
 
-    The ledger is replayed from the deterministic initial state; the default
-    partition labels each state by its left-half excited count k.
+    ``events`` is a :class:`Ledger` or a sequence of events, assumed to pass
+    :func:`audit_ledger`. The default partition labels each state by its
+    left-half excited count k, taken from the ledger columns. A custom
+    ``labeler`` is called on the gas state replayed from the deterministic
+    initial state: once at t = 0 and once after every event, on one state
+    object updated in place.
     """
-    events = list(events)
-    if not events:
+    ledger = _indexed_ledger(events)[1]
+    if not len(ledger):
         raise ValueError("cannot estimate rates from an empty ledger")
-    if labeler is None:
-        labeler = left_half_count
-        if n_labels is None:
-            n_labels = (config.n_molecules + 1) // 2 + 1
-    if n_labels is None:
-        raise ValueError("n_labels is required with a custom labeler")
     if t_total is None:
         t_total = config.t_max
-    if t_total < events[-1].t_absorb:
+    last = float(ledger.t_a[-1])
+    if t_total < last:
         raise ValueError(
-            f"t_total = {t_total!r} is earlier than the last absorption "
-            f"{events[-1].t_absorb!r}"
+            f"t_total = {t_total!r} is earlier than the last absorption {last!r}"
         )
+    if labeler is None:
+        if n_labels is None:
+            n_labels = (config.n_molecules + 1) // 2 + 1
+        labels = _left_counts(config, ledger)
+    elif n_labels is None:
+        raise ValueError("n_labels is required with a custom labeler")
+    else:
+        state = init_gas(config)
+        labels = [labeler(state)]
+        for emitter, absorber, t_absorb in zip(
+            ledger.emitter.tolist(), ledger.absorber.tolist(), ledger.t_a.tolist()
+        ):
+            state.levels[emitter] = 0
+            state.levels[absorber] = 1
+            state.time = t_absorb
+            labels.append(labeler(state))
+        labels = np.array(labels, dtype=np.int64)
+    if labels.min() < 0 or labels.max() >= n_labels:
+        raise ValueError(f"state labels must lie in 0..{n_labels - 1}")
 
-    counts = np.zeros((n_labels, n_labels))
-    dwell = np.zeros(n_labels)
-    state = init_gas(config)
-    label = labeler(state)
-    t_prev = 0.0
-    for event in events:
-        dwell[label] += event.t_absorb - t_prev
-        t_prev = event.t_absorb
-        state = apply_event(state, event)
-        new_label = labeler(state)
-        if new_label != label:
-            counts[new_label, label] += 1
-        label = new_label
-    dwell[label] += t_total - t_prev
-
+    before, after = labels[:-1], labels[1:]
+    # bincount adds the weights of each label in event order, as a replay would.
+    dwell = np.bincount(before, weights=np.diff(ledger.t_a, prepend=0.0), minlength=n_labels)
+    dwell[labels[-1]] += t_total - last
+    moved = after != before
+    counts = np.bincount(
+        after[moved] * n_labels + before[moved], minlength=n_labels * n_labels
+    ).reshape(n_labels, n_labels).astype(float)
     return _rates_from_counts(counts, dwell)
 
 
@@ -532,25 +677,27 @@ LEDGER_COLUMNS = (
 
 TRAJECTORY_COLUMNS = ("t", "n", "k", "S_macro")
 
+_INT64 = np.iinfo(np.int64)
+
 
 def write_ledger_csv(path, events, header_comment: str | None = None) -> None:
+    """Write a :class:`Ledger` (or a sequence of events) with 17-digit floats."""
+    ledger = _indexed_ledger(events)[1]
+    columns = (
+        ledger.t_e, ledger.t_a, ledger.emitter, ledger.absorber,
+        ledger.winner_weight, ledger.confirmation_set_size,
+    )
     with open(path, "w", newline="") as handle:
         if header_comment:
             handle.write(f"# {header_comment}\n")
         writer = csv.writer(handle)
         writer.writerow(LEDGER_COLUMNS)
-        for index, ev in enumerate(events):
-            writer.writerow(
-                [
-                    index,
-                    f"{ev.t_emit:.17g}",
-                    f"{ev.t_absorb:.17g}",
-                    ev.emitter,
-                    ev.absorber,
-                    f"{ev.winner_weight:.17g}",
-                    ev.confirmation_size,
-                ]
+        writer.writerows(
+            (index, f"{t_e:.17g}", f"{t_a:.17g}", emitter, absorber, f"{weight:.17g}", size)
+            for index, (t_e, t_a, emitter, absorber, weight, size) in enumerate(
+                zip(*(column.tolist() for column in columns))
             )
+        )
 
 
 def read_ledger_raw(path) -> list[tuple]:
@@ -566,17 +713,19 @@ def read_ledger_raw(path) -> list[tuple]:
                 continue
             if len(row) != len(LEDGER_COLUMNS):
                 raise ValueError(f"{path}: ragged ledger row {row!r}")
-            rows.append(
-                (
-                    int(row[0]),
-                    float(row[1]),
-                    float(row[2]),
-                    int(row[3]),
-                    int(row[4]),
-                    float(row[5]),
-                    int(row[6]),
-                )
+            parsed = (
+                int(row[0]),
+                float(row[1]),
+                float(row[2]),
+                int(row[3]),
+                int(row[4]),
+                float(row[5]),
+                int(row[6]),
             )
+            # The audit holds these fields in int64 columns.
+            if not all(_INT64.min <= parsed[i] <= _INT64.max for i in (3, 4, 6)):
+                raise ValueError(f"{path}: integer outside the int64 range in row {row!r}")
+            rows.append(parsed)
     return rows
 
 
@@ -622,67 +771,91 @@ class LedgerAudit:
 def audit_ledger(rows, n_molecules: int | None = None, initial_excited=None) -> LedgerAudit:
     """Check ledger invariants: ordering, weights, and the precondition chain.
 
-    ``rows`` may be raw tuples from :func:`read_ledger_raw` or
-    :class:`TransactionEvent` objects. The precondition chain (each emitter
-    excited, each absorber ground at its event) is equivalent to per-molecule
-    role alternation, so it can be audited without the initial state; the
-    initial level of every participating molecule is inferred from its first
-    role and checked against ``initial_excited`` when that is supplied.
+    ``rows`` may be a :class:`Ledger`, :class:`TransactionEvent` objects, or
+    raw tuples from :func:`read_ledger_raw` (whose event_index names the
+    event in messages); all are checked as columns. The precondition chain
+    (each emitter excited, each absorber ground at its event) is equivalent
+    to per-molecule role alternation, so it can be audited without the
+    initial state; the initial level of every participating molecule is
+    inferred from its first role and checked against ``initial_excited``
+    when that is supplied. With both ``initial_excited`` and ``n_molecules``
+    every confirmation set must hold exactly the N - n ground molecules.
     Conservation holds exactly whenever the chain is consistent, since every
     event moves exactly one quantum.
     """
-    normalized = []
-    for index, row in enumerate(rows):
-        if isinstance(row, TransactionEvent):
-            normalized.append(
-                (index, row.t_emit, row.t_absorb, row.emitter, row.absorber,
-                 row.winner_weight, row.confirmation_size)
-            )
-        else:
-            normalized.append(tuple(row))
+    index, ledger = _indexed_ledger(rows)
+    t_e, t_a = ledger.t_e, ledger.t_a
+    emitter, absorber = ledger.emitter, ledger.absorber
+    weight, size = ledger.winner_weight, ledger.confirmation_set_size
+    n_events = len(ledger)
+    # Largest earlier emission time; fmax skips NaN as the running max() does.
+    previous_emit = np.fmax.accumulate(np.concatenate(([-math.inf], t_e)))[:-1]
 
-    violations = []
-    previous_emit = -math.inf
-    # Per-molecule expected next role, inferred from the first appearance.
-    expected_role: dict[int, str] = {}
-    first_role: dict[int, str] = {}
+    # Interleave each event's (emitter, emit) and (absorber, absorb) appearances;
+    # a stable sort by molecule keeps each molecule's roles in ledger order.
+    molecules = np.column_stack((emitter, absorber)).ravel()
+    absorbs = np.zeros(2 * n_events, dtype=bool)
+    absorbs[1::2] = True
+    order = np.argsort(molecules, kind="stable")
+    by_molecule = molecules[order]
+    roles = absorbs[order]
+    same_molecule = by_molecule[1:] == by_molecule[:-1]
+    repeated = np.zeros(2 * n_events, dtype=bool)
+    repeated[order[1:]] = same_molecule & (roles[1:] == roles[:-1])
+    repeated = repeated.reshape(n_events, 2)
+    first = np.ones(by_molecule.size, dtype=bool)
+    first[1:] = ~same_molecule
+    first_molecules = by_molecule[first]
+    first_absorbs = roles[first]
 
-    for index, t_emit, t_absorb, emitter, absorber, weight, size in normalized:
-        where = f"event {index}"
-        if not t_emit < t_absorb:
-            violations.append(f"{where}: t_e {t_emit!r} not strictly before t_a {t_absorb!r}")
-        if t_emit < previous_emit:
-            violations.append(f"{where}: emission time decreased ({t_emit!r} after {previous_emit!r})")
-        previous_emit = max(previous_emit, t_emit)
-        if emitter == absorber:
-            violations.append(f"{where}: emitter equals absorber ({emitter})")
-        if not 0.0 < weight <= 1.0:
-            violations.append(f"{where}: winner weight {weight!r} outside (0, 1]")
-        if size < 1:
-            violations.append(f"{where}: confirmation set size {size} < 1")
-        for mol in (emitter, absorber):
-            if mol < 0 or (n_molecules is not None and mol >= n_molecules):
-                violations.append(f"{where}: molecule id {mol} out of range")
-        for mol, role in ((emitter, "emit"), (absorber, "absorb")):
-            if mol not in expected_role:
-                first_role[mol] = role
-            elif expected_role[mol] != role:
-                verb = "emit while ground" if role == "emit" else "absorb while excited"
-                violations.append(f"{where}: molecule {mol} would {verb}")
-            expected_role[mol] = "absorb" if role == "emit" else "emit"
+    id_limit = math.inf if n_molecules is None else n_molecules
+    declared = None if initial_excited is None else {int(m) for m in initial_excited}
+    if declared is not None and n_molecules is not None:
+        expected_size = n_molecules - len(declared)
+        size_mismatch = size != expected_size
+    else:
+        size_mismatch = np.zeros(n_events, dtype=bool)
 
-    inferred = tuple(sorted(mol for mol, role in first_role.items() if role == "emit"))
-    if initial_excited is not None:
-        declared = set(int(m) for m in initial_excited)
-        for mol, role in sorted(first_role.items()):
-            if role == "emit" and mol not in declared:
-                violations.append(f"molecule {mol} emits first but was not initially excited")
-            if role == "absorb" and mol in declared:
+    # Per-event checks, in the order their messages appear within one event.
+    checks = (
+        (~(t_e < t_a), lambda i: (
+            f"t_e {t_e[i].item()!r} not strictly before t_a {t_a[i].item()!r}"
+        )),
+        (t_e < previous_emit, lambda i: (
+            f"emission time decreased ({t_e[i].item()!r} after {previous_emit[i].item()!r})"
+        )),
+        (emitter == absorber, lambda i: f"emitter equals absorber ({emitter[i]})"),
+        (~((0.0 < weight) & (weight <= 1.0)), lambda i: (
+            f"winner weight {weight[i].item()!r} outside (0, 1]"
+        )),
+        (size < 1, lambda i: f"confirmation set size {size[i]} < 1"),
+        (size_mismatch, lambda i: (
+            f"confirmation set size {size[i]} != {expected_size} ground molecules"
+        )),
+        ((emitter < 0) | (emitter >= id_limit), lambda i: f"molecule id {emitter[i]} out of range"),
+        ((absorber < 0) | (absorber >= id_limit), lambda i: f"molecule id {absorber[i]} out of range"),
+        (repeated[:, 0], lambda i: f"molecule {emitter[i]} would emit while ground"),
+        (repeated[:, 1], lambda i: f"molecule {absorber[i]} would absorb while excited"),
+    )
+    flagged = sorted(
+        (i, rank)
+        for rank, (flags, _message) in enumerate(checks)
+        if flags.any()
+        for i in np.flatnonzero(flags).tolist()
+    )
+    violations = [f"event {index[i]}: {checks[rank][1](i)}" for i, rank in flagged]
+
+    inferred = tuple(first_molecules[~first_absorbs].tolist())
+    if declared is not None:
+        for mol, absorbs_first in zip(first_molecules.tolist(), first_absorbs.tolist()):
+            if absorbs_first and mol in declared:
                 violations.append(f"molecule {mol} absorbs first but was initially excited")
+            elif not absorbs_first and mol not in declared:
+                violations.append(f"molecule {mol} emits first but was not initially excited")
 
     return LedgerAudit(
         passed=not violations,
-        n_events=len(normalized),
+        n_events=n_events,
         violations=tuple(violations),
         inferred_initial_excited=inferred,
     )

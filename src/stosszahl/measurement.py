@@ -104,14 +104,25 @@ def collapse_sample(weights, rng: np.random.Generator) -> int:
     are treated as exactly zero; if every entry is zero the weights are
     degenerate and rejected.
     """
-    w = as_probability_vector(weights, name="weights")
-    w = np.where(w < ZERO_WEIGHT, 0.0, w)
-    total = float(w.sum())
+    return inverse_cdf(as_probability_vector(weights, name="weights"), rng.random())
+
+
+def inverse_cdf(weights: np.ndarray, u: float) -> int:
+    """The inverse-CDF step of :func:`collapse_sample`, without its validation.
+
+    Returns the index that the uniform ``u`` in [0, 1) selects. ``weights``
+    must be a float vector of nonnegative entries; they need not sum to one.
+    Callers that validated their weights once (the gas kernel) call this
+    directly on every event.
+    """
+    # ndarray methods and np.add.reduce skip the Python-level wrappers of
+    # np.sum, np.cumsum and np.searchsorted; the arithmetic is the same.
+    w = np.where(weights < ZERO_WEIGHT, 0.0, weights)
+    total = float(np.add.reduce(w))
     if total <= 0.0:
         raise ValueError("degenerate weights: all entries are zero")
-    cumulative = np.cumsum(w)
-    u = rng.random() * total
-    index = int(np.searchsorted(cumulative, u, side="right"))
+    cumulative = w.cumsum()
+    index = int(cumulative.searchsorted(u * total, side="right"))
     return min(index, w.size - 1)
 
 

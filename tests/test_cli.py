@@ -78,10 +78,26 @@ def test_audit_tampered_ledger_exit_one(tmp_path, capsys):
     gas_config = GasConfig(n_molecules=8, n_excited=4, decay_rate=1.0, t_max=10.0, seed=6)
     _trajectory, events = run(gas_config)
     path = tmp_path / "ledger.csv"
-    write_ledger_csv(path, events + [events[0]])
+    write_ledger_csv(path, list(events) + [events[0]])
     assert main(["audit", "--ledger", str(path)]) == 1
     out = capsys.readouterr().out
     assert "violation" in out and "audit: FAIL" in out
+
+
+def test_gas_run_with_absorptions_past_the_horizon_reports(tmp_path, capsys):
+    # delay = half a lifetime: many emissions before t_max absorb after it, which
+    # used to crash the rate estimate with a traceback instead of a report
+    config = write_config(
+        tmp_path,
+        "[run]\nscenario = gas-equilibrium\nseed = 1\n"
+        "[gas-equilibrium]\nn_molecules = 10\nn_excited = 5\ndelay = 0.5\n"
+        "t_max = 10\nn_seeds = 100\nequilibration_time = 5\n",
+    )
+    out = tmp_path / "out"
+    code = main(["run", "--config", str(config), "--out", str(out), "--no-header-timestamp"])
+    assert code in (0, 1)
+    assert (out / "report.json").exists()
+    assert "scenario gas-equilibrium:" in capsys.readouterr().out
 
 
 def test_audit_missing_file_exit_two(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -180,13 +181,13 @@ def test_apply_event_requires_ground_absorber():
 
 def test_empty_gas_gives_empty_ledger():
     trajectory, events = run(make_config(n_molecules=6, n_excited=0))
-    assert events == []
+    assert list(events) == []
     assert trajectory.times.tolist() == [0.0]
 
 
 def test_saturated_gas_gives_empty_ledger():
     _trajectory, events = run(make_config(n_molecules=6, n_excited=6))
-    assert events == []
+    assert list(events) == []
 
 
 def test_two_body_exchange_alternates():
@@ -204,7 +205,7 @@ def test_run_is_deterministic():
     config = make_config(n_molecules=30, n_excited=15, t_max=20.0, seed=77)
     trajectory_a, events_a = run(config)
     trajectory_b, events_b = run(config)
-    assert events_a == events_b
+    assert list(events_a) == list(events_b)
     assert np.array_equal(trajectory_a.times, trajectory_b.times)
     assert np.array_equal(trajectory_a.left_counts, trajectory_b.left_counts)
 
@@ -224,11 +225,11 @@ def test_run_matches_stepwise_composition():
         slow = []
         while True:
             event = next_event(state, config, rng)
-            if event is None or event.t_emit > config.t_max:
+            if event is None or event.t_absorb > config.t_max:
                 break
             state = apply_event(state, event)
             slow.append(event)
-        assert fast == slow
+        assert list(fast) == slow
         assert len(fast) > 50
 
 
@@ -241,9 +242,83 @@ def test_arrow_of_time_holds_on_every_event():
 
 
 def test_conservation_is_exact_on_trajectory():
+    # replay the ledger columns: every event leaves exactly n molecules excited
     config = make_config(n_molecules=20, n_excited=7, t_max=30.0, seed=4)
-    trajectory, _events = run(config)
-    assert set(trajectory.quanta.tolist()) == {7}
+    _trajectory, ledger = run(config)
+    levels = init_gas(config).levels
+    excited_after = []
+    for emitter, absorber in zip(ledger.emitter.tolist(), ledger.absorber.tolist()):
+        levels[emitter] = 0
+        levels[absorber] = 1
+        excited_after.append(int(np.count_nonzero(levels)))
+    assert len(excited_after) > 50
+    assert set(excited_after) == {7}
+
+
+def test_run_consumes_three_uniforms_per_event_plus_the_horizon_draw():
+    # the event that would cross t_max draws only its waiting time; an empty or
+    # saturated gas forms no event and draws nothing
+    table = np.random.default_rng(9).random((12, 12))
+    np.fill_diagonal(table, 0.0)
+    cases = [
+        (make_config(n_molecules=25, n_excited=9, t_max=15.0, seed=5), True),
+        (make_config(n_molecules=12, n_excited=6, t_max=15.0, seed=6, coupling=table), True),
+        (make_config(n_molecules=100, n_excited=50, t_max=20.0, seed=9), True),
+        (make_config(n_molecules=6, n_excited=0, seed=7), False),
+        (make_config(n_molecules=6, n_excited=6, seed=8), False),
+    ]
+    for config, forms_events in cases:
+        rng = np.random.default_rng(config.seed)
+        _trajectory, ledger = run(config, rng)
+        assert (len(ledger) > 0) == forms_events
+        reference = np.random.default_rng(config.seed)
+        for _ in range(3 * len(ledger) + 1 if forms_events else 0):
+            reference.random()
+        assert rng.random() == reference.random()
+
+
+def test_zero_coupling_error_leaves_generator_after_two_draws():
+    # the failing event drew its waiting time and its emitter, not a winner
+    config = make_config(n_molecules=4, n_excited=2, t_max=1e9, seed=3, coupling=np.zeros((4, 4)))
+    rng = np.random.default_rng(3)
+    with pytest.raises(ValueError, match="all zero"):
+        run(config, rng)
+    reference = np.random.default_rng(3)
+    reference.random()
+    reference.random()
+    assert rng.random() == reference.random()
+
+
+def test_long_runs_match_stepwise_composition():
+    # runs of several hundred events draw their uniforms over several blocks
+    table = np.random.default_rng(10).random((40, 40))
+    np.fill_diagonal(table, 0.0)
+    configs = [
+        make_config(n_molecules=40, n_excited=20, t_max=30.0, seed=11),
+        make_config(n_molecules=40, n_excited=20, t_max=30.0, seed=12, coupling=table),
+    ]
+    for config in configs:
+        _trajectory, fast = run(config)
+        rng = np.random.default_rng(config.seed)
+        state = init_gas(config)
+        slow = []
+        while True:
+            event = next_event(state, config, rng)
+            if event is None or event.t_absorb > config.t_max:
+                break
+            state = apply_event(state, event)
+            slow.append(event)
+        assert list(fast) == slow
+        assert len(fast) > 500
+
+
+def test_run_stops_at_last_absorption_inside_horizon():
+    # a delay of half a lifetime makes emissions before t_max absorb after it
+    config = make_config(n_molecules=10, n_excited=5, t_max=10.0, delay=0.5, seed=1)
+    trajectory, ledger = run(config)
+    assert ledger.t_a[-1] <= config.t_max
+    assert trajectory.times[-1] == ledger.t_a[-1]
+    empirical_rates(config, ledger)
 
 
 def test_emitter_and_absorber_anticorrelated_after_event():
@@ -397,6 +472,42 @@ def test_empty_ledger_rejected():
         empirical_rates(config, [])
 
 
+def replayed_rates(config, events):
+    """Counts and dwell times by replaying apply_event, the loop empirical_rates replaced."""
+    n_labels = config.n_molecules // 2 + 1
+    counts = np.zeros((n_labels, n_labels))
+    dwell = np.zeros(n_labels)
+    state = init_gas(config)
+    label = left_half_count(state)
+    t_prev = 0.0
+    for event in events:
+        dwell[label] += event.t_absorb - t_prev
+        t_prev = event.t_absorb
+        state = apply_event(state, event)
+        new_label = left_half_count(state)
+        if new_label != label:
+            counts[new_label, label] += 1
+        label = new_label
+    dwell[label] += config.t_max - t_prev
+    return counts, dwell
+
+
+def test_column_rates_equal_the_replayed_rates():
+    # same sums in the same order, so the results are bit-identical
+    table = np.random.default_rng(14).random((30, 30))
+    np.fill_diagonal(table, 0.0)
+    configs = [
+        make_config(n_molecules=100, n_excited=50, t_max=5.0, seed=13),
+        make_config(n_molecules=30, n_excited=8, t_max=20.0, seed=14, coupling=table),
+    ]
+    for config in configs:
+        _trajectory, ledger = run(config)
+        counts, dwell = replayed_rates(config, ledger)
+        estimate = empirical_rates(config, ledger)
+        assert np.array_equal(estimate.transition_counts, counts)
+        assert np.array_equal(estimate.dwell_times, dwell)
+
+
 def test_combined_rates_pool_counts_and_dwell():
     config = make_config(n_molecules=10, n_excited=5, t_max=20.0, seed=43)
     parts = [empirical_rates(config, events) for _trajectory, events in iter_ensemble(config, 3)]
@@ -431,8 +542,8 @@ def test_ensemble_requires_hundred_seeds():
 
 def test_ensemble_members_are_reproducible():
     config = make_config(n_molecules=10, n_excited=5, t_max=5.0, seed=60)
-    first = [events for _t, events in iter_ensemble(config, 3)]
-    second = [events for _t, events in iter_ensemble(config, 3)]
+    first = [list(events) for _t, events in iter_ensemble(config, 3)]
+    second = [list(events) for _t, events in iter_ensemble(config, 3)]
     assert first == second
     assert first[0] != first[1]
 
@@ -444,7 +555,7 @@ def test_ledger_csv_round_trip(tmp_path):
     _trajectory, events = run(config)
     path = tmp_path / "ledger.csv"
     write_ledger_csv(path, events, header_comment="demo run")
-    assert read_ledger_csv(path) == events
+    assert read_ledger_csv(path) == list(events)
     raw = read_ledger_raw(path)
     assert len(raw) == len(events)
     assert raw[0][0] == 0
@@ -454,6 +565,16 @@ def test_ledger_csv_header_required(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b\n1,2\n")
     with pytest.raises(ValueError, match="header"):
+        read_ledger_raw(path)
+
+
+def test_ledger_csv_rejects_ids_beyond_int64(tmp_path):
+    path = tmp_path / "huge.csv"
+    path.write_text(
+        "event_index,t_e,t_a,emitter,absorber,winner_weight,confirmation_set_size\n"
+        "0,0.5,0.6,0,99999999999999999999,1.0,1\n"
+    )
+    with pytest.raises(ValueError, match="int64"):
         read_ledger_raw(path)
 
 
@@ -511,6 +632,99 @@ def test_audit_checks_declared_initial_state():
     joined = " ".join(audit.violations)
     assert "emits first" in joined
     assert "absorbs first" in joined
+
+
+def test_audit_flags_confirmation_set_size_mismatch():
+    config = make_config(n_molecules=10, n_excited=5, t_max=10.0, seed=72)
+    _trajectory, ledger = run(config)
+    sizes = ledger.confirmation_set_size.copy()
+    sizes[3] += 1
+    tampered = dataclasses.replace(ledger, confirmation_set_size=sizes)
+    audit = audit_ledger(tampered, n_molecules=10, initial_excited=range(5))
+    assert not audit.passed
+    assert audit.violations == ("event 3: confirmation set size 6 != 5 ground molecules",)
+
+
+def row_by_row_audit(rows, n_molecules=None, initial_excited=None):
+    """(violations, inferred initial excited) by the per-row loop audit_ledger replaced."""
+    declared = None if initial_excited is None else set(initial_excited)
+    expected_size = None
+    if declared is not None and n_molecules is not None:
+        expected_size = n_molecules - len(declared)
+    violations = []
+    previous_emit = -math.inf
+    expected_role = {}
+    first_role = {}
+    for index, t_emit, t_absorb, emitter, absorber, weight, size in rows:
+        where = f"event {index}"
+        if not t_emit < t_absorb:
+            violations.append(f"{where}: t_e {t_emit!r} not strictly before t_a {t_absorb!r}")
+        if t_emit < previous_emit:
+            violations.append(
+                f"{where}: emission time decreased ({t_emit!r} after {previous_emit!r})"
+            )
+        previous_emit = max(previous_emit, t_emit)
+        if emitter == absorber:
+            violations.append(f"{where}: emitter equals absorber ({emitter})")
+        if not 0.0 < weight <= 1.0:
+            violations.append(f"{where}: winner weight {weight!r} outside (0, 1]")
+        if size < 1:
+            violations.append(f"{where}: confirmation set size {size} < 1")
+        if expected_size is not None and size != expected_size:
+            violations.append(
+                f"{where}: confirmation set size {size} != {expected_size} ground molecules"
+            )
+        for mol in (emitter, absorber):
+            if mol < 0 or (n_molecules is not None and mol >= n_molecules):
+                violations.append(f"{where}: molecule id {mol} out of range")
+        for mol, role in ((emitter, "emit"), (absorber, "absorb")):
+            if mol not in expected_role:
+                first_role[mol] = role
+            elif expected_role[mol] != role:
+                verb = "emit while ground" if role == "emit" else "absorb while excited"
+                violations.append(f"{where}: molecule {mol} would {verb}")
+            expected_role[mol] = "absorb" if role == "emit" else "emit"
+    if declared is not None:
+        for mol, role in sorted(first_role.items()):
+            if role == "emit" and mol not in declared:
+                violations.append(f"molecule {mol} emits first but was not initially excited")
+            if role == "absorb" and mol in declared:
+                violations.append(f"molecule {mol} absorbs first but was initially excited")
+    inferred = tuple(sorted(mol for mol, role in first_role.items() if role == "emit"))
+    return tuple(violations), inferred
+
+
+def test_column_audit_matches_the_row_loop_on_corrupted_ledgers():
+    # random field edits, repeated and shuffled rows; same messages, same order
+    picker = np.random.default_rng(15)
+    replacements = {
+        "float": [math.nan, -1.0, 0.0, 1.5, math.inf, 0.25],
+        "int": [-1, 0, 1, 9, 99],
+    }
+    kinds = ["int", "float", "float", "int", "int", "float", "int"]
+    for trial in range(150):
+        config = make_config(n_molecules=10, n_excited=5, t_max=3.0, seed=100 + trial)
+        _trajectory, ledger = run(config)
+        rows = [
+            [index, event.t_emit, event.t_absorb, event.emitter, event.absorber,
+             event.winner_weight, event.confirmation_size]
+            for index, event in enumerate(ledger)
+        ]
+        for _ in range(picker.integers(0, 4)):
+            row, column = picker.integers(len(rows)), picker.integers(7)
+            options = replacements[kinds[column]]
+            rows[row][column] = options[picker.integers(len(options))]
+        if picker.random() < 0.3:
+            rows.append(list(rows[picker.integers(len(rows))]))
+        if picker.random() < 0.2:
+            picker.shuffle(rows)
+        rows = [tuple(row) for row in rows]
+        for n_molecules in (None, 10, 6):
+            for initial_excited in (None, range(5), (0, 1)):
+                audit = audit_ledger(rows, n_molecules=n_molecules, initial_excited=initial_excited)
+                expected = row_by_row_audit(rows, n_molecules, initial_excited)
+                assert (audit.violations, audit.inferred_initial_excited) == expected
+                assert audit.passed == (not expected[0])
 
 
 def test_audit_respects_molecule_range():

@@ -122,7 +122,7 @@ def test_ledger_audit_scenario_fails_on_tampered_ledger(tmp_path):
     gas_config = GasConfig(n_molecules=10, n_excited=5, decay_rate=1.0, t_max=10.0, seed=5)
     _trajectory, events = run(gas_config)
     ledger_path = tmp_path / "ledger.csv"
-    write_ledger_csv(ledger_path, events + [events[-1]])  # replayed event breaks the chain
+    write_ledger_csv(ledger_path, list(events) + [events[-1]])  # replayed event breaks the chain
     config = make_config("ledger-audit", tmp_path, ledger=str(ledger_path), n_molecules=10)
     report = run_scenario(config)
     assert not report.passed
