@@ -19,7 +19,6 @@ from .gas import (
     apply_event,
     audit_ledger,
     empirical_rates,
-    ensemble_entropy_series,
     init_gas,
     left_half_count,
     macrostate_entropy,
@@ -72,7 +71,6 @@ __all__ = [
     "density_from_pure",
     "eig_hermitian",
     "empirical_rates",
-    "ensemble_entropy_series",
     "entropy_series",
     "equilibrium",
     "evolve_observable",

@@ -48,7 +48,6 @@ SCENARIO_SCHEMAS: dict[str, dict[str, tuple]] = {
     "born-statistics": {
         "weights": (_parse_float_list, (1.0 / 3.0, 2.0 / 3.0)),
         "n_draws": (int, 100_000),
-        "significance": (float, 0.001),
     },
     "gas-equilibrium": {
         "n_molecules": (int, 100),

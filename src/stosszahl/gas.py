@@ -41,13 +41,13 @@ of the multiplicity curve.
 from __future__ import annotations
 
 import bisect
-import csv
 import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .csvio import fmt, read_csv, write_csv
 from .measurement import collapse_sample, inverse_cdf
 from .states import shannon_entropy
 
@@ -146,12 +146,15 @@ class TransactionEvent:
 
 @dataclass(eq=False)
 class Trajectory:
-    """Coarse-grained record of one run, sampled at t = 0 and every absorption."""
+    """Coarse-grained record of one run, sampled at t = 0 and every absorption.
+
+    ``n_excited`` is the number of quanta, which every event conserves.
+    """
 
     times: np.ndarray
-    quanta: np.ndarray
     left_counts: np.ndarray
     macro_entropies: np.ndarray
+    n_excited: int
 
     def left_counts_at(self, query_times) -> np.ndarray:
         """Step-function lookup of k at arbitrary times >= 0."""
@@ -478,21 +481,22 @@ def _left_counts(config: GasConfig, ledger: Ledger) -> np.ndarray:
     return min(config.n_excited, half) + np.concatenate(([0], np.cumsum(steps)))
 
 
+def _macro_entropies(config: GasConfig, left_counts: np.ndarray) -> np.ndarray:
+    """Macrostate entropy of each k in ``left_counts``; NaN for an odd molecule count."""
+    if config.n_molecules % 2:
+        return np.full(left_counts.shape, math.nan)
+    k_lo, table = _entropy_table(config.n_molecules, config.n_excited)
+    return table[left_counts - k_lo]
+
+
 def _trajectory(config: GasConfig, ledger: Ledger) -> Trajectory:
     """Trajectory sampled at t = 0 and at every absorption of the ledger."""
-    n = config.n_molecules
-    n_quanta = config.n_excited
     left = _left_counts(config, ledger)
-    if n % 2 == 0:
-        k_lo, table = _entropy_table(n, n_quanta)
-        entropies = table[left - k_lo]
-    else:
-        entropies = np.full(left.size, math.nan)
     return Trajectory(
         times=np.concatenate(([0.0], ledger.t_a)),
-        quanta=np.full(left.size, n_quanta, dtype=int),
         left_counts=left,
-        macro_entropies=entropies,
+        macro_entropies=_macro_entropies(config, left),
+        n_excited=config.n_excited,
     )
 
 
@@ -525,36 +529,16 @@ class EnsembleSeries:
     mean_left_count: np.ndarray
 
 
-def ensemble_entropy_series(config: GasConfig, n_seeds: int, sample_times) -> EnsembleSeries:
-    """Run an ensemble and sample the k statistics on a time grid.
-
-    Statistical contract: at least 100 members, so the empirical k
-    distribution is meaningful.
-    """
-    if n_seeds < 100:
-        raise ValueError(f"ensemble statistics need >= 100 seeds, got {n_seeds}")
-    times = np.asarray(sample_times, dtype=float)
-    counts = np.empty((n_seeds, times.size), dtype=int)
-    for row, (trajectory, _events) in zip(counts, iter_ensemble(config, n_seeds)):
-        row[:] = trajectory.left_counts_at(times)
-    return summarize_ensemble(config, times, counts)
-
-
 def summarize_ensemble(config: GasConfig, times: np.ndarray, counts: np.ndarray) -> EnsembleSeries:
     """Build an :class:`EnsembleSeries` from sampled per-member k values."""
     n_seeds = counts.shape[0]
     max_k = (config.n_molecules + 1) // 2
-    even = config.n_molecules % 2 == 0
-    macro = np.array(
-        [macrostate_entropy(k, config) for k in range(max_k + 1)]
-    ) if even else np.full(max_k + 1, math.nan)
-
     k_entropy = np.empty(times.size)
     mean_macro = np.empty(times.size)
     for col in range(times.size):
         histogram = np.bincount(counts[:, col], minlength=max_k + 1)
         k_entropy[col] = shannon_entropy(histogram / n_seeds)
-        mean_macro[col] = float(np.mean(macro[counts[:, col]]))
+        mean_macro[col] = float(np.mean(_macro_entropies(config, counts[:, col])))
     return EnsembleSeries(
         times=times,
         left_counts=counts,
@@ -583,49 +567,25 @@ class EmpiricalRates:
         return self.dwell_times.shape[0]
 
 
-def empirical_rates(
-    config: GasConfig,
-    events,
-    labeler=None,
-    n_labels: int | None = None,
-    t_total: float | None = None,
-) -> EmpiricalRates:
-    """Estimate transition rates between state labels from one ledger.
+def empirical_rates(config: GasConfig, events) -> EmpiricalRates:
+    """Estimate transition rates between k labels from one ledger.
 
     ``events`` is a :class:`Ledger` or a sequence of events, assumed to pass
-    :func:`audit_ledger`. The default partition labels each state by its
-    left-half excited count k, taken from the ledger columns. A custom
-    ``labeler`` is called on the gas state replayed from the deterministic
-    initial state: once at t = 0 and once after every event, on one state
-    object updated in place.
+    :func:`audit_ledger`. Each state is labeled by its left-half excited
+    count k in 0..ceil(N/2), taken from the ledger columns, and the dwell in
+    the last state ends at t_max.
     """
     ledger = _indexed_ledger(events)[1]
     if not len(ledger):
         raise ValueError("cannot estimate rates from an empty ledger")
-    if t_total is None:
-        t_total = config.t_max
+    t_total = config.t_max
     last = float(ledger.t_a[-1])
     if t_total < last:
         raise ValueError(
             f"t_total = {t_total!r} is earlier than the last absorption {last!r}"
         )
-    if labeler is None:
-        if n_labels is None:
-            n_labels = (config.n_molecules + 1) // 2 + 1
-        labels = _left_counts(config, ledger)
-    elif n_labels is None:
-        raise ValueError("n_labels is required with a custom labeler")
-    else:
-        state = init_gas(config)
-        labels = [labeler(state)]
-        for emitter, absorber, t_absorb in zip(
-            ledger.emitter.tolist(), ledger.absorber.tolist(), ledger.t_a.tolist()
-        ):
-            state.levels[emitter] = 0
-            state.levels[absorber] = 1
-            state.time = t_absorb
-            labels.append(labeler(state))
-        labels = np.array(labels, dtype=np.int64)
+    n_labels = (config.n_molecules + 1) // 2 + 1
+    labels = _left_counts(config, ledger)
     if labels.min() < 0 or labels.max() >= n_labels:
         raise ValueError(f"state labels must lie in 0..{n_labels - 1}")
 
@@ -687,73 +647,56 @@ def write_ledger_csv(path, events, header_comment: str | None = None) -> None:
         ledger.t_e, ledger.t_a, ledger.emitter, ledger.absorber,
         ledger.winner_weight, ledger.confirmation_set_size,
     )
-    with open(path, "w", newline="") as handle:
-        if header_comment:
-            handle.write(f"# {header_comment}\n")
-        writer = csv.writer(handle)
-        writer.writerow(LEDGER_COLUMNS)
-        writer.writerows(
-            (index, f"{t_e:.17g}", f"{t_a:.17g}", emitter, absorber, f"{weight:.17g}", size)
+    write_csv(
+        path,
+        LEDGER_COLUMNS,
+        (
+            (index, fmt(t_e), fmt(t_a), emitter, absorber, fmt(weight), size)
             for index, (t_e, t_a, emitter, absorber, weight, size) in enumerate(
                 zip(*(column.tolist() for column in columns))
             )
-        )
+        ),
+        header_comment,
+    )
 
 
 def read_ledger_raw(path) -> list[tuple]:
     """Read ledger rows without enforcing event invariants (for auditing)."""
+    lines = read_csv(path)
+    if not lines or tuple(h.strip() for h in lines[0]) != LEDGER_COLUMNS:
+        raise ValueError(f"{path}: missing or wrong ledger header")
     rows = []
-    with open(path, newline="") as handle:
-        reader = csv.reader(line for line in handle if not line.startswith("#"))
-        header = next(reader, None)
-        if header is None or tuple(h.strip() for h in header) != LEDGER_COLUMNS:
-            raise ValueError(f"{path}: missing or wrong ledger header")
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(LEDGER_COLUMNS):
-                raise ValueError(f"{path}: ragged ledger row {row!r}")
-            parsed = (
-                int(row[0]),
-                float(row[1]),
-                float(row[2]),
-                int(row[3]),
-                int(row[4]),
-                float(row[5]),
-                int(row[6]),
-            )
-            # The audit holds these fields in int64 columns.
-            if not all(_INT64.min <= parsed[i] <= _INT64.max for i in (3, 4, 6)):
-                raise ValueError(f"{path}: integer outside the int64 range in row {row!r}")
-            rows.append(parsed)
+    for row in lines[1:]:
+        if len(row) != len(LEDGER_COLUMNS):
+            raise ValueError(f"{path}: ragged ledger row {row!r}")
+        parsed = (
+            int(row[0]),
+            float(row[1]),
+            float(row[2]),
+            int(row[3]),
+            int(row[4]),
+            float(row[5]),
+            int(row[6]),
+        )
+        # The audit holds these fields in int64 columns.
+        if not all(_INT64.min <= parsed[i] <= _INT64.max for i in (3, 4, 6)):
+            raise ValueError(f"{path}: integer outside the int64 range in row {row!r}")
+        rows.append(parsed)
     return rows
 
 
-def read_ledger_csv(path) -> list[TransactionEvent]:
-    """Read a ledger as validated events; corrupt rows raise."""
-    return [
-        TransactionEvent(
-            emitter=emitter,
-            absorber=absorber,
-            t_emit=t_emit,
-            t_absorb=t_absorb,
-            winner_weight=weight,
-            confirmation_size=size,
-        )
-        for _idx, t_emit, t_absorb, emitter, absorber, weight, size in read_ledger_raw(path)
-    ]
-
-
 def write_trajectory_csv(path, trajectory: Trajectory, header_comment: str | None = None) -> None:
-    with open(path, "w", newline="") as handle:
-        if header_comment:
-            handle.write(f"# {header_comment}\n")
-        writer = csv.writer(handle)
-        writer.writerow(TRAJECTORY_COLUMNS)
-        for t, n, k, s in zip(
-            trajectory.times, trajectory.quanta, trajectory.left_counts, trajectory.macro_entropies
-        ):
-            writer.writerow([f"{t:.17g}", int(n), int(k), f"{s:.17g}"])
+    """Write a :class:`Trajectory` with 17-digit floats; ``n`` is the conserved quanta count."""
+    n = trajectory.n_excited
+    write_csv(
+        path,
+        TRAJECTORY_COLUMNS,
+        (
+            [fmt(t), n, int(k), fmt(s)]
+            for t, k, s in zip(trajectory.times, trajectory.left_counts, trajectory.macro_entropies)
+        ),
+        header_comment,
+    )
 
 
 # --- ledger audit -----------------------------------------------------------

@@ -15,12 +15,12 @@ only for symmetric (doubly stochastic) generators.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import expm, null_space
 
+from .csvio import fmt, read_csv, write_csv
 from .states import as_probability_vector, shannon_entropy
 
 # Structural acceptance tolerances for a master operator.
@@ -214,11 +214,11 @@ def rate_matrix_from_csv(path) -> tuple[list[str], np.ndarray]:
     """Read state labels and a rate matrix from CSV.
 
     The first row holds the state labels; data row i, column j is the rate
-    from state j to state i, matching ``rates[i][j]``.
+    from state j to state i, matching ``rates[i][j]``. The gas coupling table
+    is read here too, but :class:`stosszahl.gas.GasConfig` indexes it
+    ``[emitter, absorber]``, so there row i is the emitter.
     """
-    with open(path, newline="") as handle:
-        reader = csv.reader(row for row in handle if not row.startswith("#"))
-        rows = [row for row in reader if row]
+    rows = read_csv(path)
     if not rows:
         raise ValueError(f"{path}: empty rate-matrix file")
     labels = [label.strip() for label in rows[0]]
@@ -235,10 +235,9 @@ def rate_matrix_from_csv(path) -> tuple[list[str], np.ndarray]:
 
 def entropy_series_to_csv(path, series, header_comment: str | None = None) -> None:
     """Write (t, S, D) diagnostic records with 17-significant-digit floats."""
-    with open(path, "w", newline="") as handle:
-        if header_comment:
-            handle.write(f"# {header_comment}\n")
-        writer = csv.writer(handle)
-        writer.writerow(["t", "shannon_entropy", "relative_entropy_to_equilibrium"])
-        for t, s, d in series:
-            writer.writerow([f"{t:.17g}", f"{s:.17g}", f"{d:.17g}"])
+    write_csv(
+        path,
+        ["t", "shannon_entropy", "relative_entropy_to_equilibrium"],
+        ([fmt(t), fmt(s), fmt(d)] for t, s, d in series),
+        header_comment,
+    )

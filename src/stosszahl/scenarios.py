@@ -3,14 +3,14 @@
 Each scenario executes a fixed, versioned set of named checks and emits CSV
 data files plus a machine-readable ``report.json``. Check thresholds are
 pinned here as constants, not configurable, so a passing report means the
-same thing in every run. All floats are written with 17 significant digits;
-the only nondeterministic output line is the optional timestamp header,
+same thing in every run. Every CSV is written by
+:func:`stosszahl.csvio.write_csv` with 17-significant-digit floats; the only
+nondeterministic output line is the timestamp comment, one stamp per run,
 which can be suppressed for byte-identical regression runs.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -18,11 +18,12 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import chisquare
+from scipy.special import chdtrc
 
 from . import gas as gas_mod
 from . import master as master_mod
 from .config import ConfigError, ScenarioConfig
+from .csvio import fmt, write_csv
 from .evolution import evolve_unitary
 from .measurement import decohere, sample_outcome_counts
 from .states import density_from_pure, shannon_entropy, vn_entropy
@@ -99,25 +100,15 @@ def _jsonable(value):
     return value
 
 
-def _f(x: float) -> str:
-    return f"{float(x):.17g}"
-
-
-def _write_csv(path: Path, columns, rows, timestamp: bool) -> None:
-    with open(path, "w", newline="") as handle:
-        if timestamp:
-            handle.write(f"# generated {datetime.now(timezone.utc).isoformat()}\n")
-        writer = csv.writer(handle)
-        writer.writerow(columns)
-        writer.writerows(rows)
-
-
 def run_scenario(config: ScenarioConfig) -> RunReport:
     """Execute one registered scenario and write its outputs and report."""
     if config.scenario not in _SCENARIOS:
         raise ConfigError(f"run.scenario: unknown scenario {config.scenario!r}")
     config.out_dir.mkdir(parents=True, exist_ok=True)
-    checks, outputs = _SCENARIOS[config.scenario](config)
+    stamp = None
+    if config.write_timestamp:
+        stamp = f"generated {datetime.now(timezone.utc).isoformat()}"
+    checks, outputs = _SCENARIOS[config.scenario](config, stamp)
 
     expected = SCENARIO_CHECKS[config.scenario]
     produced = tuple(check.name for check in checks)
@@ -141,7 +132,7 @@ def run_scenario(config: ScenarioConfig) -> RunReport:
 
 # --- scenario 1: two-state relaxation ---------------------------------------
 
-def _two_state_relaxation(config: ScenarioConfig):
+def _two_state_relaxation(config: ScenarioConfig, stamp: str | None):
     p = config.params
     rates = np.array([[0.0, p["rate_to_1"]], [p["rate_to_2"], 0.0]])
     m = master_mod.build_master_operator(rates)
@@ -157,11 +148,11 @@ def _two_state_relaxation(config: ScenarioConfig):
         worst = max(worst, float(np.max(np.abs(p_solver - p_closed))))
         rows.append(
             [
-                _f(t),
-                _f(p_solver[0]),
-                _f(p_solver[1]),
-                _f(shannon_entropy(p_solver)),
-                _f(master_mod.relative_entropy(p_solver, p_eq)),
+                fmt(t),
+                fmt(p_solver[0]),
+                fmt(p_solver[1]),
+                fmt(shannon_entropy(p_solver)),
+                fmt(master_mod.relative_entropy(p_solver, p_eq)),
             ]
         )
 
@@ -170,11 +161,11 @@ def _two_state_relaxation(config: ScenarioConfig):
     eq_gap = float(np.max(np.abs(p_eq - expected_eq)))
 
     out_file = config.out_dir / "two_state_relaxation.csv"
-    _write_csv(
+    write_csv(
         out_file,
         ["t", "p1", "p2", "shannon_entropy", "relative_entropy_to_equilibrium"],
         rows,
-        config.write_timestamp,
+        stamp,
     )
     checks = [
         CheckResult(
@@ -195,7 +186,7 @@ def _two_state_relaxation(config: ScenarioConfig):
 
 # --- scenario 2: unitary vs collapse -----------------------------------------
 
-def _unitary_vs_collapse(config: ScenarioConfig):
+def _unitary_vs_collapse(config: ScenarioConfig, stamp: str | None):
     p = config.params
     gap = p["gap"]
     rate = p["collapse_rate"]
@@ -241,11 +232,11 @@ def _unitary_vs_collapse(config: ScenarioConfig):
 
     unitary_entropy = [vn_entropy(evolve_unitary(rho0, hamiltonian, float(t))) for t in grid]
     out_file = config.out_dir / "unitary_vs_collapse.csv"
-    _write_csv(
+    write_csv(
         out_file,
         ["t", "entropy_unitary", "mean_entropy_collapse"],
-        [[_f(t), _f(su), _f(sc)] for t, su, sc in zip(grid, unitary_entropy, mean_entropy)],
-        config.write_timestamp,
+        [[fmt(t), fmt(su), fmt(sc)] for t, su, sc in zip(grid, unitary_entropy, mean_entropy)],
+        stamp,
     )
 
     target = COLLAPSE_ENTROPY_FRACTION * math.log(2.0)
@@ -269,7 +260,7 @@ def _unitary_vs_collapse(config: ScenarioConfig):
 
 # --- scenario 3: born statistics ---------------------------------------------
 
-def _born_statistics(config: ScenarioConfig):
+def _born_statistics(config: ScenarioConfig, stamp: str | None):
     p = config.params
     weights = np.asarray(p["weights"], dtype=float)
     n_draws = p["n_draws"]
@@ -278,17 +269,19 @@ def _born_statistics(config: ScenarioConfig):
     rng = np.random.default_rng(config.seed)
     counts = sample_outcome_counts(weights, n_draws, rng)
     expected = weights * n_draws
-    statistic, p_value = chisquare(counts, expected)
+    # Pearson's statistic and its chi-square tail with k - 1 degrees of freedom.
+    statistic = np.sum((counts - expected) ** 2 / expected)
+    p_value = chdtrc(weights.size - 1, statistic)
 
     out_file = config.out_dir / "born_statistics.csv"
-    _write_csv(
+    write_csv(
         out_file,
         ["outcome", "weight", "observed", "expected", "frequency"],
         [
-            [k, _f(weights[k]), int(counts[k]), _f(expected[k]), _f(counts[k] / n_draws)]
+            [k, fmt(weights[k]), int(counts[k]), fmt(expected[k]), fmt(counts[k] / n_draws)]
             for k in range(weights.size)
         ],
-        config.write_timestamp,
+        stamp,
     )
     checks = [
         CheckResult(
@@ -304,7 +297,7 @@ def _born_statistics(config: ScenarioConfig):
 
 # --- scenario 4: gas equilibrium ---------------------------------------------
 
-def _gas_equilibrium(config: ScenarioConfig):
+def _gas_equilibrium(config: ScenarioConfig, stamp: str | None):
     p = config.params
     if p["n_molecules"] % 2 != 0:
         raise ConfigError("gas-equilibrium.n_molecules: must be even for the k macrostate")
@@ -357,12 +350,7 @@ def _gas_equilibrium(config: ScenarioConfig):
     target_k = gas_config.n_excited * (gas_config.n_molecules // 2) / gas_config.n_molecules
     mean_k_gap = float(np.max(np.abs(series.mean_left_count[late] - target_k)))
 
-    half = gas_config.n_molecules // 2
-    k_lo = max(0, gas_config.n_excited - half)
-    k_hi = min(gas_config.n_excited, half)
-    entropy_max = max(
-        gas_mod.macrostate_entropy(k, gas_config) for k in range(k_lo, k_hi + 1)
-    )
+    entropy_max = gas_mod._entropy_table(gas_config.n_molecules, gas_config.n_excited)[1].max()
     entropy_gap = float(
         np.max(np.abs(series.mean_macro_entropy[late] - entropy_max)) / entropy_max
     )
@@ -384,20 +372,25 @@ def _gas_equilibrium(config: ScenarioConfig):
     trajectory_file = config.out_dir / "gas_trajectory_member0.csv"
     series_file = config.out_dir / "gas_ensemble_series.csv"
     rates_file = config.out_dir / "gas_empirical_rates.csv"
-    gas_mod.write_ledger_csv(ledger_file, events0, header_comment=_stamp_comment(config))
-    gas_mod.write_trajectory_csv(trajectory_file, trajectory0, header_comment=_stamp_comment(config))
-    _write_csv(
+    gas_mod.write_ledger_csv(ledger_file, events0, header_comment=stamp)
+    gas_mod.write_trajectory_csv(trajectory_file, trajectory0, header_comment=stamp)
+    write_csv(
         series_file,
         ["t", "k_distribution_entropy", "mean_macrostate_entropy", "mean_k"],
         [
-            [_f(t), _f(s), _f(sm), _f(mk)]
+            [fmt(t), fmt(s), fmt(sm), fmt(mk)]
             for t, s, sm, mk in zip(
                 series.times, series.k_entropy, series.mean_macro_entropy, series.mean_left_count
             )
         ],
-        config.write_timestamp,
+        stamp,
     )
-    _write_rate_matrix_csv(rates_file, pooled.rates, config.write_timestamp)
+    write_csv(
+        rates_file,
+        [f"k{j}" for j in range(n_labels)],
+        [[fmt(x) for x in row] for row in pooled.rates],
+        stamp,
+    )
 
     checks = [
         CheckResult(
@@ -430,20 +423,9 @@ def _gas_equilibrium(config: ScenarioConfig):
     return checks, outputs
 
 
-def _stamp_comment(config: ScenarioConfig) -> str | None:
-    if not config.write_timestamp:
-        return None
-    return f"generated {datetime.now(timezone.utc).isoformat()}"
-
-
-def _write_rate_matrix_csv(path: Path, rates: np.ndarray, timestamp: bool) -> None:
-    labels = [f"k{j}" for j in range(rates.shape[0])]
-    _write_csv(path, labels, [[_f(x) for x in row] for row in rates], timestamp)
-
-
 # --- scenario 5: ledger audit --------------------------------------------------
 
-def _ledger_audit(config: ScenarioConfig):
+def _ledger_audit(config: ScenarioConfig, stamp: str | None):
     p = config.params
     try:
         rows = gas_mod.read_ledger_raw(p["ledger"])

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from stosszahl.config import SCENARIO_SCHEMAS, ConfigError, ScenarioConfig
 from stosszahl.gas import (
     GasConfig,
     GasState,
@@ -15,18 +16,18 @@ from stosszahl.gas import (
     audit_ledger,
     combine_empirical_rates,
     empirical_rates,
-    ensemble_entropy_series,
     init_gas,
     iter_ensemble,
     left_half_count,
     macrostate_entropy,
     next_event,
-    read_ledger_csv,
     read_ledger_raw,
     run,
+    summarize_ensemble,
     write_ledger_csv,
     write_trajectory_csv,
 )
+from stosszahl.scenarios import run_scenario
 
 
 def make_config(**overrides):
@@ -413,9 +414,9 @@ def test_macrostate_entropy_rejects_bad_inputs():
 def test_trajectory_step_lookup():
     trajectory = Trajectory(
         times=np.array([0.0, 1.0, 2.0]),
-        quanta=np.array([3, 3, 3]),
         left_counts=np.array([3, 2, 1]),
         macro_entropies=np.zeros(3),
+        n_excited=3,
     )
     assert trajectory.left_counts_at([0.0, 0.5, 1.0, 5.0]).tolist() == [3, 3, 2, 1]
     with pytest.raises(ValueError, match="trajectory start"):
@@ -425,14 +426,11 @@ def test_trajectory_step_lookup():
 # --- empirical rates -------------------------------------------------------------------
 
 def test_two_molecule_rates_recover_decay_rate():
-    # exponential-clock oracle: both labeled rates equal decay_rate
+    # exponential-clock oracle: both rates equal decay_rate; with one molecule per
+    # half, k = 1 labels "molecule 0 excited" and k = 0 "molecule 1 excited"
     config = make_config(n_molecules=2, n_excited=1, t_max=2000.0, seed=40, decay_rate=1.0)
     _trajectory, events = run(config)
-
-    def which_excited(state):
-        return int(state.levels[1] == 1)
-
-    estimate = empirical_rates(config, events, labeler=which_excited, n_labels=2)
+    estimate = empirical_rates(config, events)
     assert estimate.zero_dwell_labels == ()
     for rate in (estimate.rates[0, 1], estimate.rates[1, 0]):
         assert abs(rate - 1.0) < 0.10
@@ -520,8 +518,11 @@ def test_combined_rates_pool_counts_and_dwell():
 
 def test_ensemble_series_statistics():
     config = make_config(n_molecules=20, n_excited=10, t_max=20.0, seed=50)
-    times = [0.0, 0.5, 2.0, 5.0, 10.0, 20.0]
-    series = ensemble_entropy_series(config, 100, times)
+    times = np.array([0.0, 0.5, 2.0, 5.0, 10.0, 20.0])
+    counts = np.array(
+        [trajectory.left_counts_at(times) for trajectory, _events in iter_ensemble(config, 100)]
+    )
+    series = summarize_ensemble(config, times, counts)
     # all members share the initial macrostate
     assert series.k_entropy[0] == 0.0
     assert series.mean_macro_entropy[0] == 0.0
@@ -534,10 +535,14 @@ def test_ensemble_series_statistics():
     assert series.left_counts.shape == (100, len(times))
 
 
-def test_ensemble_requires_hundred_seeds():
-    config = make_config()
-    with pytest.raises(ValueError, match=">= 100"):
-        ensemble_entropy_series(config, 50, [0.0, 1.0])
+def test_ensemble_requires_hundred_seeds(tmp_path):
+    # the gas-equilibrium scenario is where ensemble statistics are taken
+    schema = SCENARIO_SCHEMAS["gas-equilibrium"]
+    params = {key: default for key, (_parse, default) in schema.items()}
+    params["n_seeds"] = 50
+    config = ScenarioConfig("gas-equilibrium", seed=1, out_dir=tmp_path, params=params)
+    with pytest.raises(ConfigError, match=">= 100"):
+        run_scenario(config)
 
 
 def test_ensemble_members_are_reproducible():
@@ -555,10 +560,11 @@ def test_ledger_csv_round_trip(tmp_path):
     _trajectory, events = run(config)
     path = tmp_path / "ledger.csv"
     write_ledger_csv(path, events, header_comment="demo run")
-    assert read_ledger_csv(path) == list(events)
+    assert path.read_text().startswith("# demo run\n")
     raw = read_ledger_raw(path)
-    assert len(raw) == len(events)
-    assert raw[0][0] == 0
+    assert [row[0] for row in raw] == list(range(len(events)))
+    replayed = [TransactionEvent(e, a, t_e, t_a, w, size) for _i, t_e, t_a, e, a, w, size in raw]
+    assert replayed == list(events)
 
 
 def test_ledger_csv_header_required(tmp_path):

@@ -3,9 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import chisquare
 
 from stosszahl.config import SCENARIO_SCHEMAS, ConfigError, ScenarioConfig
-from stosszahl.gas import GasConfig, run, write_ledger_csv
+from stosszahl.gas import GasConfig, read_ledger_raw, run, write_ledger_csv
 from stosszahl.scenarios import (
     SCENARIO_CHECKS,
     SCHEMA_VERSION,
@@ -164,3 +165,75 @@ def test_unknown_scenario_rejected(tmp_path):
     config = ScenarioConfig("mystery", seed=1, out_dir=tmp_path, params={})
     with pytest.raises(ConfigError, match="unknown scenario"):
         run_scenario(config)
+
+
+@pytest.mark.parametrize(
+    "weights, n_draws, seed",
+    [
+        ((1 / 3, 2 / 3), 100_000, 20260809),
+        ((0.5, 0.5), 10, 1),
+        ((0.2, 0.3, 0.5), 1000, 2),
+        ((0.1, 0.2, 0.3, 0.4), 50, 3),
+        ((0.05, 0.15, 0.25, 0.25, 0.3), 20_000, 4),
+        ((0.999, 0.001), 7, 5),
+    ],
+)
+def test_born_chi_square_matches_scipy_stats(tmp_path, weights, n_draws, seed):
+    report = run_scenario(
+        make_config("born-statistics", tmp_path, seed=seed, weights=weights, n_draws=n_draws)
+    )
+    with open(tmp_path / "born_statistics.csv") as handle:
+        observed = [int(line.split(",")[2]) for line in handle.readlines()[1:]]
+    statistic, p_value = chisquare(observed, np.asarray(weights) * n_draws)
+    check = report.checks[0]
+    assert check.measured == float(p_value)
+    assert f"(statistic {statistic:.6g}, " in check.requirement
+
+
+def test_gas_coupling_table_rows_are_emitters(tmp_path):
+    # Column j of every row carries weight 2**j, so with the table indexed
+    # [emitter, absorber] a winner's weight is w[absorber] over the weights of
+    # the ground molecules; read [absorber, emitter] every weight would be 1/3.
+    w = [1.0, 2.0, 4.0, 8.0]
+    table = tmp_path / "coupling.csv"
+    table.write_text(
+        "m0,m1,m2,m3\n"
+        + "".join(",".join("0" if i == j else str(w[j]) for j in range(4)) + "\n" for i in range(4))
+    )
+    config = make_config(
+        "gas-equilibrium",
+        tmp_path,
+        n_molecules=4,
+        n_excited=1,
+        t_max=5.0,
+        n_seeds=100,
+        n_samples=11,
+        equilibration_time=2.0,
+        check_times=(1.0, 2.0, 5.0),
+        coupling_table=str(table),
+    )
+    run_scenario(config)
+    rows = read_ledger_raw(tmp_path / "gas_ledger_member0.csv")
+    assert len(rows) > 5
+    for _index, _t_e, _t_a, emitter, absorber, weight, _size in rows:
+        # one quantum: every molecule but the emitter is in the ground state
+        assert weight == pytest.approx(w[absorber] / (sum(w) - w[emitter]), rel=1e-12)
+
+
+def test_one_timestamp_stamp_per_run(tmp_path):
+    config = make_config(
+        "gas-equilibrium",
+        tmp_path,
+        n_molecules=10,
+        n_excited=5,
+        t_max=5.0,
+        n_seeds=100,
+        n_samples=11,
+        equilibration_time=2.0,
+        check_times=(1.0, 2.0, 5.0),
+    )
+    config.write_timestamp = True
+    report = run_scenario(config)
+    stamps = {(tmp_path / name).read_text().splitlines()[0] for name in report.outputs}
+    assert len(report.outputs) == 4
+    assert len(stamps) == 1 and stamps.pop().startswith("# generated ")
