@@ -7,7 +7,7 @@ ledger reproduces master-equation relaxation and a strict micro-level arrow
 of time.
 """
 
-from .evolution import evolve_observable, evolve_unitary, propagator
+from .evolution import Propagator, evolve_observable, evolve_unitary, propagator
 from .fock import fock_annihilate, fock_create
 from .gas import (
     GasConfig,
@@ -58,6 +58,7 @@ __all__ = [
     "GasConfig",
     "GasState",
     "Ledger",
+    "Propagator",
     "Spectrum",
     "Trajectory",
     "TransactionError",

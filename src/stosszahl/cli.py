@@ -1,7 +1,11 @@
 """Command-line entry point.
 
 Exit codes: 0 every check passed, 1 at least one check failed, 2 the
-configuration or an input file was unusable. The ``STOSSZAHL_OUT``
+configuration or an input file was unusable, 3 the program itself failed:
+an unexpected exception (a bug, or a numerical invariant such as a
+scenario's final-state check breaking), reported as one
+``internal error: <Type>: <message>`` line on stderr without a traceback,
+so it never reads as a failed check. The ``STOSSZAHL_OUT``
 environment variable overrides the config file's output directory; an
 explicit ``--out`` flag overrides both.
 """
@@ -48,7 +52,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    try:
+        return _dispatch(args)
+    except Exception as exc:  # _dispatch returns 1 or 2 for every failure it expects
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
+
+def _dispatch(args) -> int:
     if args.command == "list-scenarios":
         for name in list_scenarios():
             print(name)

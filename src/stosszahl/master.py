@@ -21,7 +21,7 @@ import numpy as np
 from scipy.linalg import expm, null_space
 
 from .csvio import fmt, read_csv, write_csv
-from .states import as_probability_vector, shannon_entropy
+from .states import as_probability_vector, neg_sum_x_ln_x
 
 # Structural acceptance tolerances for a master operator.
 COLUMN_SUM_TOL = 1e-10
@@ -118,11 +118,29 @@ def evolve_probabilities(matrix, p0, t: float) -> np.ndarray:
     run backwards.
     """
     m = _require_master(matrix)
+    p = _require_initial(m, p0)
+    _require_forward(t)
+    return _propagate(m, p, t)
+
+
+def _require_initial(m: np.ndarray, p0) -> np.ndarray:
     p = as_probability_vector(p0, name="p0")
     if p.size != m.shape[0]:
         raise ValueError(f"dimension mismatch: p0 {p.size} vs generator {m.shape[0]}")
+    return p
+
+
+def _require_forward(t: float) -> None:
     if t < 0.0:
         raise ValueError(f"t = {t!r}: the master equation is not run backwards")
+
+
+def _propagate(m: np.ndarray, p: np.ndarray, t: float) -> np.ndarray:
+    """exp(M t) p for a validated generator, initial vector and time.
+
+    Keeps the checks on the result, which roundoff can break: positivity
+    (entries in [-1e-10, 0) are clamped to zero) and unit sum.
+    """
     out = expm(m * t) @ p
     # Positivity is exact in theory; [-1e-10, 0) is solver roundoff.
     if np.min(out) < -1e-10:
@@ -185,6 +203,11 @@ def relative_entropy(p, q) -> float:
     qv = as_probability_vector(q, name="q")
     if pv.size != qv.size:
         raise ValueError(f"dimension mismatch: p {pv.size} vs q {qv.size}")
+    return _divergence(pv, qv)
+
+
+def _divergence(pv: np.ndarray, qv: np.ndarray) -> float:
+    """D(pv || qv) for probability vectors of one size, without validating them."""
     support = pv > 0.0
     if np.any(qv[support] <= 0.0):
         k = int(np.argmax(support & (qv <= 0.0)))
@@ -197,16 +220,20 @@ def entropy_series(matrix, p0, times) -> list[tuple[float, float, float]]:
 
     Along any time grid the relative-entropy column is non-increasing for
     every valid generator with a unique equilibrium; the Shannon column is
-    non-decreasing when the generator is symmetric.
+    non-decreasing when the generator is symmetric. The generator, ``p0``
+    and the times are validated once; each point then costs one matrix
+    exponential and the checks on its result.
     """
     m = _require_master(matrix)
     p_eq = equilibrium(m)
+    p = _require_initial(m, p0)
+    grid = [float(t) for t in times]
+    for t in grid:
+        _require_forward(t)
     records = []
-    for t in times:
-        p_t = evolve_probabilities(m, p0, float(t))
-        records.append(
-            (float(t), shannon_entropy(p_t), relative_entropy(p_t, p_eq))
-        )
+    for t in grid:
+        p_t = _propagate(m, p, t)
+        records.append((t, neg_sum_x_ln_x(p_t), _divergence(p_t, p_eq)))
     return records
 
 

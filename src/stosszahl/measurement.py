@@ -2,10 +2,11 @@
 
 Two distinct steps are modeled:
 
-1. ``process1`` / ``decohere``: the transition from a state to the mixture
-   that is diagonal in the measuring basis. This kills all phase coherence,
-   never decreases von Neumann entropy, and is irreversible (many inputs map
-   to the same output).
+1. ``process1``: the transition from a state to the mixture that is
+   diagonal in the measuring basis. This kills all phase coherence, never
+   decreases von Neumann entropy, and is irreversible (many inputs map to
+   the same output). ``decohere`` is the same map without the validation,
+   for loops that checked their state and basis once.
 2. ``collapse_sample`` / ``measure``: the indeterministic selection of one
    actual outcome from the diagonal weights, a weighted symmetry breaking.
 
@@ -64,19 +65,30 @@ def process1(rho, basis) -> np.ndarray:
     pure-to-mixed measurement transition; for mixed input it is the standard
     pinching in the given basis, which reduces to the pure-state form on
     rank-1 input. Idempotent, trace preserving, and entropy non-decreasing.
+
+    Validates ``rho`` as a density matrix and ``basis`` as orthonormal
+    columns of the same dimension, then calls :func:`decohere`.
     """
     a = as_density_matrix(rho)
     b = as_measurement_basis(basis)
     if b.shape != a.shape:
         raise ValueError(f"dimension mismatch: rho {a.shape} vs basis {b.shape}")
+    return decohere(a, b)
+
+
+def decohere(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The pinching of :func:`process1`, without its validation.
+
+    ``a`` must be a complex density matrix and ``b`` a complex unitary of
+    the same shape, as :func:`as_density_matrix` and
+    :func:`as_measurement_basis` return them; neither is checked. Loops that
+    validated their state and basis once (the unitary-vs-collapse scenario)
+    call this on every collapse. Diagonal weights that roundoff makes
+    negative are clamped to zero.
+    """
     diagonal = np.einsum("ij,jk,ki->i", b.conj().T, a, b).real
     diagonal = np.where(diagonal < 0.0, 0.0, diagonal)
     return (b * diagonal) @ b.conj().T
-
-
-def decohere(rho, basis) -> np.ndarray:
-    """Alias of :func:`process1`, named for its role in repeated collapse runs."""
-    return process1(rho, basis)
 
 
 @dataclass(frozen=True)

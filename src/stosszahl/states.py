@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import eig_hermitian, require_hermitian
+from .linalg import require_hermitian
 
 # Unit norm / unit trace acceptance tolerance.
 NORM_TOL = 1e-10
@@ -112,11 +112,20 @@ def neg_sum_x_ln_x(values: np.ndarray) -> float:
 def vn_entropy(rho) -> float:
     """von Neumann entropy -Tr(rho ln rho) in nats.
 
-    Computed from the eigenvalues of rho; roundoff-negative eigenvalues in
-    [-PSD_TOL, 0) are clamped to zero before taking logarithms.
+    Validates ``rho`` as a density matrix, then calls
+    :func:`spectral_entropy`.
     """
-    a = as_density_matrix(rho)
-    eigenvalues = eig_hermitian(a).eigenvalues
+    return spectral_entropy(as_density_matrix(rho))
+
+
+def spectral_entropy(a: np.ndarray) -> float:
+    """The entropy of :func:`vn_entropy`, without its validation.
+
+    Computed from the eigenvalues of the Hermitian matrix ``a``, which is
+    not checked; roundoff-negative eigenvalues are clamped to zero before
+    taking logarithms.
+    """
+    eigenvalues, _eigenvectors = np.linalg.eigh(a)
     clamped = np.where(eigenvalues < 0.0, 0.0, eigenvalues)
     return neg_sum_x_ln_x(clamped)
 

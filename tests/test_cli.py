@@ -5,6 +5,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
+from stosszahl import cli, scenarios
 from stosszahl.cli import main
 from stosszahl.gas import GasConfig, run, write_ledger_csv
 from stosszahl.scenarios import SCENARIO_CHECKS
@@ -161,3 +165,57 @@ def test_cli_import_leaves_scipy_stats_out():
         check=True,
     )
     assert result.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("key", ["n_unitary_steps", "n_seeds", "n_samples"])
+def test_unitary_vs_collapse_rejects_empty_counts(tmp_path, capsys, key):
+    # 0 used to end in a ZeroDivisionError or IndexError traceback, or (n_seeds)
+    # in a NaN mean reported as a failed check
+    config = write_config(
+        tmp_path,
+        f"[run]\nscenario = unitary-vs-collapse\nseed = 1\n[unitary-vs-collapse]\n{key} = 0\n",
+    )
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert f"config error: unitary-vs-collapse.{key}: must be >= 1" in capsys.readouterr().err
+
+
+def test_unexpected_exception_exits_three_without_traceback(tmp_path, monkeypatch, capsys):
+    def broken(_config):
+        raise RuntimeError("simulated fault")
+
+    monkeypatch.setattr(cli, "run_scenario", broken)
+    config = write_config(tmp_path, "[run]\nscenario = two-state-relaxation\nseed = 3\n")
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err == "internal error: RuntimeError: simulated fault\n"
+
+
+def _to_trace_two(kernel):
+    def broken(*args):
+        out = kernel(*args)
+        return 2.0 * out / np.trace(out).real
+
+    return broken
+
+
+@pytest.mark.parametrize(
+    "target, attr, failing_state",
+    [
+        (scenarios.Propagator, "evolve", "unitary branch final state"),
+        (scenarios, "decohere", "collapse member 0 final state"),
+    ],
+    ids=["propagator", "decohere"],
+)
+def test_kernel_breaking_the_trace_exits_three(tmp_path, monkeypatch, capsys, target, attr, failing_state):
+    # the loops step through unchecked kernels; the final-state check must
+    # still turn a kernel that breaks the density-matrix invariants into a failure
+    monkeypatch.setattr(target, attr, _to_trace_two(getattr(target, attr)))
+    config = write_config(
+        tmp_path,
+        "[run]\nscenario = unitary-vs-collapse\nseed = 1\n"
+        "[unitary-vs-collapse]\nn_unitary_steps = 10\nn_seeds = 3\n",
+    )
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"internal error: ValueError: {failing_state} trace is 2")
+    assert "Traceback" not in err

@@ -271,6 +271,32 @@ def test_series_divergence_monotone_for_asymmetric_chain():
     assert np.all(np.diff(divergences) <= 1e-10)
 
 
+def test_series_equals_the_validating_per_point_functions():
+    # entropy_series validates once and then steps unchecked; every record must
+    # stay bit-equal to the per-point path through the public functions
+    rng = np.random.default_rng(11)
+    grid = np.linspace(0.0, 3.0, 7)
+    for n in (2, 5, 51):
+        m = build_master_operator(random_rate_matrix(rng, n))
+        p0 = random_probability(rng, n)
+        p_eq = equilibrium(m)
+        expected = []
+        for t in grid:
+            p_t = evolve_probabilities(m, p0, float(t))
+            expected.append((float(t), shannon_entropy(p_t), relative_entropy(p_t, p_eq)))
+        assert entropy_series(m, p0, grid) == expected
+
+
+def test_series_rejects_bad_inputs_before_stepping():
+    m = build_master_operator([[0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(ValueError, match="backwards"):
+        entropy_series(m, [1.0, 0.0], [0.0, 1.0, -1.0])
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        entropy_series(m, [0.5, 0.25, 0.25], [0.0])
+    with pytest.raises(ValueError, match="sums to"):
+        entropy_series(m, [0.5, 0.4], [0.0])
+
+
 def test_kl_monotone_and_shannon_for_symmetric_generators():
     rng = np.random.default_rng(4)
     grid = np.linspace(0.0, 6.0, 40)

@@ -89,11 +89,15 @@ def test_basis_state_is_fixed_point_with_zero_entropy():
     assert vn_entropy(out) < 1e-12
 
 
-def test_decohere_is_alias():
+def test_decohere_is_process1_without_validation():
     rng = np.random.default_rng(4)
     rho = random_density(rng, 3)
     basis = random_basis(rng, 3)
     assert np.array_equal(decohere(rho, basis), process1(rho, basis))
+    # a trace-2 input is pinched, not rejected: the kernel checks nothing
+    assert abs(np.trace(decohere(2.0 * rho, basis)).real - 2.0) < 1e-12
+    with pytest.raises(ValueError, match="trace"):
+        process1(2.0 * rho, basis)
 
 
 def test_entropy_never_decreases_and_idempotent():
