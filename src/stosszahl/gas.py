@@ -30,6 +30,14 @@ cross the horizon consumes only its waiting-time uniform, so a run that
 records m events consumes 3m + 1 uniforms. If no event can form (no excited
 molecule, or no ground molecule to confirm) nothing is consumed.
 
+Block stepping: :func:`run` draws its uniforms in blocks and computes the
+waiting times (with ``math.log1p``, not ``np.log1p``, whose vectorized loops
+may round differently), the emission and absorption times, the horizon, the
+emitter picks and the uniform-coupling winners for a whole block at once.
+It reproduces the per-event reference :func:`next_event` /
+:func:`apply_event` bit for bit and leaves the generator where scalar draws
+would.
+
 Coarse graining: the macro-observable is k, the number of excited molecules
 in the left half (ids below N/2). Its Boltzmann entropy is the log
 multiplicity ln[C(N/2, k) * C(N/2, n - k)] of the macrostate, computed with
@@ -48,12 +56,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .csvio import fmt, read_csv, write_csv
-from .measurement import collapse_sample, inverse_cdf
+from .measurement import ZERO_WEIGHT, collapse_sample, inverse_cdf
 from .states import shannon_entropy
 
 
 class TransactionError(RuntimeError):
     """A transaction violated its preconditions; the conservation audit failed."""
+
+
+class ZeroCouplingError(ValueError):
+    """An emitter's coupling weights to its confirmation set sum to zero."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,6 +113,8 @@ class GasConfig:
                 raise ValueError(
                     f"coupling table must have shape ({n}, {n}), got {table.shape}"
                 )
+            if not np.all(np.isfinite(table)):
+                raise ValueError("coupling weights must be finite")
             if np.min(table) < 0.0:
                 raise ValueError("coupling weights must be nonnegative")
             object.__setattr__(self, "coupling", table)
@@ -315,7 +329,7 @@ def next_event(state: GasState, config: GasConfig, rng: np.random.Generator) -> 
         raw = config.coupling[emitter, ground]
         total = float(raw.sum())
         if total <= 0.0:
-            raise ValueError(
+            raise ZeroCouplingError(
                 f"coupling weights from emitter {emitter} to the confirmation set are all zero"
             )
         weights = raw / total
@@ -354,8 +368,24 @@ def apply_event(state: GasState, event: TransactionEvent) -> GasState:
     return GasState(levels=new_levels, time=event.t_absorb)
 
 
-# Uniforms the gas kernel draws at a time (three per event).
+# Uniforms the gas kernel draws at a time: 256 (wait, pick, winner) triples.
 _UNIFORM_BLOCK = 768
+_TRIPLES = _UNIFORM_BLOCK // 3
+
+
+def _clamp_is_identity(table: np.ndarray) -> bool:
+    """True when no normalized winner weight can fall in (0, ZERO_WEIGHT).
+
+    A normalized weight is a positive entry over a partial row sum, so it is
+    at least the smallest positive entry over the largest row sum; with a
+    factor 2 on each side for rounding, the ``ZERO_WEIGHT`` clamp of
+    :func:`~stosszahl.measurement.inverse_cdf` then changes no weight.
+    Negative zeros are excluded because the clamp turns them into +0.0.
+    """
+    if np.signbit(table).any():
+        return False
+    positive = table[table > 0.0]
+    return positive.size == 0 or positive.min() / (2.0 * table.sum(axis=1).max()) > 2.0 * ZERO_WEIGHT
 
 
 def run(config: GasConfig, rng: np.random.Generator | None = None) -> tuple[Trajectory, Ledger]:
@@ -368,15 +398,38 @@ def run(config: GasConfig, rng: np.random.Generator | None = None) -> tuple[Traj
     The kernel is Gillespie's direct method. Quanta are conserved, so the
     total emission rate n * decay_rate and the confirmation-set size N - n
     are constants of the run. Sorted excited/ground id lists reproduce the
-    ascending id order of :func:`next_event`, and the uniform-coupling
-    cumulative weights are the ones :func:`collapse_sample` builds for
-    ``np.full(N - n, 1 / (N - n))``, computed once. Uniforms are drawn in
-    blocks, which ``Generator.random(k)`` fills with the same doubles as k
-    scalar draws, and the generator is rewound to the exact scalar-draw
-    position on return. So the kernel consumes the random stream and
-    produces the ledger bit-identically to composing :func:`next_event` and
-    :func:`apply_event` (covered by equivalence tests). The trajectory is
-    derived from the ledger columns.
+    ascending id order of :func:`next_event`.
+
+    Block stepping: uniforms are drawn 768 at a time (``Generator.random(k)``
+    fills the same doubles as k scalar draws) and each block is read as 256
+    (wait, pick, winner) triples, so everything that does not depend on the
+    state is computed for the whole block at once:
+
+    - waiting times ``-log1p(-u) / (n * decay_rate)``, with ``math.log1p``:
+      ``np.log1p`` may differ from it in the last bit (its SIMD loops do on
+      AVX-512 machines), and the scalar reference uses ``math.log1p``;
+    - emission and absorption times from one ``np.cumsum`` over
+      ``[t, w1, delay, w2, delay, ...]``, a sequential sum, so it repeats the
+      scalar recurrence ``t_emit = t + w; t = t_emit + delay`` exactly;
+    - the horizon, the first absorption after t_max;
+    - emitter ranks ``min(int(u * n), n - 1)`` and, for uniform coupling,
+      winner ranks by ``searchsorted`` on the cumulative weights that
+      :func:`collapse_sample` builds for ``np.full(N - n, 1 / (N - n))``.
+
+    What is left per event is the list update (two pops and two insorts)
+    and, for a coupling table, the weighted winner: the table row gathered
+    over the ground molecules, normalized, and resolved by the inverse-CDF
+    step of :func:`~stosszahl.measurement.inverse_cdf`. Its ``ZERO_WEIGHT``
+    clamp is skipped when :func:`_clamp_is_identity` shows, once per run,
+    that it cannot change a weight of this table.
+
+    The generator is rewound on return and advanced by exactly the uniforms
+    consumed (3 per event, 1 for the event that crosses the horizon, 2 for
+    an event inside the horizon whose confirmation set has zero total
+    weight), also when that error ends the run. So the kernel consumes the
+    random stream and produces the ledger bit-identically to composing
+    :func:`next_event` and :func:`apply_event` (covered by equivalence and
+    property tests). The trajectory is derived from the ledger columns.
     """
     if rng is None:
         rng = np.random.default_rng(config.seed)
@@ -384,17 +437,15 @@ def run(config: GasConfig, rng: np.random.Generator | None = None) -> tuple[Traj
     n_quanta = config.n_excited
     m = n - n_quanta
     coupling = config.coupling
-    emit_times: list[float] = []
+    emit_times: list[np.ndarray] = []
     emitters: list[int] = []
     absorbers: list[int] = []
     weights: list[float] = []
 
     if n_quanta and m:
         log1p = math.log1p
-        bisect_right = bisect.bisect_right
         insort = bisect.insort
         total_rate = n_quanta * config.decay_rate
-        tau = config.delay
         t_max = config.t_max
         last_excited = n_quanta - 1
         last_ground = m - 1
@@ -402,67 +453,94 @@ def run(config: GasConfig, rng: np.random.Generator | None = None) -> tuple[Traj
         ground = list(range(n_quanta, n))
         if coupling is None:
             uniform = np.full(m, 1.0 / m)
-            cumulative = np.cumsum(uniform).tolist()
+            cumulative = np.cumsum(uniform)
             total = float(uniform.sum())
         else:
             ground_mask = np.zeros(n, dtype=bool)
             ground_mask[n_quanta:] = True
+            clamp_free = _clamp_is_identity(coupling)
+            add_reduce = np.add.reduce
+        # chain = [t, w1, delay, w2, delay, ...]; its cumsum interleaves t_e and t_a.
+        chain = np.empty(2 * _TRIPLES + 1)
+        waits = chain[1::2]
+        chain[2::2] = config.delay
 
-        # Uniforms come from blocks; the finally clause rewinds the generator
-        # and redraws exactly the uniforms consumed, so it ends where scalar
-        # draws would have left it, also when a ValueError ends the run.
+        # The finally clause rewinds the generator and redraws exactly the
+        # uniforms consumed, so it ends where scalar draws would have left it,
+        # also when a ZeroCouplingError ends the run.
         bit_generator = rng.bit_generator
         start_state = bit_generator.state
-        uniforms: list[float] = []
-        drawn = 0
-        pos = 0  # next unused entry of uniforms
+        consumed = 0
         t = 0.0
         try:
             while True:
-                if pos + 3 > len(uniforms):
-                    uniforms = uniforms[pos:] + rng.random(_UNIFORM_BLOCK).tolist()
-                    drawn += _UNIFORM_BLOCK
-                    pos = 0
-                t_emit = t + -log1p(-uniforms[pos]) / total_rate
-                t = t_emit + tau
-                if t > t_max:  # the horizon: this event would absorb after t_max
-                    pos += 1
-                    break
-                emitter = excited.pop(min(int(uniforms[pos + 1] * n_quanta), last_excited))
+                u = rng.random(_UNIFORM_BLOCK)
+                chain[0] = t
+                waits[:] = [-log1p(-x) for x in u[0::3].tolist()]
+                waits /= total_rate
+                times = chain.cumsum()
+                # Events whose absorption is at or before t_max; the next one is the horizon.
+                n_block = int(times[2::2].searchsorted(t_max, side="right"))
+                picks = np.minimum((u[1 : 3 * n_block : 3] * n_quanta).astype(np.int64), last_excited)
                 if coupling is None:
-                    winner = min(bisect_right(cumulative, uniforms[pos + 2] * total), last_ground)
+                    winners = np.minimum(
+                        cumulative.searchsorted(u[2 : 3 * n_block : 3] * total, side="right"),
+                        last_ground,
+                    )
+                    for pick, winner in zip(picks.tolist(), winners.tolist()):
+                        emitter = excited.pop(pick)
+                        absorber = ground.pop(winner)
+                        insort(ground, emitter)
+                        insort(excited, absorber)
+                        emitters.append(emitter)
+                        absorbers.append(absorber)
                 else:
-                    raw = coupling[emitter][ground_mask]
-                    raw_total = float(np.add.reduce(raw))
-                    if raw_total <= 0.0:
-                        pos += 2
-                        raise ValueError(
-                            f"coupling weights from emitter {emitter} to the confirmation set "
-                            "are all zero"
-                        )
-                    normalized = raw / raw_total
-                    winner = inverse_cdf(normalized, uniforms[pos + 2])
-                    weights.append(float(normalized[winner]))
-                    ground_mask[emitter] = True
-                    ground_mask[ground[winner]] = False
-                pos += 3
-                absorber = ground.pop(winner)
-                insort(ground, emitter)
-                insort(excited, absorber)
-                emit_times.append(t_emit)
-                emitters.append(emitter)
-                absorbers.append(absorber)
+                    for j, (pick, u_win) in enumerate(
+                        zip(picks.tolist(), u[2 : 3 * n_block : 3].tolist())
+                    ):
+                        emitter = excited.pop(pick)
+                        raw = coupling[emitter][ground_mask]
+                        raw_total = add_reduce(raw)
+                        if raw_total <= 0.0:
+                            consumed += 3 * j + 2
+                            raise ZeroCouplingError(
+                                f"coupling weights from emitter {emitter} to the confirmation set "
+                                "are all zero"
+                            )
+                        normalized = raw / raw_total
+                        if clamp_free:
+                            # inverse_cdf without the clamp, which is the identity here
+                            target = u_win * add_reduce(normalized)
+                            winner = min(
+                                int(normalized.cumsum().searchsorted(target, side="right")),
+                                last_ground,
+                            )
+                        else:
+                            winner = inverse_cdf(normalized, u_win)
+                        weights.append(float(normalized[winner]))
+                        absorber = ground.pop(winner)
+                        ground_mask[emitter] = True
+                        ground_mask[absorber] = False
+                        insort(ground, emitter)
+                        insort(excited, absorber)
+                        emitters.append(emitter)
+                        absorbers.append(absorber)
+                emit_times.append(times[1 : 2 * n_block : 2])
+                if n_block < _TRIPLES:
+                    consumed += 3 * n_block + 1
+                    break
+                consumed += _UNIFORM_BLOCK
+                t = times[-1]
         finally:
             bit_generator.state = start_state
-            consumed = drawn - len(uniforms) + pos
             for _ in range(consumed // _UNIFORM_BLOCK):
                 rng.random(_UNIFORM_BLOCK)
             rng.random(consumed % _UNIFORM_BLOCK)
 
-    n_events = len(emit_times)
+    n_events = len(emitters)
     if coupling is None and n_events:
-        weights = [1.0 / m] * n_events
-    t_e = np.array(emit_times, dtype=float)
+        weights = np.full(n_events, 1.0 / m)
+    t_e = np.concatenate(emit_times) if emit_times else np.empty(0)
     ledger = Ledger(
         t_e=t_e,
         t_a=t_e + config.delay,
@@ -550,21 +628,33 @@ def summarize_ensemble(config: GasConfig, times: np.ndarray, counts: np.ndarray)
 
 @dataclass(eq=False)
 class EmpiricalRates:
-    """Transition-rate estimates for a labeled partition of gas states.
+    """Transition counts and dwell times for a labeled partition of gas states.
 
     ``rates[i][j]`` estimates the j -> i rate as observed transitions divided
-    by the dwell time in label j. Labels with zero dwell time are flagged in
-    ``zero_dwell_labels`` and their columns left at zero, never fabricated.
+    by the dwell time in label j; it is built on first access, so tallies
+    that are only pooled never build a rate matrix. Labels with zero dwell
+    time are flagged in ``zero_dwell_labels`` and their columns left at
+    zero, never fabricated.
     """
 
-    rates: np.ndarray
     transition_counts: np.ndarray
     dwell_times: np.ndarray
-    zero_dwell_labels: tuple[int, ...]
 
     @property
     def n_labels(self) -> int:
         return self.dwell_times.shape[0]
+
+    @property
+    def zero_dwell_labels(self) -> tuple[int, ...]:
+        return tuple(int(i) for i in np.flatnonzero(~(self.dwell_times > 0.0)))
+
+    @functools.cached_property
+    def rates(self) -> np.ndarray:
+        visited = self.dwell_times > 0.0
+        rates = np.zeros_like(self.transition_counts)
+        rates[:, visited] = self.transition_counts[:, visited] / self.dwell_times[visited]
+        np.fill_diagonal(rates, 0.0)
+        return rates
 
 
 def empirical_rates(config: GasConfig, events) -> EmpiricalRates:
@@ -597,7 +687,7 @@ def empirical_rates(config: GasConfig, events) -> EmpiricalRates:
     counts = np.bincount(
         after[moved] * n_labels + before[moved], minlength=n_labels * n_labels
     ).reshape(n_labels, n_labels).astype(float)
-    return _rates_from_counts(counts, dwell)
+    return EmpiricalRates(counts, dwell)
 
 
 def combine_empirical_rates(parts) -> EmpiricalRates:
@@ -605,21 +695,8 @@ def combine_empirical_rates(parts) -> EmpiricalRates:
     parts = list(parts)
     if not parts:
         raise ValueError("nothing to combine")
-    counts = sum(p.transition_counts for p in parts)
-    dwell = sum(p.dwell_times for p in parts)
-    return _rates_from_counts(counts, dwell)
-
-
-def _rates_from_counts(counts: np.ndarray, dwell: np.ndarray) -> EmpiricalRates:
-    visited = dwell > 0.0
-    rates = np.zeros_like(counts)
-    rates[:, visited] = counts[:, visited] / dwell[visited]
-    np.fill_diagonal(rates, 0.0)
     return EmpiricalRates(
-        rates=rates,
-        transition_counts=counts,
-        dwell_times=dwell,
-        zero_dwell_labels=tuple(int(i) for i in np.flatnonzero(~visited)),
+        sum(p.transition_counts for p in parts), sum(p.dwell_times for p in parts)
     )
 
 

@@ -320,18 +320,30 @@ def _gas_equilibrium(config: ScenarioConfig, stamp: str | None):
     p = config.params
     if p["n_molecules"] % 2 != 0:
         raise ConfigError("gas-equilibrium.n_molecules: must be even for the k macrostate")
+    if not 0 < p["n_excited"] < p["n_molecules"]:
+        raise ConfigError(
+            "gas-equilibrium.n_excited: must lie in 1..n_molecules - 1 for a transfer to form"
+        )
     coupling = None
     if p["coupling_table"]:
-        _labels, coupling = master_mod.rate_matrix_from_csv(p["coupling_table"])
-    gas_config = gas_mod.GasConfig(
-        n_molecules=p["n_molecules"],
-        n_excited=p["n_excited"],
-        decay_rate=p["decay_rate"],
-        t_max=p["t_max"],
-        seed=config.seed,
-        delay=p["delay"],
-        coupling=coupling,
-    )
+        try:
+            _labels, coupling = master_mod.rate_matrix_from_csv(p["coupling_table"])
+        except OSError as exc:
+            raise ConfigError(f"gas-equilibrium.coupling_table: cannot read ({exc})") from exc
+        except ValueError as exc:
+            raise ConfigError(f"gas-equilibrium.coupling_table: {exc}") from exc
+    try:
+        gas_config = gas_mod.GasConfig(
+            n_molecules=p["n_molecules"],
+            n_excited=p["n_excited"],
+            decay_rate=p["decay_rate"],
+            t_max=p["t_max"],
+            seed=config.seed,
+            delay=p["delay"],
+            coupling=coupling,
+        )
+    except ValueError as exc:
+        raise ConfigError(f"gas-equilibrium: {exc}") from exc
     n_seeds = p["n_seeds"]
     if n_seeds < 100:
         raise ConfigError("gas-equilibrium.n_seeds: ensemble statistics need >= 100")
@@ -342,23 +354,39 @@ def _gas_equilibrium(config: ScenarioConfig, stamp: str | None):
     grid = np.linspace(0.0, gas_config.t_max, p["n_samples"])
     counts_grid = np.empty((n_seeds, grid.size), dtype=int)
     counts_check = np.empty((n_seeds, check_times.size), dtype=int)
-    rate_parts = []
+    # Pooled rate tallies, summed member by member in the order
+    # combine_empirical_rates sums them; no per-member rate matrix is kept.
+    n_labels = gas_config.n_molecules // 2 + 1
+    pooled_counts = np.zeros((n_labels, n_labels))
+    pooled_dwell = np.zeros(n_labels)
+    # With uniform coupling the kernel writes exactly 1 / (N - n) as every winner weight.
+    uniform_weight = None
+    if coupling is None:
+        uniform_weight = 1.0 / (gas_config.n_molecules - gas_config.n_excited)
     violation_count = 0
     first_member = None
 
-    for i, (trajectory, events) in enumerate(gas_mod.iter_ensemble(gas_config, n_seeds)):
-        counts_grid[i] = trajectory.left_counts_at(grid)
-        counts_check[i] = trajectory.left_counts_at(check_times)
-        audit = gas_mod.audit_ledger(
-            events,
-            n_molecules=gas_config.n_molecules,
-            initial_excited=range(gas_config.n_excited),
-        )
-        violation_count += len(audit.violations)
-        if events:
-            rate_parts.append(gas_mod.empirical_rates(gas_config, events))
-        if i == 0:
-            first_member = (trajectory, events)
+    members = gas_mod.iter_ensemble(gas_config, n_seeds)
+    try:
+        for i, (trajectory, events) in enumerate(members):
+            counts_grid[i] = trajectory.left_counts_at(grid)
+            counts_check[i] = trajectory.left_counts_at(check_times)
+            audit = gas_mod.audit_ledger(
+                events,
+                n_molecules=gas_config.n_molecules,
+                initial_excited=range(gas_config.n_excited),
+            )
+            violation_count += len(audit.violations)
+            if uniform_weight is not None:
+                violation_count += int(np.count_nonzero(events.winner_weight != uniform_weight))
+            if events:
+                part = gas_mod.empirical_rates(gas_config, events)
+                pooled_counts += part.transition_counts
+                pooled_dwell += part.dwell_times
+            if i == 0:
+                first_member = (trajectory, events)
+    except gas_mod.ZeroCouplingError as exc:
+        raise ConfigError(f"gas-equilibrium.coupling_table: {exc}") from exc
 
     series = gas_mod.summarize_ensemble(gas_config, grid, counts_grid)
 
@@ -375,9 +403,8 @@ def _gas_equilibrium(config: ScenarioConfig, stamp: str | None):
     )
 
     # Master-equation cross-prediction from the pooled empirical rates.
-    pooled = gas_mod.combine_empirical_rates(rate_parts)
+    pooled = gas_mod.EmpiricalRates(pooled_counts, pooled_dwell)
     m_hat = master_mod.build_master_operator(pooled.rates)
-    n_labels = pooled.n_labels
     p0 = np.zeros(n_labels)
     p0[gas_mod.left_half_count(gas_mod.init_gas(gas_config))] = 1.0
     tv_worst = 0.0

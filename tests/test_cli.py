@@ -219,3 +219,53 @@ def test_kernel_breaking_the_trace_exits_three(tmp_path, monkeypatch, capsys, ta
     err = capsys.readouterr().err
     assert err.startswith(f"internal error: ValueError: {failing_state} trace is 2")
     assert "Traceback" not in err
+
+
+
+def write_coupling_table(path, edit, n=10):
+    """Off-diagonal ones with ``table[index] = value`` applied, as a CSV table."""
+    table = np.ones((n, n))
+    np.fill_diagonal(table, 0.0)
+    index, value = edit
+    table[index] = value
+    path.write_text(
+        ",".join(f"m{i}" for i in range(n)) + "\n"
+        + "".join(",".join(repr(float(x)) for x in row) + "\n" for row in table)
+    )
+    return path
+
+
+@pytest.mark.parametrize(
+    "params, edit, message",
+    [
+        ({"delay": "0"}, None, "gas-equilibrium: delay must be strictly positive"),
+        ({"n_excited": "12"}, None, "gas-equilibrium.n_excited: must lie in 1..n_molecules - 1"),
+        ({"n_excited": "0"}, None, "gas-equilibrium.n_excited: must lie in 1..n_molecules - 1"),
+        ({"coupling_table": "missing.csv"}, None, "gas-equilibrium.coupling_table: cannot read"),
+        ({}, ((3, 3), 1.0), "gas-equilibrium.coupling_table: "),
+        ({}, (0, 0.0),
+         "gas-equilibrium.coupling_table: coupling weights from emitter 0 to the confirmation set "
+         "are all zero"),
+        ({}, ((2, 7), math.nan), "gas-equilibrium: coupling weights must be finite"),
+    ],
+    ids=["zero-delay", "more-quanta-than-molecules", "no-quanta", "missing-table",
+         "nonzero-diagonal", "zero-row", "nan-weight"],
+)
+def test_gas_run_rejects_unusable_input_with_exit_two(tmp_path, capsys, params, edit, message):
+    # each of these used to end in exit 3 ("internal error: ValueError" or
+    # "FileNotFoundError"), or for a NaN weight in a report with NaN measurements
+    values = {"n_molecules": "10", "n_excited": "5", "t_max": "2", "n_seeds": "100",
+              "equilibration_time": "1", "check_times": "1, 2", **params}
+    if "coupling_table" in values:
+        values["coupling_table"] = str(tmp_path / values["coupling_table"])
+    if edit is not None:
+        values["coupling_table"] = str(write_coupling_table(tmp_path / "coupling.csv", edit))
+    config = write_config(
+        tmp_path,
+        "[run]\nscenario = gas-equilibrium\nseed = 1\n[gas-equilibrium]\n"
+        + "".join(f"{key} = {value}\n" for key, value in values.items()),
+    )
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {message}")
+    assert "internal error" not in err

@@ -79,6 +79,16 @@ def test_config_rejects_bad_coupling_shape():
         make_config(coupling=np.ones((3, 3)))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_config_rejects_non_finite_coupling(bad):
+    # np.min(table) < 0 is False for NaN, and a NaN column gave NaN winner weights
+    table = np.ones((10, 10))
+    np.fill_diagonal(table, 0.0)
+    table[2, 3] = bad
+    with pytest.raises(ValueError, match="finite"):
+        make_config(coupling=table)
+
+
 def test_config_rejects_negative_coupling():
     table = -np.ones((10, 10))
     with pytest.raises(ValueError, match="nonnegative"):

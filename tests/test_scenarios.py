@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
+from stosszahl import gas
 from stosszahl.config import SCENARIO_SCHEMAS, ConfigError, ScenarioConfig
 from stosszahl.gas import GasConfig, read_ledger_raw, run, write_ledger_csv
 from stosszahl.scenarios import (
@@ -99,6 +101,32 @@ def test_gas_equilibrium_report(tmp_path):
         "gas_empirical_rates.csv",
     ):
         assert (tmp_path / name).exists()
+
+
+def test_uniform_winner_weight_check_counts_altered_weights(tmp_path, monkeypatch):
+    # a weight one ulp off 1 / (N - n) still lies in (0, 1], so only the
+    # scenario's uniform-weight comparison can catch it
+    real_run = gas.run
+    altered = []
+
+    def run_with_one_altered_weight(config, rng=None):
+        trajectory, ledger = real_run(config, rng)
+        if not altered:
+            weights = ledger.winner_weight.copy()
+            weights[3] = np.nextafter(weights[3], 1.0)
+            ledger = dataclasses.replace(ledger, winner_weight=weights)
+            altered.append(3)
+        return trajectory, ledger
+
+    monkeypatch.setattr(gas, "run", run_with_one_altered_weight)
+    config = make_config(
+        "gas-equilibrium", tmp_path, n_molecules=10, n_excited=5, t_max=5.0, n_seeds=100,
+        n_samples=11, equilibration_time=2.0, check_times=(1.0, 2.0, 5.0),
+    )
+    checks = {check.name: check for check in run_scenario(config).checks}
+    assert altered == [3]
+    assert not checks["ledger_audits_clean"].passed
+    assert checks["ledger_audits_clean"].measured == 1.0
 
 
 def test_gas_equilibrium_rejects_odd_molecule_count(tmp_path):
