@@ -127,15 +127,24 @@ def inverse_cdf(weights: np.ndarray, u: float) -> int:
     Callers that validated their weights once (the gas kernel) call this
     directly on every event.
     """
+    return inverse_cdf_unclamped(np.where(weights < ZERO_WEIGHT, 0.0, weights), u)
+
+
+def inverse_cdf_unclamped(weights: np.ndarray, u: float) -> int:
+    """:func:`inverse_cdf` without its ``ZERO_WEIGHT`` clamp.
+
+    Equal to :func:`inverse_cdf` when no entry of ``weights`` lies in
+    (0, ``ZERO_WEIGHT``) and none is a negative zero, that is, when the clamp
+    would change nothing.
+    """
     # ndarray methods and np.add.reduce skip the Python-level wrappers of
     # np.sum, np.cumsum and np.searchsorted; the arithmetic is the same.
-    w = np.where(weights < ZERO_WEIGHT, 0.0, weights)
-    total = float(np.add.reduce(w))
+    total = float(np.add.reduce(weights))
     if total <= 0.0:
         raise ValueError("degenerate weights: all entries are zero")
-    cumulative = w.cumsum()
+    cumulative = weights.cumsum()
     index = int(cumulative.searchsorted(u * total, side="right"))
-    return min(index, w.size - 1)
+    return min(index, weights.size - 1)
 
 
 def sample_outcomes(weights, n_draws: int, rng: np.random.Generator) -> np.ndarray:

@@ -354,11 +354,8 @@ def _gas_equilibrium(config: ScenarioConfig, stamp: str | None):
     grid = np.linspace(0.0, gas_config.t_max, p["n_samples"])
     counts_grid = np.empty((n_seeds, grid.size), dtype=int)
     counts_check = np.empty((n_seeds, check_times.size), dtype=int)
-    # Pooled rate tallies, summed member by member in the order
-    # combine_empirical_rates sums them; no per-member rate matrix is kept.
-    n_labels = gas_config.n_molecules // 2 + 1
-    pooled_counts = np.zeros((n_labels, n_labels))
-    pooled_dwell = np.zeros(n_labels)
+    # Rate tallies are pooled member by member; no per-member rate matrix is kept.
+    pooled = None
     # With uniform coupling the kernel writes exactly 1 / (N - n) as every winner weight.
     uniform_weight = None
     if coupling is None:
@@ -381,12 +378,16 @@ def _gas_equilibrium(config: ScenarioConfig, stamp: str | None):
                 violation_count += int(np.count_nonzero(events.winner_weight != uniform_weight))
             if events:
                 part = gas_mod.empirical_rates(gas_config, events)
-                pooled_counts += part.transition_counts
-                pooled_dwell += part.dwell_times
+                pooled = part if pooled is None else gas_mod.combine_empirical_rates((pooled, part))
             if i == 0:
                 first_member = (trajectory, events)
     except gas_mod.ZeroCouplingError as exc:
         raise ConfigError(f"gas-equilibrium.coupling_table: {exc}") from exc
+    if pooled is None:
+        raise ConfigError(
+            "gas-equilibrium.t_max: no member records an event by t_max, "
+            "so there are no rates to estimate"
+        )
 
     series = gas_mod.summarize_ensemble(gas_config, grid, counts_grid)
 
@@ -403,8 +404,8 @@ def _gas_equilibrium(config: ScenarioConfig, stamp: str | None):
     )
 
     # Master-equation cross-prediction from the pooled empirical rates.
-    pooled = gas_mod.EmpiricalRates(pooled_counts, pooled_dwell)
     m_hat = master_mod.build_master_operator(pooled.rates)
+    n_labels = pooled.n_labels
     p0 = np.zeros(n_labels)
     p0[gas_mod.left_half_count(gas_mod.init_gas(gas_config))] = 1.0
     tv_worst = 0.0

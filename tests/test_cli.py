@@ -221,7 +221,6 @@ def test_kernel_breaking_the_trace_exits_three(tmp_path, monkeypatch, capsys, ta
     assert "Traceback" not in err
 
 
-
 def write_coupling_table(path, edit, n=10):
     """Off-diagonal ones with ``table[index] = value`` applied, as a CSV table."""
     table = np.ones((n, n))
@@ -247,13 +246,16 @@ def write_coupling_table(path, edit, n=10):
          "gas-equilibrium.coupling_table: coupling weights from emitter 0 to the confirmation set "
          "are all zero"),
         ({}, ((2, 7), math.nan), "gas-equilibrium: coupling weights must be finite"),
+        ({"delay": "0.5", "t_max": "0.1", "equilibration_time": "0", "check_times": "0.1"}, None,
+         "gas-equilibrium.t_max: no member records an event by t_max"),
     ],
     ids=["zero-delay", "more-quanta-than-molecules", "no-quanta", "missing-table",
-         "nonzero-diagonal", "zero-row", "nan-weight"],
+         "nonzero-diagonal", "zero-row", "nan-weight", "no-event-by-t-max"],
 )
 def test_gas_run_rejects_unusable_input_with_exit_two(tmp_path, capsys, params, edit, message):
     # each of these used to end in exit 3 ("internal error: ValueError" or
-    # "FileNotFoundError"), or for a NaN weight in a report with NaN measurements
+    # "FileNotFoundError"), or for a NaN weight in a report with NaN measurements;
+    # a horizon before the first absorption must not compare empty rates and pass
     values = {"n_molecules": "10", "n_excited": "5", "t_max": "2", "n_seeds": "100",
               "equilibration_time": "1", "check_times": "1, 2", **params}
     if "coupling_table" in values:

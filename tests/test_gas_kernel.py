@@ -174,6 +174,44 @@ def test_clamp_rule_skips_the_clamp_only_when_it_changes_nothing():
     assert _clamp_is_identity(tiny)
 
 
+class ScriptedUniforms:
+    """A stand-in generator that hands out ``values`` in order, then 0.5.
+
+    Its ``bit_generator.state`` counts the uniforms handed out, so ``run``
+    can rewind it as it rewinds a real generator.
+    """
+
+    def __init__(self, values):
+        self.values = list(values)
+        self.bit_generator = self
+        self.state = 0
+
+    def random(self, size=None):
+        count = 1 if size is None else size
+        drawn = [
+            self.values[i] if i < len(self.values) else 0.5
+            for i in range(self.state, self.state + count)
+        ]
+        self.state += count
+        return drawn[0] if size is None else np.array(drawn)
+
+
+def test_clamp_keeps_a_tiny_weight_from_winning():
+    # emitter 0 weighs molecule 2 at 1e-17 of molecule 3, so a winner uniform
+    # of 0.0 picks molecule 2 unless the ZERO_WEIGHT clamp zeroes that weight
+    table = np.ones((4, 4))
+    np.fill_diagonal(table, 0.0)
+    table[0, 2] = 1e-17
+    config = GasConfig(
+        n_molecules=4, n_excited=2, decay_rate=1.0, t_max=1.0, seed=0, delay=0.1,
+        coupling=table,
+    )
+    uniforms = [0.5, 0.0, 0.0, 0.99]  # wait, emitter rank 0, winner, a wait past t_max
+    _trajectory, ledger = run(config, ScriptedUniforms(uniforms))
+    assert column_bytes(ledger) == column_bytes(stepwise(config, ScriptedUniforms(uniforms)))
+    assert list(ledger.absorber) == [3]
+
+
 def levels_before(config, ledger, index):
     """Levels of every molecule just before event ``index``."""
     levels = init_gas(config).levels.copy()
