@@ -11,18 +11,12 @@ from .evolution import Propagator, evolve_observable, evolve_unitary, propagator
 from .fock import fock_annihilate, fock_create
 from .gas import (
     GasConfig,
-    GasState,
     Ledger,
-    TransactionError,
     TransactionEvent,
     Trajectory,
-    apply_event,
     audit_ledger,
     empirical_rates,
-    init_gas,
-    left_half_count,
     macrostate_entropy,
-    next_event,
     run,
 )
 from .linalg import Spectrum, eig_hermitian, matrix_from_json, matrix_to_json
@@ -56,14 +50,11 @@ __version__ = "0.1.0"
 __all__ = [
     "CollapseOutcome",
     "GasConfig",
-    "GasState",
     "Ledger",
     "Propagator",
     "Spectrum",
     "Trajectory",
-    "TransactionError",
     "TransactionEvent",
-    "apply_event",
     "audit_ledger",
     "born_weights",
     "build_master_operator",
@@ -79,14 +70,11 @@ __all__ = [
     "evolve_unitary",
     "fock_annihilate",
     "fock_create",
-    "init_gas",
-    "left_half_count",
     "macrostate_entropy",
     "matrix_from_json",
     "matrix_to_json",
     "measure",
     "mix_states",
-    "next_event",
     "process1",
     "propagator",
     "purity",

@@ -87,7 +87,10 @@ def load_scenario_config(
     """Parse and validate a config file, applying CLI overrides."""
     parser = configparser.ConfigParser(interpolation=None, strict=True)
     parser.optionxform = str  # keys are case-sensitive
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:  # a repeated key or section, a line outside any section
+        raise ConfigError(f"{path}: {exc}") from exc
     if not read:
         raise ConfigError(f"cannot read config file {path}")
 

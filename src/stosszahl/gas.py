@@ -20,23 +20,28 @@ t_max and stops at the first event whose t_a would pass it. Every recorded
 transaction therefore completes inside the window, and the dwell in the last
 state ends at t_max.
 
-Randomness contract: every recorded event consumes exactly three uniforms
-from the generator, in order: (1) the exponential waiting time by inverse
-CDF, (2) the uniform emitter pick among excited molecules, and (3) the winner
-selection over the confirmation set in ascending id order, by the inverse-CDF
-step :func:`stosszahl.measurement.inverse_cdf` that
+Randomness contract: every member of an ensemble draws from its own
+generator, and every recorded event consumes exactly three uniforms from
+it, in order: (1) the exponential waiting time by inverse CDF, (2) the
+uniform emitter pick among excited molecules, and (3) the winner selection
+over the confirmation set in ascending id order, by the inverse-CDF step of
+:func:`stosszahl.measurement.inverse_cdf`, which
 :func:`stosszahl.measurement.collapse_sample` also uses. The event that would
 cross the horizon consumes only its waiting-time uniform, so a run that
 records m events consumes 3m + 1 uniforms. If no event can form (no excited
-molecule, or no ground molecule to confirm) nothing is consumed.
+molecule, or no ground molecule to confirm) nothing is consumed. A member's
+ledger and its generator's final position do not depend on which other
+members it was run with.
 
-Block stepping: :func:`run` draws its uniforms in blocks and computes the
-waiting times (with ``math.log1p``, not ``np.log1p``, whose vectorized loops
-may round differently), the emission and absorption times, the horizon, the
-emitter picks and the uniform-coupling winners for a whole block at once.
-It reproduces the per-event reference :func:`next_event` /
-:func:`apply_event` bit for bit and leaves the generator where scalar draws
-would.
+Block stepping: :func:`run` steps a batch of members in lockstep. Each
+member draws its uniforms in blocks from its own generator; the waiting
+times (with ``math.log1p``, not ``np.log1p``, whose vectorized loops may
+round differently), the emission and absorption times, the horizon, the
+emitter picks and the uniform-coupling winners are computed for a whole
+block of every member at once, and with a coupling table the weighted
+winners of event j of every member are resolved as one (members, N - n)
+array. The result equals composing scalar draws event by event, one member
+at a time, bit for bit, and leaves every generator where those draws would.
 
 Coarse graining: the macro-observable is k, the number of excited molecules
 in the left half (ids below N/2). Its Boltzmann entropy is the log
@@ -56,12 +61,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .csvio import fmt, read_csv, write_csv
-from .measurement import ZERO_WEIGHT, collapse_sample, inverse_cdf, inverse_cdf_unclamped
+# perfbench/spans.py counts calls to ``collapse_sample`` looked up in this module.
+from .measurement import ZERO_WEIGHT, collapse_sample  # noqa: F401
 from .states import shannon_entropy
-
-
-class TransactionError(RuntimeError):
-    """A transaction violated its preconditions; the conservation audit failed."""
 
 
 class ZeroCouplingError(ValueError):
@@ -120,19 +122,6 @@ class GasConfig:
             object.__setattr__(self, "coupling", table)
 
 
-@dataclass(eq=False)
-class GasState:
-    """Levels (0 ground, 1 excited) per molecule, plus the current time."""
-
-    levels: np.ndarray
-    time: float
-
-    @property
-    def quanta(self) -> int:
-        """Number of excited molecules, recomputed from the levels."""
-        return int(np.count_nonzero(self.levels))
-
-
 @dataclass(frozen=True)
 class TransactionEvent:
     """One audited quantum transfer from an emitter to a winning absorber."""
@@ -186,7 +175,8 @@ class Ledger:
     Columns follow the CSV schema without its index: ``t_e`` and ``t_a``
     (float), ``emitter`` and ``absorber`` (int64), ``winner_weight`` (float)
     and ``confirmation_set_size`` (int64). ``len``, integer indexing and
-    iteration give the events as :class:`TransactionEvent` objects.
+    iteration give the events as :class:`TransactionEvent` objects; a slice
+    gives a Ledger of copies of those rows.
     """
 
     t_e: np.ndarray
@@ -199,7 +189,14 @@ class Ledger:
     def __len__(self) -> int:
         return self.t_e.shape[0]
 
-    def __getitem__(self, index: int) -> TransactionEvent:
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Ledger(
+                *(column[index].copy() for column in (
+                    self.t_e, self.t_a, self.emitter, self.absorber,
+                    self.winner_weight, self.confirmation_set_size,
+                ))
+            )
         return TransactionEvent(
             emitter=int(self.emitter[index]),
             absorber=int(self.absorber[index]),
@@ -244,19 +241,6 @@ def _indexed_ledger(rows) -> tuple:
     return columns[0], ledger
 
 
-def init_gas(config: GasConfig) -> GasState:
-    """Deterministic initial layout: molecules 0..n_excited-1 excited, t = 0."""
-    levels = np.zeros(config.n_molecules, dtype=np.int8)
-    levels[: config.n_excited] = 1
-    return GasState(levels=levels, time=0.0)
-
-
-def left_half_count(state: GasState) -> int:
-    """Number of excited molecules with id < N/2."""
-    n = state.levels.shape[0]
-    return int(np.count_nonzero(state.levels[: (n + 1) // 2]))
-
-
 def macrostate_entropy(k: int, config: GasConfig) -> float:
     """Boltzmann entropy ln[C(N/2, k) * C(N/2, n - k)] of the k macrostate.
 
@@ -298,260 +282,259 @@ def _entropy_table(n_molecules: int, n_excited: int) -> tuple[int, np.ndarray]:
     return k_lo, table
 
 
-def next_event(state: GasState, config: GasConfig, rng: np.random.Generator) -> TransactionEvent | None:
-    """Draw the next transaction, or None if no emitter/absorber pair can form.
-
-    The total emission rate is (number of excited) * decay_rate; by the
-    competing-clocks equivalence for i.i.d. exponential decay the emitter is
-    uniform among excited molecules. The confirmation set is every
-    ground-state molecule at the emission instant, and the winner is sampled
-    over the normalized coupling weights.
-
-    With :func:`apply_event` this is the per-event reference that the kernel
-    in :func:`run` must reproduce bit for bit; it is not used by ``run``.
-    """
-    levels = state.levels
-    excited = np.flatnonzero(levels)
-    ground = np.flatnonzero(levels == 0)
-    if excited.size == 0 or ground.size == 0:
-        return None
-
-    total_rate = excited.size * config.decay_rate
-    waiting = -math.log1p(-rng.random()) / total_rate
-    t_emit = state.time + waiting
-
-    pick = int(rng.random() * excited.size)
-    emitter = int(excited[min(pick, excited.size - 1)])
-
-    if config.coupling is None:
-        weights = np.full(ground.size, 1.0 / ground.size)
-    else:
-        raw = config.coupling[emitter, ground]
-        total = float(raw.sum())
-        if total <= 0.0:
-            raise ZeroCouplingError(
-                f"coupling weights from emitter {emitter} to the confirmation set are all zero"
-            )
-        weights = raw / total
-    winner = collapse_sample(weights, rng)
-
-    return TransactionEvent(
-        emitter=emitter,
-        absorber=int(ground[winner]),
-        t_emit=t_emit,
-        t_absorb=t_emit + config.delay,
-        winner_weight=float(weights[winner]),
-        confirmation_size=int(ground.size),
-    )
-
-
-def apply_event(state: GasState, event: TransactionEvent) -> GasState:
-    """Transfer the quantum: emitter to ground, absorber to excited.
-
-    Preconditions are hard: applying an event whose emitter is not excited or
-    whose absorber is not ground would break conservation, so it raises
-    :class:`TransactionError` instead of proceeding.
-    """
-    levels = state.levels
-    n = levels.shape[0]
-    if not (0 <= event.emitter < n and 0 <= event.absorber < n):
-        raise TransactionError(
-            f"event references molecules ({event.emitter}, {event.absorber}) outside 0..{n - 1}"
-        )
-    if levels[event.emitter] != 1:
-        raise TransactionError(f"emitter {event.emitter} is not excited")
-    if levels[event.absorber] != 0:
-        raise TransactionError(f"absorber {event.absorber} is not in the ground state")
-    new_levels = levels.copy()
-    new_levels[event.emitter] = 0
-    new_levels[event.absorber] = 1
-    return GasState(levels=new_levels, time=event.t_absorb)
-
-
 # Uniforms the gas kernel draws at a time: 256 (wait, pick, winner) triples.
 _UNIFORM_BLOCK = 768
 _TRIPLES = _UNIFORM_BLOCK // 3
+# Ensemble members that :func:`iter_ensemble` steps together in one call of run.
+_MEMBERS_PER_RUN = 64
 
 
-def _clamp_is_identity(table: np.ndarray) -> bool:
-    """True when no normalized winner weight can fall in (0, ZERO_WEIGHT).
+def run(config: GasConfig, rng=None):
+    """Run one trajectory, or a batch of them, up to the horizon t_max.
 
-    A normalized weight is a positive entry over a partial row sum, so it is
-    at least the smallest positive entry over the largest row sum; with a
-    factor 2 on each side for rounding, the ``ZERO_WEIGHT`` clamp of
-    :func:`~stosszahl.measurement.inverse_cdf` then changes no weight and
-    :func:`~stosszahl.measurement.inverse_cdf_unclamped` picks the same
-    winner. Negative zeros are excluded because the clamp turns them into
-    +0.0.
-    """
-    if np.signbit(table).any():
-        return False
-    positive = table[table > 0.0]
-    return positive.size == 0 or positive.min() / (2.0 * table.sum(axis=1).max()) > 2.0 * ZERO_WEIGHT
-
-
-def run(config: GasConfig, rng: np.random.Generator | None = None) -> tuple[Trajectory, Ledger]:
-    """Run one trajectory up to the horizon t_max (or while no event can form).
-
-    Returns the coarse-grained trajectory and the complete event ledger.
-    Deterministic given (config, seed); pass an explicit generator to drive
-    ensemble members from spawned seed sequences instead.
+    With one generator (or None, for ``default_rng(config.seed)``) this
+    returns the coarse-grained trajectory and the complete event ledger of
+    one run. With a list or tuple of generators it runs one member per
+    generator and returns the list of their trajectories and one
+    :class:`Ledger` holding their events member after member; member i owns
+    ``trajectories[i].times.size - 1`` consecutive rows. Each member's
+    ledger and its generator's final position are those of a lone run on
+    that generator. If members meet a confirmation set of zero total weight,
+    every member still runs to its end and the :class:`ZeroCouplingError`
+    of the lowest such member is raised.
 
     The kernel is Gillespie's direct method. Quanta are conserved, so the
     total emission rate n * decay_rate and the confirmation-set size N - n
-    are constants of the run. Sorted excited/ground id lists reproduce the
-    ascending id order of :func:`next_event`.
-
-    Block stepping: uniforms are drawn 768 at a time (``Generator.random(k)``
-    fills the same doubles as k scalar draws) and each block is read as 256
-    (wait, pick, winner) triples, so everything that does not depend on the
-    state is computed for the whole block at once:
+    are constants of the run, and the members of a batch step in lockstep.
+    Each member draws 768 uniforms at a time from its own generator
+    (``Generator.random(k)`` fills the same doubles as k scalar draws), read
+    as 256 (wait, pick, winner) triples. For every member's block at once:
 
     - waiting times ``-log1p(-u) / (n * decay_rate)``, with ``math.log1p``:
       ``np.log1p`` may differ from it in the last bit (its SIMD loops do on
-      AVX-512 machines), and the scalar reference uses ``math.log1p``;
-    - emission and absorption times from one ``np.cumsum`` over
+      AVX-512 machines);
+    - emission and absorption times from a row-wise ``cumsum`` over
       ``[t, w1, delay, w2, delay, ...]``, a sequential sum, so it repeats the
       scalar recurrence ``t_emit = t + w; t = t_emit + delay`` exactly;
     - the horizon, the first absorption after t_max;
-    - emitter ranks ``min(int(u * n), n - 1)`` and, for uniform coupling,
-      winner ranks by ``searchsorted`` on the cumulative weights that
-      :func:`collapse_sample` builds for ``np.full(N - n, 1 / (N - n))``.
+    - emitter ranks ``min(int(u * n), n - 1)`` among the excited molecules
+      in ascending id order and, for uniform coupling, winner ranks by
+      ``searchsorted`` on the cumulative weights of
+      ``np.full(N - n, 1 / (N - n))``.
 
-    What is left per event is the list update (two pops and two insorts)
-    and, for a coupling table, the weighted winner: the table row gathered
-    over the ground molecules, normalized, and resolved by the inverse-CDF
-    step :func:`~stosszahl.measurement.inverse_cdf`, or by
-    :func:`~stosszahl.measurement.inverse_cdf_unclamped` when
-    :func:`_clamp_is_identity` shows, once per run, that the ``ZERO_WEIGHT``
-    clamp cannot change a weight of this table (the clamp costs two numpy
-    calls per event, a comparison and a ``np.where``).
+    With uniform coupling each event is then a list update (two pops and
+    two insorts). With a coupling table every member keeps its excited and
+    ground ids as sorted rows of two arrays, and event j of every member
+    that has one is resolved together: the confirmation-set weights are
+    gathered into one (members, N - n) array and normalized by their row
+    sums, and the winner is taken as :func:`~stosszahl.measurement.inverse_cdf`
+    takes it, row by row: the ``ZERO_WEIGHT`` clamp, then the count of
+    cumulative weights at or below ``u * total`` clipped to N - n - 1, which
+    is ``searchsorted(side="right")`` on a nondecreasing row. Row-wise
+    ``np.add.reduce`` and ``cumsum`` of a C-contiguous array repeat the
+    one-dimensional ones bit for bit.
 
-    The generator is rewound on return and advanced by exactly the uniforms
-    consumed (3 per event, 1 for the event that crosses the horizon, 2 for
-    an event inside the horizon whose confirmation set has zero total
-    weight), also when that error ends the run. So the kernel consumes the
-    random stream and produces the ledger bit-identically to composing
-    :func:`next_event` and :func:`apply_event` (covered by equivalence and
-    property tests). The trajectory is derived from the ledger columns.
+    Each generator is rewound on return and advanced by exactly the
+    uniforms its member consumed (3 per event, 1 for the event that crosses
+    the horizon, 2 for an event inside the horizon whose confirmation set
+    has zero total weight), also when that error ends the run. The ledger
+    therefore equals the per-event composition of scalar draws bit for bit
+    (covered by equivalence and property tests). Trajectories are derived
+    from the ledger columns.
     """
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    n = config.n_molecules
-    n_quanta = config.n_excited
-    m = n - n_quanta
-    coupling = config.coupling
-    emit_times: list[np.ndarray] = []
-    emitters: list[int] = []
-    absorbers: list[int] = []
-    weights: list[float] = []
-
-    if n_quanta and m:
-        log1p = math.log1p
-        insort = bisect.insort
-        total_rate = n_quanta * config.decay_rate
-        t_max = config.t_max
-        last_excited = n_quanta - 1
-        last_ground = m - 1
-        excited = list(range(n_quanta))
-        ground = list(range(n_quanta, n))
-        if coupling is None:
-            uniform = np.full(m, 1.0 / m)
-            cumulative = np.cumsum(uniform)
-            total = float(uniform.sum())
-        else:
-            ground_mask = np.zeros(n, dtype=bool)
-            ground_mask[n_quanta:] = True
-            add_reduce = np.add.reduce
-            pick_winner = inverse_cdf_unclamped if _clamp_is_identity(coupling) else inverse_cdf
-        # chain = [t, w1, delay, w2, delay, ...]; its cumsum interleaves t_e and t_a.
-        chain = np.empty(2 * _TRIPLES + 1)
-        waits = chain[1::2]
-        chain[2::2] = config.delay
-
-        # The finally clause rewinds the generator and redraws exactly the
-        # uniforms consumed, so it ends where scalar draws would have left it,
-        # also when a ZeroCouplingError ends the run.
-        bit_generator = rng.bit_generator
-        start_state = bit_generator.state
-        consumed = 0
-        t = 0.0
-        try:
-            while True:
-                u = rng.random(_UNIFORM_BLOCK)
-                chain[0] = t
-                waits[:] = [-log1p(-x) for x in u[0::3].tolist()]
-                waits /= total_rate
-                times = chain.cumsum()
-                # Events whose absorption is at or before t_max; the next one is the horizon.
-                n_block = int(times[2::2].searchsorted(t_max, side="right"))
-                picks = np.minimum((u[1 : 3 * n_block : 3] * n_quanta).astype(np.int64), last_excited)
-                if coupling is None:
-                    winners = np.minimum(
-                        cumulative.searchsorted(u[2 : 3 * n_block : 3] * total, side="right"),
-                        last_ground,
-                    )
-                    for pick, winner in zip(picks.tolist(), winners.tolist()):
-                        emitter = excited.pop(pick)
-                        absorber = ground.pop(winner)
-                        insort(ground, emitter)
-                        insort(excited, absorber)
-                        emitters.append(emitter)
-                        absorbers.append(absorber)
-                else:
-                    for j, (pick, u_win) in enumerate(
-                        zip(picks.tolist(), u[2 : 3 * n_block : 3].tolist())
-                    ):
-                        emitter = excited.pop(pick)
-                        raw = coupling[emitter][ground_mask]
-                        raw_total = add_reduce(raw)
-                        if raw_total <= 0.0:
-                            consumed += 3 * j + 2
-                            raise ZeroCouplingError(
-                                f"coupling weights from emitter {emitter} to the confirmation set "
-                                "are all zero"
-                            )
-                        normalized = raw / raw_total
-                        winner = pick_winner(normalized, u_win)
-                        weights.append(float(normalized[winner]))
-                        absorber = ground.pop(winner)
-                        ground_mask[emitter] = True
-                        ground_mask[absorber] = False
-                        insort(ground, emitter)
-                        insort(excited, absorber)
-                        emitters.append(emitter)
-                        absorbers.append(absorber)
-                emit_times.append(times[1 : 2 * n_block : 2])
-                if n_block < _TRIPLES:
-                    consumed += 3 * n_block + 1
-                    break
-                consumed += _UNIFORM_BLOCK
-                t = times[-1]
-        finally:
-            bit_generator.state = start_state
-            for _ in range(consumed // _UNIFORM_BLOCK):
-                rng.random(_UNIFORM_BLOCK)
-            rng.random(consumed % _UNIFORM_BLOCK)
-
-    n_events = len(emitters)
-    if coupling is None and n_events:
-        weights = np.full(n_events, 1.0 / m)
-    t_e = np.concatenate(emit_times) if emit_times else np.empty(0)
+    batch = isinstance(rng, (list, tuple))
+    blocks = _step_members(config, list(rng) if batch else [rng])
+    n_events = [sum(len(block[0]) for block in member) for member in blocks]
+    total = sum(n_events)
+    m = config.n_molecules - config.n_excited
+    t_e = _column(blocks, 0, float)
     ledger = Ledger(
         t_e=t_e,
         t_a=t_e + config.delay,
-        emitter=np.array(emitters, dtype=np.int64),
-        absorber=np.array(absorbers, dtype=np.int64),
-        winner_weight=np.array(weights, dtype=float),
-        confirmation_set_size=np.full(n_events, m, dtype=np.int64),
+        emitter=_column(blocks, 1, np.int64),
+        absorber=_column(blocks, 2, np.int64),
+        winner_weight=(
+            np.full(total, 1.0 / m) if config.coupling is None and total
+            else _column(blocks, 3, float)
+        ),
+        confirmation_set_size=np.full(total, m, dtype=np.int64),
     )
-    return _trajectory(config, ledger), ledger
+    trajectories = []
+    stop = 0
+    for count in n_events:
+        rows = slice(stop, stop + count)
+        stop += count
+        trajectories.append(
+            _trajectory(config, ledger.t_a[rows], ledger.emitter[rows], ledger.absorber[rows])
+        )
+    return (trajectories, ledger) if batch else (trajectories[0], ledger)
 
 
-def _left_counts(config: GasConfig, ledger: Ledger) -> np.ndarray:
+def _column(blocks, field: int, dtype) -> np.ndarray:
+    """One ledger column, the members' blocks concatenated in member order."""
+    parts = [block[field] for member in blocks for block in member]
+    return np.concatenate(parts, dtype=dtype) if parts else np.empty(0, dtype=dtype)
+
+
+def _step_members(config: GasConfig, rngs: list) -> list[list[tuple]]:
+    """Per member, the (t_e, emitters, absorbers[, weights]) of each block it stepped.
+
+    Weights are recorded only for a coupling table. See :func:`run`.
+    """
+    n = config.n_molecules
+    n_quanta = config.n_excited
+    m = n - n_quanta
+    blocks: list[list[tuple]] = [[] for _ in rngs]
+    if not (n_quanta and m and rngs):
+        return blocks
+    coupling = config.coupling
+    log1p = math.log1p
+    insort = bisect.insort
+    add_reduce = np.add.reduce
+    total_rate = n_quanta * config.decay_rate
+    t_max = config.t_max
+    if coupling is None:
+        id_lists = [(list(range(n_quanta)), list(range(n_quanta, n))) for _ in rngs]
+        uniform = np.full(m, 1.0 / m)
+        cumulative = np.cumsum(uniform)
+        uniform_total = float(uniform.sum())
+    else:
+        flat_coupling = coupling.ravel()
+        excited = np.tile(np.arange(n_quanta), (len(rngs), 1))
+        ground = np.tile(np.arange(n_quanta, n), (len(rngs), 1))
+    # Members still stepping; row i of excited, ground and t belongs to active[i].
+    active = np.arange(len(rngs))
+    t = np.zeros(len(rngs))
+    # member -> message of its zero-coupling error
+    failures: dict[int, str] = {}
+
+    # The finally clause rewinds each generator and redraws exactly the
+    # uniforms its member consumed, so it ends where scalar draws would have
+    # left it, also when a ZeroCouplingError ends the run.
+    starts = [rng.bit_generator.state for rng in rngs]
+    consumed = [0] * len(rngs)
+    try:
+        while active.size:
+            rows = active.size
+            # chain = [t, w1, delay, w2, delay, ...]; its cumsum interleaves t_e and t_a.
+            chain = np.empty((rows, 2 * _TRIPLES + 1))
+            chain[:, 0] = t
+            chain[:, 2::2] = config.delay
+            pick_u = np.empty((rows, _TRIPLES))
+            win_u = np.empty((rows, _TRIPLES))
+            for row, member in enumerate(active.tolist()):
+                u = rngs[member].random(_UNIFORM_BLOCK)
+                chain[row, 1::2] = [-log1p(-x) for x in u[0::3].tolist()]
+                pick_u[row] = u[1::3]
+                win_u[row] = u[2::3]
+            chain[:, 1::2] /= total_rate
+            times = chain.cumsum(axis=1, out=chain)
+            picks = np.minimum((pick_u * n_quanta).astype(np.int64), n_quanta - 1)
+            # Events whose absorption is at or before t_max; the next one is the horizon.
+            counts = np.count_nonzero(times[:, 2::2] <= t_max, axis=1)
+            # Members step in order of descending event count, so the members
+            # with an event j are a prefix; order maps that order to block rows.
+            order = np.argsort(-counts, kind="stable")
+            active, counts = active[order], counts[order]
+            width = int(counts[0])
+            emitted = np.empty((rows, width), dtype=np.int64)
+            absorbed = np.empty((rows, width), dtype=np.int64)
+            weights = None
+            if coupling is None:
+                winners = np.minimum(
+                    cumulative.searchsorted(win_u * uniform_total, side="right"), m - 1
+                )
+                for row, (member, count) in enumerate(zip(active.tolist(), counts.tolist())):
+                    excited_ids, ground_ids = id_lists[member]
+                    emitters, absorbers = [], []
+                    for pick, winner in zip(
+                        picks[order[row], :count].tolist(), winners[order[row], :count].tolist()
+                    ):
+                        emitter = excited_ids.pop(pick)
+                        absorber = ground_ids.pop(winner)
+                        insort(ground_ids, emitter)
+                        insort(excited_ids, absorber)
+                        emitters.append(emitter)
+                        absorbers.append(absorber)
+                    emitted[row, :count] = emitters
+                    absorbed[row, :count] = absorbers
+            else:
+                excited, ground = excited[order], ground[order]
+                weights = np.empty((rows, width))
+                index = np.arange(rows)
+                live = rows
+                for j in range(width):
+                    while counts[live - 1] <= j:
+                        live -= 1
+                    r = index[:live]
+                    x = excited[:live]
+                    g = ground[:live]
+                    pick = picks[order[:live], j]
+                    e = x[r, pick]
+                    raw = flat_coupling.take((e * n)[:, None] + g)
+                    raw_total = add_reduce(raw, axis=1)
+                    if raw_total.min() <= 0.0:
+                        zero = raw_total <= 0.0
+                        for row in np.flatnonzero(zero).tolist():
+                            member = int(active[row])
+                            if member not in failures:
+                                consumed[member] += 3 * j + 2
+                                failures[member] = (
+                                    f"coupling weights from emitter {e[row]} to the "
+                                    "confirmation set are all zero"
+                                )
+                        # A failed member steps on harmlessly; its events are dropped.
+                        raw_total[zero] = 1.0
+                    raw /= raw_total[:, None]
+                    clamped = np.where(raw < ZERO_WEIGHT, 0.0, raw)
+                    thresholds = win_u[order[:live], j] * add_reduce(clamped, axis=1)
+                    winner = np.count_nonzero(
+                        clamped.cumsum(axis=1) <= thresholds[:, None], axis=1
+                    )
+                    np.minimum(winner, m - 1, out=winner)
+                    absorber = g[r, winner]
+                    weights[:live, j] = raw[r, winner]
+                    emitted[:live, j] = e
+                    absorbed[:live, j] = absorber
+                    x[r, pick] = absorber
+                    x.sort(axis=1, kind="stable")
+                    g[r, winner] = e
+                    g.sort(axis=1, kind="stable")
+            carry_on = counts == _TRIPLES
+            for row, (member, count) in enumerate(zip(active.tolist(), counts.tolist())):
+                if member in failures:
+                    carry_on[row] = False
+                    continue
+                if count:
+                    block = (
+                        times[order[row], 1 : 2 * count : 2].copy(),
+                        emitted[row, :count].copy(),
+                        absorbed[row, :count].copy(),
+                    )
+                    if weights is not None:
+                        block += (weights[row, :count].copy(),)
+                    blocks[member].append(block)
+                consumed[member] += _UNIFORM_BLOCK if count == _TRIPLES else 3 * count + 1
+            active, t = active[carry_on], times[order[carry_on], -1]
+            if coupling is not None:
+                excited, ground = excited[carry_on], ground[carry_on]
+        if failures:
+            raise ZeroCouplingError(failures[min(failures)])
+    finally:
+        for rng, start, count in zip(rngs, starts, consumed):
+            rng.bit_generator.state = start
+            for _ in range(count // _UNIFORM_BLOCK):
+                rng.random(_UNIFORM_BLOCK)
+            rng.random(count % _UNIFORM_BLOCK)
+    return blocks
+
+
+def _left_counts(config: GasConfig, emitter: np.ndarray, absorber: np.ndarray) -> np.ndarray:
     """k at t = 0 and after every event, from the emitter and absorber columns."""
     half = (config.n_molecules + 1) // 2
-    steps = (ledger.absorber < half).astype(np.int64) - (ledger.emitter < half)
+    steps = (absorber < half).astype(np.int64) - (emitter < half)
     return min(config.n_excited, half) + np.concatenate(([0], np.cumsum(steps)))
 
 
@@ -563,11 +546,11 @@ def _macro_entropies(config: GasConfig, left_counts: np.ndarray) -> np.ndarray:
     return table[left_counts - k_lo]
 
 
-def _trajectory(config: GasConfig, ledger: Ledger) -> Trajectory:
-    """Trajectory sampled at t = 0 and at every absorption of the ledger."""
-    left = _left_counts(config, ledger)
+def _trajectory(config: GasConfig, t_a, emitter, absorber) -> Trajectory:
+    """Trajectory sampled at t = 0 and at every absorption, from the ledger columns."""
+    left = _left_counts(config, emitter, absorber)
     return Trajectory(
-        times=np.concatenate(([0.0], ledger.t_a)),
+        times=np.concatenate(([0.0], t_a)),
         left_counts=left,
         macro_entropies=_macro_entropies(config, left),
         n_excited=config.n_excited,
@@ -579,12 +562,22 @@ def iter_ensemble(config: GasConfig, n_members: int):
 
     Member generators come from spawning ``numpy.random.SeedSequence(seed)``,
     so the whole ensemble is reproducible from the single config seed and
-    members are statistically independent.
+    members are statistically independent. Members are stepped in batches
+    of up to ``_MEMBERS_PER_RUN``, one call of :func:`run` per batch; each
+    member's ledger is its rows of the batch ledger.
     """
     if n_members < 1:
         raise ValueError(f"n_members must be >= 1, got {n_members}")
-    for child in np.random.SeedSequence(config.seed).spawn(n_members):
-        yield run(config, rng=np.random.default_rng(child))
+    children = np.random.SeedSequence(config.seed).spawn(n_members)
+    for first in range(0, n_members, _MEMBERS_PER_RUN):
+        rngs = [np.random.default_rng(child) for child in children[first : first + _MEMBERS_PER_RUN]]
+        trajectories, ledger = run(config, rngs)
+        stop = 0
+        for trajectory in trajectories:
+            start, stop = stop, stop + trajectory.times.size - 1
+            yield trajectory, ledger[start:stop]
+        # Free this batch before the next one is stepped.
+        del trajectories, ledger
 
 
 @dataclass(eq=False)
@@ -671,7 +664,7 @@ def empirical_rates(config: GasConfig, events) -> EmpiricalRates:
             f"t_total = {t_total!r} is earlier than the last absorption {last!r}"
         )
     n_labels = (config.n_molecules + 1) // 2 + 1
-    labels = _left_counts(config, ledger)
+    labels = _left_counts(config, ledger.emitter, ledger.absorber)
     if labels.min() < 0 or labels.max() >= n_labels:
         raise ValueError(f"state labels must lie in 0..{n_labels - 1}")
 
@@ -684,16 +677,6 @@ def empirical_rates(config: GasConfig, events) -> EmpiricalRates:
         after[moved] * n_labels + before[moved], minlength=n_labels * n_labels
     ).reshape(n_labels, n_labels).astype(float)
     return EmpiricalRates(counts, dwell)
-
-
-def combine_empirical_rates(parts) -> EmpiricalRates:
-    """Pool transition counts and dwell times across ledgers."""
-    parts = list(parts)
-    if not parts:
-        raise ValueError("nothing to combine")
-    return EmpiricalRates(
-        sum(p.transition_counts for p in parts), sum(p.dwell_times for p in parts)
-    )
 
 
 # --- ledger and trajectory files -------------------------------------------

@@ -124,19 +124,10 @@ def inverse_cdf(weights: np.ndarray, u: float) -> int:
 
     Returns the index that the uniform ``u`` in [0, 1) selects. ``weights``
     must be a float vector of nonnegative entries; they need not sum to one.
-    Callers that validated their weights once (the gas kernel) call this
-    directly on every event.
+    The gas kernel (:func:`stosszahl.gas.run`) takes the same step along the
+    rows of a batch of weight vectors.
     """
-    return inverse_cdf_unclamped(np.where(weights < ZERO_WEIGHT, 0.0, weights), u)
-
-
-def inverse_cdf_unclamped(weights: np.ndarray, u: float) -> int:
-    """:func:`inverse_cdf` without its ``ZERO_WEIGHT`` clamp.
-
-    Equal to :func:`inverse_cdf` when no entry of ``weights`` lies in
-    (0, ``ZERO_WEIGHT``) and none is a negative zero, that is, when the clamp
-    would change nothing.
-    """
+    weights = np.where(weights < ZERO_WEIGHT, 0.0, weights)
     # ndarray methods and np.add.reduce skip the Python-level wrappers of
     # np.sum, np.cumsum and np.searchsorted; the arithmetic is the same.
     total = float(np.add.reduce(weights))

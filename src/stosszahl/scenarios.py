@@ -32,6 +32,7 @@ from .evolution import Propagator, evolve_unitary  # noqa: F401
 from .measurement import as_measurement_basis, decohere, sample_outcome_counts
 from .states import (
     as_density_matrix,
+    as_probability_vector,
     density_from_pure,
     shannon_entropy,
     spectral_entropy,
@@ -144,6 +145,8 @@ def run_scenario(config: ScenarioConfig) -> RunReport:
 
 def _two_state_relaxation(config: ScenarioConfig, stamp: str | None):
     p = config.params
+    if p["n_points"] < 1:
+        raise ConfigError("two-state-relaxation.n_points: must be >= 1")
     rates = np.array([[0.0, p["rate_to_1"]], [p["rate_to_2"], 0.0]])
     m = master_mod.build_master_operator(rates)
     p0 = np.array([p["p1_initial"], 1.0 - p["p1_initial"]])
@@ -281,7 +284,10 @@ def _unitary_vs_collapse(config: ScenarioConfig, stamp: str | None):
 
 def _born_statistics(config: ScenarioConfig, stamp: str | None):
     p = config.params
-    weights = np.asarray(p["weights"], dtype=float)
+    try:
+        weights = as_probability_vector(p["weights"], name="weights")
+    except ValueError as exc:
+        raise ConfigError(f"born-statistics.weights: {exc}") from exc
     n_draws = p["n_draws"]
     if n_draws < 1:
         raise ConfigError("born-statistics.n_draws: must be >= 1")
@@ -378,7 +384,11 @@ def _gas_equilibrium(config: ScenarioConfig, stamp: str | None):
                 violation_count += int(np.count_nonzero(events.winner_weight != uniform_weight))
             if events:
                 part = gas_mod.empirical_rates(gas_config, events)
-                pooled = part if pooled is None else gas_mod.combine_empirical_rates((pooled, part))
+                if pooled is None:
+                    pooled = part
+                else:
+                    pooled.transition_counts += part.transition_counts
+                    pooled.dwell_times += part.dwell_times
             if i == 0:
                 first_member = (trajectory, events)
     except gas_mod.ZeroCouplingError as exc:
@@ -407,7 +417,8 @@ def _gas_equilibrium(config: ScenarioConfig, stamp: str | None):
     m_hat = master_mod.build_master_operator(pooled.rates)
     n_labels = pooled.n_labels
     p0 = np.zeros(n_labels)
-    p0[gas_mod.left_half_count(gas_mod.init_gas(gas_config))] = 1.0
+    # Molecules 0..n - 1 start excited, so k starts at min(n, N / 2).
+    p0[min(gas_config.n_excited, gas_config.n_molecules // 2)] = 1.0
     tv_worst = 0.0
     for j, t in enumerate(check_times):
         predicted = master_mod.evolve_probabilities(m_hat, p0, float(t))

@@ -58,6 +58,8 @@ def as_probability_vector(p, name: str = "probabilities") -> np.ndarray:
     v = np.asarray(p, dtype=float).ravel()
     if v.size < 1:
         raise ValueError(f"{name} must have at least one entry")
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{name} has a non-finite entry")
     if np.min(v) < -PROB_NEG_TOL:
         raise ValueError(f"{name} has negative entry {np.min(v)!r}")
     v = np.where(v < 0.0, 0.0, v)

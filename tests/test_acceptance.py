@@ -13,17 +13,16 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
+from gas_oracle import init_gas, left_half_count
 from stosszahl.config import SCENARIO_SCHEMAS, ScenarioConfig
 from stosszahl.evolution import evolve_unitary
 from stosszahl.fock import fock_annihilate, fock_create
 from stosszahl.gas import (
+    EmpiricalRates,
     GasConfig,
     audit_ledger,
-    combine_empirical_rates,
     empirical_rates,
-    init_gas,
     iter_ensemble,
-    left_half_count,
     macrostate_entropy,
 )
 from stosszahl.master import (
@@ -233,7 +232,10 @@ def gas_ensemble():
         "counts_check": counts_check,
         "violations": violations,
         "conservation_breaks": conservation_breaks,
-        "pooled": combine_empirical_rates(rate_parts),
+        "pooled": EmpiricalRates(
+            sum(part.transition_counts for part in rate_parts),
+            sum(part.dwell_times for part in rate_parts),
+        ),
         "elapsed": elapsed,
     }
 

@@ -53,6 +53,34 @@ def test_run_missing_seed_exit_two(tmp_path, capsys):
     assert main(["run", "--config", str(config)]) == 2
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[run]\nscenario = born-statistics\nseed = 1\nseed = 2\n", "option 'seed'"),
+        ("[run]\nscenario = born-statistics\nseed = 1\n[run]\n", "section 'run'"),
+        ("seed = 1\n[run]\nscenario = born-statistics\n", "no section headers"),
+        ("[run]\nscenario = born-statistics\nseed = 1\n[born-statistics]\nweights = 0.5, nan\n",
+         "born-statistics.weights: weights has a non-finite entry"),
+        ("[run]\nscenario = born-statistics\nseed = 1\n[born-statistics]\nweights = 0.5, 0.4\n",
+         "born-statistics.weights: weights sums to 0.9"),
+        ("[run]\nscenario = two-state-relaxation\nseed = 1\n[two-state-relaxation]\nn_points = 0\n",
+         "two-state-relaxation.n_points: must be >= 1"),
+    ],
+    ids=["repeated-key", "repeated-section", "key-before-section", "nan-weight",
+         "weights-off-one", "no-grid-points"],
+)
+def test_unusable_config_exits_two(tmp_path, capsys, text, message):
+    # these used to exit 3 (DuplicateOptionError, DuplicateSectionError,
+    # MissingSectionHeaderError, the born weights' sum check) or to report a
+    # NaN p-value as a failed check (exit 1) or two checks passed on an
+    # empty grid (exit 0)
+    config = write_config(tmp_path, text)
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert message in err
+
+
 def test_seed_flag_overrides(tmp_path):
     config = write_config(tmp_path, "[run]\nscenario = born-statistics\n")
     code = main(

@@ -5,22 +5,26 @@ import math
 import numpy as np
 import pytest
 
-from stosszahl.config import SCENARIO_SCHEMAS, ConfigError, ScenarioConfig
-from stosszahl.gas import (
-    GasConfig,
+from gas_oracle import (
     GasState,
     TransactionError,
+    apply_event,
+    init_gas,
+    left_half_count,
+    next_event,
+)
+from stosszahl import gas
+from stosszahl.config import SCENARIO_SCHEMAS, ConfigError, ScenarioConfig
+from stosszahl.csvio import read_csv
+from stosszahl.gas import (
+    EmpiricalRates,
+    GasConfig,
     TransactionEvent,
     Trajectory,
-    apply_event,
     audit_ledger,
-    combine_empirical_rates,
     empirical_rates,
-    init_gas,
     iter_ensemble,
-    left_half_count,
     macrostate_entropy,
-    next_event,
     read_ledger_raw,
     run,
     summarize_ensemble,
@@ -516,12 +520,23 @@ def test_column_rates_equal_the_replayed_rates():
         assert np.array_equal(estimate.dwell_times, dwell)
 
 
-def test_combined_rates_pool_counts_and_dwell():
-    config = make_config(n_molecules=10, n_excited=5, t_max=20.0, seed=43)
-    parts = [empirical_rates(config, events) for _trajectory, events in iter_ensemble(config, 3)]
-    pooled = combine_empirical_rates(parts)
-    assert np.allclose(pooled.dwell_times, sum(p.dwell_times for p in parts))
-    assert np.allclose(pooled.transition_counts, sum(p.transition_counts for p in parts))
+def test_combined_rates_pool_counts_and_dwell(tmp_path):
+    # the gas-equilibrium scenario adds each member's tallies in place; its rate
+    # file must hold the rates of the members' summed counts and dwell times
+    schema = SCENARIO_SCHEMAS["gas-equilibrium"]
+    params = {key: default for key, (_parse, default) in schema.items()}
+    params.update(
+        n_molecules=10, n_excited=5, t_max=5.0, n_seeds=100, n_samples=11,
+        equilibration_time=2.0, check_times=(1.0, 2.0, 5.0),
+    )
+    run_scenario(ScenarioConfig("gas-equilibrium", seed=43, out_dir=tmp_path, params=params))
+    config = make_config(n_molecules=10, n_excited=5, t_max=5.0, seed=43)
+    parts = [empirical_rates(config, events) for _trajectory, events in iter_ensemble(config, 100)]
+    pooled = EmpiricalRates(
+        sum(p.transition_counts for p in parts), sum(p.dwell_times for p in parts)
+    )
+    written = [[float(x) for x in row] for row in read_csv(tmp_path / "gas_empirical_rates.csv")[1:]]
+    assert np.array_equal(np.array(written), pooled.rates)
 
 
 # --- ensembles ------------------------------------------------------------------------
@@ -561,6 +576,30 @@ def test_ensemble_members_are_reproducible():
     second = [list(events) for _t, events in iter_ensemble(config, 3)]
     assert first == second
     assert first[0] != first[1]
+
+
+def test_ensemble_steps_its_members_through_gas_run(monkeypatch):
+    # the benchmark counts events as len(result[1]) over the calls of gas.run, so
+    # iter_ensemble must reach the kernel there, in batches whose ledgers hold
+    # every member's events, each member's as a lone run gives them
+    real_run = gas.run
+    calls = []
+
+    def counted_run(config, rng=None):
+        result = real_run(config, rng)
+        calls.append((len(rng), len(result[1])))
+        return result
+
+    monkeypatch.setattr(gas, "run", counted_run)
+    config = make_config(n_molecules=12, n_excited=5, t_max=3.0, seed=61)
+    n_members = 2 * gas._MEMBERS_PER_RUN + 3
+    ledgers = [ledger for _trajectory, ledger in iter_ensemble(config, n_members)]
+    assert [size for size, _events in calls] == [gas._MEMBERS_PER_RUN] * 2 + [3]
+    assert sum(events for _size, events in calls) == sum(len(ledger) for ledger in ledgers)
+    children = np.random.SeedSequence(config.seed).spawn(n_members)
+    for child, ledger in zip(children, ledgers):
+        _trajectory, lone = real_run(config, np.random.default_rng(child))
+        assert list(ledger) == list(lone)
 
 
 # --- ledger files and audit --------------------------------------------------------------

@@ -1,14 +1,18 @@
 """Property tests of the gas event kernel.
 
-``gas.run`` steps the gas in blocks of (wait, pick, winner) triples; the
-per-event composition of ``next_event`` and ``apply_event`` is its reference.
-Over random gases, coupling tables (uniform, dense, sparse with tiny
-weights, so the ``ZERO_WEIGHT`` clamp matters, and dense with one emitter's
-row zeroed, so runs end in the zero-coupling error) and horizons, the kernel must
+``gas.run`` steps the gas in blocks of (wait, pick, winner) triples, for one
+member or for a batch of members in lockstep; the per-event composition of
+``next_event`` and ``apply_event`` (``gas_oracle``) is its reference for one
+member, and a lone run on each generator is the reference for a batch. Over
+random gases, coupling tables (uniform, dense, sparse with tiny weights, so
+the ``ZERO_WEIGHT`` clamp matters, and dense with one emitter's row zeroed,
+so runs end in the zero-coupling error) and horizons, the kernel must
 produce the same ledger bit for bit, raise the same zero-coupling error, and
-leave the generator at the same position. Every ledger it produces must pass
-the audit, and every single-field edit of one row to a value the invariants
-exclude must fail it.
+leave every generator at the same position. The batched winner step rests
+on row-wise reductions of a (members, N - n) array being bit-equal to the
+one-dimensional ones, which is checked on its own. Every ledger the kernel
+produces must pass the audit, and every single-field edit of one row to a
+value the invariants exclude must fail it.
 """
 
 import dataclasses
@@ -19,16 +23,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gas_oracle import apply_event, init_gas, next_event
 from stosszahl.gas import (
     GasConfig,
     ZeroCouplingError,
-    _clamp_is_identity,
-    apply_event,
     audit_ledger,
-    init_gas,
-    next_event,
     run,
 )
+from stosszahl.measurement import ZERO_WEIGHT, inverse_cdf
 
 LEDGER_FIELDS = ("t_e", "t_a", "emitter", "absorber", "winner_weight", "confirmation_set_size")
 TRIPLES_PER_BLOCK = 256
@@ -157,21 +159,101 @@ def test_kernel_equals_the_composition_across_blocks_and_at_a_block_edge(kind):
     assert len(outcome(kernel_events, edge)[0]) == TRIPLES_PER_BLOCK
 
 
-def test_clamp_rule_skips_the_clamp_only_when_it_changes_nothing():
-    dense = make_table("dense", 30, 1)
-    assert _clamp_is_identity(dense)
-    assert not _clamp_is_identity(make_table("sparse", 30, 1))
-    negative_zero = dense.copy()
-    negative_zero[0, 1] = -0.0
-    assert not _clamp_is_identity(negative_zero)
-    # smallest positive entry over twice the largest row sum, against 2e-15
-    tiny = dense.copy()
-    tiny[0, 1] = 0.0
-    largest_row_sum = tiny.sum(axis=1).max()
-    tiny[0, 1] = 3.9e-15 * largest_row_sum
-    assert not _clamp_is_identity(tiny)
-    tiny[0, 1] = 4.1e-15 * largest_row_sum
-    assert _clamp_is_identity(tiny)
+def lone_runs(config, children):
+    """Per member: (trajectory and ledger bytes, or the error message; generator state)."""
+    outcomes = []
+    for child in children:
+        rng = np.random.default_rng(child)
+        try:
+            trajectory, ledger = run(config, rng)
+            result = trajectory_bytes(trajectory) + column_bytes(ledger)
+        except ZeroCouplingError as exc:
+            result = str(exc)
+        outcomes.append((result, rng.bit_generator.state))
+    return outcomes
+
+
+def trajectory_bytes(trajectory):
+    return [trajectory.times.tobytes(), trajectory.left_counts.tobytes(),
+            trajectory.macro_entropies.tobytes()]
+
+
+@settings(max_examples=40)
+@given(gas_configs(), st.integers(1, 9))
+def test_batch_equals_lone_runs_member_by_member(config, n_members):
+    children = np.random.SeedSequence(config.seed).spawn(n_members)
+    lone = lone_runs(config, children)
+    rngs = [np.random.default_rng(child) for child in children]
+    errors = [result for result, _state in lone if isinstance(result, str)]
+    if errors:
+        # the error of the lowest failing member, raised after every member ran
+        with pytest.raises(ZeroCouplingError) as info:
+            run(config, rngs)
+        assert str(info.value) == errors[0]
+    else:
+        trajectories, ledger = run(config, rngs)
+        assert len(trajectories) == n_members
+        stop = 0
+        for trajectory, (result, _state) in zip(trajectories, lone):
+            start, stop = stop, stop + trajectory.times.size - 1
+            assert trajectory_bytes(trajectory) + column_bytes(ledger[start:stop]) == result
+        assert stop == len(ledger)
+    assert [rng.bit_generator.state for rng in rngs] == [state for _result, state in lone]
+
+
+def test_batch_error_names_the_lowest_failing_member():
+    # rows 1 and 2 are zero: member 1 fails on its first event (emitter 1),
+    # member 0 on its second (emitter 2, which absorbed its first quantum);
+    # the batch reports member 0 and leaves each generator after its failure
+    table = np.ones((4, 4))
+    np.fill_diagonal(table, 0.0)
+    table[1] = table[2] = 0.0
+    config = GasConfig(
+        n_molecules=4, n_excited=2, decay_rate=1.0, t_max=100.0, seed=0, delay=0.01,
+        coupling=table,
+    )
+    # (wait, emitter rank, winner) triples; rank 0 of {0, 1} is 0, rank 1 of {1, 2} is 2
+    first = ScriptedUniforms([0.1, 0.0, 0.0, 0.1, 0.9])
+    second = ScriptedUniforms([0.1, 0.9])
+    with pytest.raises(ZeroCouplingError, match="from emitter 2 to"):
+        run(config, [first, second])
+    assert (first.state, second.state) == (5, 2)
+    with pytest.raises(ZeroCouplingError, match="from emitter 1 to"):
+        run(config, [ScriptedUniforms([0.1, 0.9])])
+
+
+@settings(max_examples=80)
+@given(
+    st.integers(1, 9),
+    st.integers(1, 300),
+    st.sampled_from(["uniform", "dense", "sparse"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_row_wise_reductions_equal_the_one_dimensional_ones(rows, m, kind, seed):
+    # m runs past numpy's pairwise-summation block of 128; the winner count
+    # of the clamped cumulative row is the inverse_cdf pick of that row
+    rng = np.random.default_rng(seed)
+    if kind == "uniform":
+        weights = np.full((rows, m), 1.0 / m)
+    else:
+        weights = rng.uniform(0.5, 1.5, size=(rows, m))
+        if kind == "sparse":
+            weights[rng.random((rows, m)) < 0.4] = 0.0
+            weights[rng.random((rows, m)) < 0.1] = 1e-17
+        weights[:, -1] = 1.0  # no row sums to zero
+        weights /= np.add.reduce(weights, axis=1)[:, None]
+    totals = np.add.reduce(weights, axis=1)
+    cumulative = weights.cumsum(axis=1)
+    clamped = np.where(weights < ZERO_WEIGHT, 0.0, weights)
+    u = rng.random(rows)
+    winners = np.count_nonzero(
+        clamped.cumsum(axis=1) <= (u * np.add.reduce(clamped, axis=1))[:, None], axis=1
+    )
+    winners = np.minimum(winners, m - 1)
+    for row in range(rows):
+        assert totals[row].tobytes() == np.add.reduce(weights[row]).tobytes()
+        assert cumulative[row].tobytes() == weights[row].cumsum().tobytes()
+        assert winners[row] == inverse_cdf(weights[row], float(u[row]))
 
 
 class ScriptedUniforms:

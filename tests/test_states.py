@@ -100,6 +100,13 @@ def test_probability_validator_rejects_bad_sum():
         as_probability_vector([0.5, 0.4])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_probability_validator_rejects_non_finite(bad):
+    # every comparison with NaN is False, so NaN passed the sign and sum checks
+    with pytest.raises(ValueError, match="non-finite"):
+        as_probability_vector([1.0, bad])
+
+
 def test_state_vector_accepts_sequences():
     v = as_state_vector((1.0, 0.0, 0.0))
     assert v.dtype == complex and v.shape == (3,)
