@@ -43,6 +43,13 @@ winners of event j of every member are resolved as one (members, N - n)
 array. The result equals composing scalar draws event by event, one member
 at a time, bit for bit, and leaves every generator where those draws would.
 
+Batches: :func:`iter_ensemble` yields one batch per call of :func:`run`,
+its ledger holding the members' events member after member, with the
+member row bounds. :func:`audit_ledger`, :func:`empirical_rates` and
+:func:`batch_left_counts` take such a ledger with its bounds and treat
+every member as if alone; their results equal the calls on each member's
+rows, bit for bit.
+
 Coarse graining: the macro-observable is k, the number of excited molecules
 in the left half (ids below N/2). Its Boltzmann entropy is the log
 multiplicity ln[C(N/2, k) * C(N/2, n - k)] of the macrostate, computed with
@@ -219,16 +226,22 @@ def _indexed_ledger(rows) -> tuple:
     """(event indices, Ledger) of a Ledger, TransactionEvents or raw CSV rows.
 
     Raw rows are tuples in ``LEDGER_COLUMNS`` order and keep their own
-    event_index; a Ledger or events are indexed by position.
+    event_index; a Ledger or events are indexed by position, and their
+    indices are None.
     """
     if isinstance(rows, Ledger):
-        return range(len(rows)), rows
-    normalized = [
-        (index, row.t_emit, row.t_absorb, row.emitter, row.absorber,
-         row.winner_weight, row.confirmation_size)
-        if isinstance(row, TransactionEvent) else tuple(row)
-        for index, row in enumerate(rows)
-    ]
+        return None, rows
+    normalized = []
+    positional = True
+    for index, row in enumerate(rows):
+        if isinstance(row, TransactionEvent):
+            normalized.append((
+                index, row.t_emit, row.t_absorb, row.emitter, row.absorber,
+                row.winner_weight, row.confirmation_size,
+            ))
+        else:
+            normalized.append(tuple(row))
+            positional = False
     columns = list(zip(*normalized)) or [()] * len(LEDGER_COLUMNS)
     ledger = Ledger(
         t_e=np.array(columns[1], dtype=float),
@@ -238,7 +251,26 @@ def _indexed_ledger(rows) -> tuple:
         winner_weight=np.array(columns[5], dtype=float),
         confirmation_set_size=np.array(columns[6], dtype=np.int64),
     )
-    return columns[0], ledger
+    return (None if positional else columns[0]), ledger
+
+
+def _member_rows(bounds, n_events: int) -> tuple[np.ndarray, np.ndarray]:
+    """(bounds, member of each row) for member row bounds, or one member if None.
+
+    Member i of a batch ledger owns rows ``bounds[i]:bounds[i + 1]``.
+    """
+    if bounds is None:
+        bounds = np.array([0, n_events])
+    else:
+        bounds = np.asarray(bounds, dtype=np.int64)
+        if (
+            bounds.ndim != 1 or bounds.size < 2 or bounds[0] != 0
+            or bounds[-1] != n_events or np.any(bounds[1:] < bounds[:-1])
+        ):
+            raise ValueError(
+                f"member bounds must rise from 0 to the {n_events} ledger rows"
+            )
+    return bounds, np.repeat(np.arange(bounds.size - 1), np.diff(bounds))
 
 
 def macrostate_entropy(k: int, config: GasConfig) -> float:
@@ -299,7 +331,9 @@ def run(config: GasConfig, rng=None):
     :class:`Ledger` holding their events member after member; member i owns
     ``trajectories[i].times.size - 1`` consecutive rows. Each member's
     ledger and its generator's final position are those of a lone run on
-    that generator. If members meet a confirmation set of zero total weight,
+    that generator; the audit, the rate estimator and
+    :func:`batch_left_counts` read the batch ledger whole, given the member
+    row bounds. If members meet a confirmation set of zero total weight,
     every member still runs to its end and the :class:`ZeroCouplingError`
     of the lowest such member is raised.
 
@@ -531,11 +565,20 @@ def _step_members(config: GasConfig, rngs: list) -> list[list[tuple]]:
     return blocks
 
 
-def _left_counts(config: GasConfig, emitter: np.ndarray, absorber: np.ndarray) -> np.ndarray:
-    """k at t = 0 and after every event, from the emitter and absorber columns."""
+def _left_counts(
+    config: GasConfig, emitter: np.ndarray, absorber: np.ndarray, bounds=None
+) -> np.ndarray:
+    """k at t = 0, then k after each row, from the emitter and absorber columns.
+
+    With member row bounds (see :func:`_member_rows`) entry r + 1 is k after
+    row r within its member: each member starts again from the initial k.
+    """
     half = (config.n_molecules + 1) // 2
     steps = (absorber < half).astype(np.int64) - (emitter < half)
-    return min(config.n_excited, half) + np.concatenate(([0], np.cumsum(steps)))
+    climb = np.concatenate(([0], np.cumsum(steps)))
+    if bounds is not None:
+        climb[1:] -= np.repeat(climb[bounds[:-1]], np.diff(bounds))
+    return min(config.n_excited, half) + climb
 
 
 def _macro_entropies(config: GasConfig, left_counts: np.ndarray) -> np.ndarray:
@@ -558,13 +601,18 @@ def _trajectory(config: GasConfig, t_a, emitter, absorber) -> Trajectory:
 
 
 def iter_ensemble(config: GasConfig, n_members: int):
-    """Yield (trajectory, ledger) for n_members independent runs.
+    """Yield (trajectories, ledger, bounds) for n_members independent runs.
 
     Member generators come from spawning ``numpy.random.SeedSequence(seed)``,
     so the whole ensemble is reproducible from the single config seed and
     members are statistically independent. Members are stepped in batches
-    of up to ``_MEMBERS_PER_RUN``, one call of :func:`run` per batch; each
-    member's ledger is its rows of the batch ledger.
+    of up to ``_MEMBERS_PER_RUN``, one call of :func:`run` per batch, and
+    each batch is yielded as run returns it, in member order, with its
+    member row bounds: the batch's member i owns ledger rows
+    ``bounds[i]:bounds[i + 1]``. :func:`audit_ledger`,
+    :func:`empirical_rates` and :func:`batch_left_counts` take a batch
+    ledger with its bounds; ``ledger[bounds[i]:bounds[i + 1]]`` copies one
+    member's ledger out.
     """
     if n_members < 1:
         raise ValueError(f"n_members must be >= 1, got {n_members}")
@@ -572,12 +620,36 @@ def iter_ensemble(config: GasConfig, n_members: int):
     for first in range(0, n_members, _MEMBERS_PER_RUN):
         rngs = [np.random.default_rng(child) for child in children[first : first + _MEMBERS_PER_RUN]]
         trajectories, ledger = run(config, rngs)
-        stop = 0
-        for trajectory in trajectories:
-            start, stop = stop, stop + trajectory.times.size - 1
-            yield trajectory, ledger[start:stop]
+        bounds = np.cumsum([0] + [trajectory.times.size - 1 for trajectory in trajectories])
+        yield trajectories, ledger, bounds
         # Free this batch before the next one is stepped.
         del trajectories, ledger
+
+
+def batch_left_counts(config: GasConfig, ledger: Ledger, bounds, query_times) -> np.ndarray:
+    """k of every member of a batch ledger at each query time, one row per member.
+
+    Row i equals ``trajectories[i].left_counts_at(query_times)`` for the
+    trajectories :func:`run` returned with the ledger. Query times are one
+    dimensional and nonnegative. Each row's absorption time is located once
+    among the sorted queries, and one ``bincount`` over (member, first query
+    at or after it) counts every member's absorptions up to every query.
+    """
+    q = np.asarray(query_times, dtype=float)
+    if np.any(q < 0.0):
+        raise ValueError("query times must be >= the trajectory start")
+    bounds, member = _member_rows(bounds, len(ledger))
+    labels = _left_counts(config, ledger.emitter, ledger.absorber, bounds)
+    order = np.argsort(q, kind="stable")
+    width = q.size + 1
+    arrivals = np.bincount(
+        member * width + q[order].searchsorted(ledger.t_a), minlength=(bounds.size - 1) * width
+    )
+    # past[i, j]: absorptions of member i at or before the j-th smallest query.
+    past = arrivals.reshape(-1, width).cumsum(axis=1)[:, :-1]
+    counts = np.empty(past.shape, dtype=labels.dtype)
+    counts[:, order] = labels[np.where(past > 0, bounds[:-1, None] + past, 0)]
+    return counts
 
 
 @dataclass(eq=False)
@@ -646,37 +718,67 @@ class EmpiricalRates:
         return rates
 
 
-def empirical_rates(config: GasConfig, events) -> EmpiricalRates:
-    """Estimate transition rates between k labels from one ledger.
+def empirical_rates(config: GasConfig, events, bounds=None):
+    """Estimate transition rates between k labels from one ledger, or per member of a batch.
 
     ``events`` is a :class:`Ledger` or a sequence of events, assumed to pass
     :func:`audit_ledger`. Each state is labeled by its left-half excited
     count k in 0..ceil(N/2), taken from the ledger columns, and the dwell in
     the last state ends at t_max.
+
+    With member row bounds (as :func:`iter_ensemble` yields them) this
+    returns one :class:`EmpiricalRates` per member, None for a member
+    without events, each equal bit for bit to the estimate from that
+    member's rows alone. Every member's dwell times come from one
+    ``bincount`` over ``member * n_labels + label``, which adds each
+    member's dwell weights in event order, and its transition counts from
+    another; pool members by adding their tallies one member at a time.
     """
     ledger = _indexed_ledger(events)[1]
-    if not len(ledger):
+    batch = bounds is not None
+    if not (batch or len(ledger)):
         raise ValueError("cannot estimate rates from an empty ledger")
+    bounds, member = _member_rows(bounds, len(ledger))
+    sizes = np.diff(bounds)
+    n_members = sizes.size
+    if not len(ledger):
+        return [None] * n_members
     t_total = config.t_max
-    last = float(ledger.t_a[-1])
-    if t_total < last:
+    firsts = bounds[:-1][sizes > 0]
+    lasts = bounds[1:][sizes > 0] - 1
+    last = ledger.t_a[lasts]
+    early = np.flatnonzero(t_total < last)
+    if early.size:
         raise ValueError(
-            f"t_total = {t_total!r} is earlier than the last absorption {last!r}"
+            f"t_total = {t_total!r} is earlier than the last absorption {last[early[0]].item()!r}"
         )
     n_labels = (config.n_molecules + 1) // 2 + 1
-    labels = _left_counts(config, ledger.emitter, ledger.absorber)
+    labels = _left_counts(config, ledger.emitter, ledger.absorber, bounds)
     if labels.min() < 0 or labels.max() >= n_labels:
         raise ValueError(f"state labels must lie in 0..{n_labels - 1}")
 
-    before, after = labels[:-1], labels[1:]
+    after = labels[1:]
+    before = labels[:-1].copy()
+    before[firsts] = labels[0]
+    spans = np.diff(ledger.t_a, prepend=0.0)
+    spans[firsts] = ledger.t_a[firsts]
     # bincount adds the weights of each label in event order, as a replay would.
-    dwell = np.bincount(before, weights=np.diff(ledger.t_a, prepend=0.0), minlength=n_labels)
-    dwell[labels[-1]] += t_total - last
+    dwell = np.bincount(
+        member * n_labels + before, weights=spans, minlength=n_members * n_labels
+    ).reshape(n_members, n_labels)
+    dwell[np.flatnonzero(sizes), after[lasts]] += t_total - last
     moved = after != before
+    transitions = ((member * n_labels + after) * n_labels + before)[moved]
+    # Unit weights count straight into floats, exactly (casting a counted array costs more).
     counts = np.bincount(
-        after[moved] * n_labels + before[moved], minlength=n_labels * n_labels
-    ).reshape(n_labels, n_labels).astype(float)
-    return EmpiricalRates(counts, dwell)
+        transitions, weights=np.ones(transitions.size), minlength=n_members * n_labels * n_labels
+    ).reshape(n_members, n_labels, n_labels)
+    if not batch:
+        return EmpiricalRates(counts[0], dwell[0])
+    return [
+        EmpiricalRates(counts[i], dwell[i]) if size else None
+        for i, size in enumerate(sizes.tolist())
+    ]
 
 
 # --- ledger and trajectory files -------------------------------------------
@@ -757,17 +859,43 @@ def write_trajectory_csv(path, trajectory: Trajectory, header_comment: str | Non
 
 # --- ledger audit -----------------------------------------------------------
 
+def _chain_keys(molecules: np.ndarray, member: np.ndarray, n_members: int) -> np.ndarray:
+    """Keys in (member, molecule) order of interleaved emitter and absorber ids.
+
+    ``molecules`` holds each row's emitter and absorber, row after row, and
+    ``member`` the member of each row. The keys take the narrowest unsigned
+    type, so that numpy's stable sort takes its radix path on keys of 16
+    bits or less. Ids too far apart to pack beside the member index in an
+    int64 are replaced by their ranks first.
+    """
+    if not molecules.size:
+        return molecules
+    lo = int(molecules.min())
+    span = int(molecules.max()) - lo + 1
+    if n_members * span > _INT64.max:
+        molecules = np.unique(molecules, return_inverse=True)[1]
+        lo, span = 0, int(molecules.max()) + 1
+    keys = member[:, None] * span + (molecules - lo).reshape(-1, 2)
+    return keys.ravel().astype(np.min_scalar_type(n_members * span - 1))
+
+
 @dataclass(frozen=True)
 class LedgerAudit:
-    """Outcome of replaying a ledger against the transaction invariants."""
+    """Outcome of replaying a ledger against the transaction invariants.
+
+    For a batch ledger ``inferred_initial_excited`` holds one tuple per
+    member.
+    """
 
     passed: bool
     n_events: int
     violations: tuple[str, ...]
-    inferred_initial_excited: tuple[int, ...]
+    inferred_initial_excited: tuple
 
 
-def audit_ledger(rows, n_molecules: int | None = None, initial_excited=None) -> LedgerAudit:
+def audit_ledger(
+    rows, n_molecules: int | None = None, initial_excited=None, bounds=None
+) -> LedgerAudit:
     """Check ledger invariants: ordering, weights, and the precondition chain.
 
     ``rows`` may be a :class:`Ledger`, :class:`TransactionEvent` objects, or
@@ -781,30 +909,49 @@ def audit_ledger(rows, n_molecules: int | None = None, initial_excited=None) -> 
     every confirmation set must hold exactly the N - n ground molecules.
     Conservation holds exactly whenever the chain is consistent, since every
     event moves exactly one quantum.
+
+    With member row bounds (as :func:`iter_ensemble` yields them) every
+    member of a batch ledger is audited as if alone, from the same initial
+    state: role chains are keyed by (member, molecule), the emission order
+    restarts at each member, and each member's messages are those of its
+    lone audit, in member order, prefixed ``member <m> `` with m the
+    member's position in the batch (so ``member 2 event 5: ...``).
     """
     index, ledger = _indexed_ledger(rows)
     t_e, t_a = ledger.t_e, ledger.t_a
     emitter, absorber = ledger.emitter, ledger.absorber
     weight, size = ledger.winner_weight, ledger.confirmation_set_size
     n_events = len(ledger)
-    # Largest earlier emission time; fmax skips NaN as the running max() does.
-    previous_emit = np.fmax.accumulate(np.concatenate(([-math.inf], t_e)))[:-1]
+    batch = bounds is not None
+    bounds, member = _member_rows(bounds, n_events)
+    n_members = bounds.size - 1
+    position = np.arange(n_events) - bounds[member]
+    # Largest earlier emission time in the same member, from a running max
+    # over a -inf-led row per member; fmax skips NaN as the running max() does.
+    width = int(np.diff(bounds).max()) + 1
+    slots = member * width + position + 1
+    emissions = np.full(n_members * width, -math.inf)
+    emissions[slots] = t_e
+    running = np.fmax.accumulate(emissions.reshape(n_members, width), axis=1)
+    previous_emit = running.ravel()[slots - 1]
 
-    # Interleave each event's (emitter, emit) and (absorber, absorb) appearances;
-    # a stable sort by molecule keeps each molecule's roles in ledger order.
+    # Interleave each event's (emitter, emit) and (absorber, absorb) appearances,
+    # absorptions in the odd slots; a stable sort by (member, molecule) keeps
+    # each role chain in ledger order.
     molecules = np.column_stack((emitter, absorber)).ravel()
-    absorbs = np.zeros(2 * n_events, dtype=bool)
-    absorbs[1::2] = True
-    order = np.argsort(molecules, kind="stable")
-    by_molecule = molecules[order]
-    roles = absorbs[order]
-    same_molecule = by_molecule[1:] == by_molecule[:-1]
+    keys = _chain_keys(molecules, member, n_members)
+    order = np.argsort(keys, kind="stable")
+    by_chain = keys[order]
+    roles = (order & 1).astype(bool)
+    same_chain = by_chain[1:] == by_chain[:-1]
     repeated = np.zeros(2 * n_events, dtype=bool)
-    repeated[order[1:]] = same_molecule & (roles[1:] == roles[:-1])
+    repeated[order[1:]] = same_chain & (roles[1:] == roles[:-1])
     repeated = repeated.reshape(n_events, 2)
-    first = np.ones(by_molecule.size, dtype=bool)
-    first[1:] = ~same_molecule
-    first_molecules = by_molecule[first]
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = ~same_chain
+    first_slots = order[first]
+    first_molecules = molecules[first_slots]
+    first_owners = member[first_slots >> 1]
     first_absorbs = roles[first]
 
     id_limit = math.inf if n_molecules is None else n_molecules
@@ -842,19 +989,39 @@ def audit_ledger(rows, n_molecules: int | None = None, initial_excited=None) -> 
         if flags.any()
         for i in np.flatnonzero(flags).tolist()
     )
-    violations = [f"event {index[i]}: {checks[rank][1](i)}" for i, rank in flagged]
-
-    inferred = tuple(first_molecules[~first_absorbs].tolist())
+    # (member, message) pairs: each member's event messages, then its molecule messages.
+    found = [
+        (member[i], f"event {position[i] if index is None else index[i]}: {checks[rank][1](i)}")
+        for i, rank in flagged
+    ]
     if declared is not None:
-        for mol, absorbs_first in zip(first_molecules.tolist(), first_absorbs.tolist()):
-            if absorbs_first and mol in declared:
-                violations.append(f"molecule {mol} absorbs first but was initially excited")
-            elif not absorbs_first and mol not in declared:
-                violations.append(f"molecule {mol} emits first but was not initially excited")
+        # Ids beyond int64 can match no molecule of a ledger.
+        ids = np.array([m for m in declared if _INT64.min <= m <= _INT64.max], dtype=np.int64)
+        wrong = first_absorbs == np.isin(first_molecules, ids)
+        for slot in np.flatnonzero(wrong).tolist():
+            mol = first_molecules[slot]
+            found.append((first_owners[slot], (
+                f"molecule {mol} absorbs first but was initially excited" if first_absorbs[slot]
+                else f"molecule {mol} emits first but was not initially excited"
+            )))
+    if batch:
+        found.sort(key=lambda pair: pair[0])
+        violations = tuple(f"member {m} {message}" for m, message in found)
+    else:
+        violations = tuple(message for _m, message in found)
 
+    emits_first = ~first_absorbs
+    inferred = first_molecules[emits_first].tolist()
+    if batch:
+        starts = first_owners[emits_first].searchsorted(np.arange(n_members)).tolist()
+        inferred = tuple(
+            tuple(inferred[a:b]) for a, b in zip(starts, starts[1:] + [len(inferred)])
+        )
+    else:
+        inferred = tuple(inferred)
     return LedgerAudit(
         passed=not violations,
         n_events=n_events,
-        violations=tuple(violations),
+        violations=violations,
         inferred_initial_excited=inferred,
     )

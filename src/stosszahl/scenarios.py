@@ -18,7 +18,6 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
-from scipy.special import chdtrc
 
 from . import gas as gas_mod
 from . import master as master_mod
@@ -288,15 +287,24 @@ def _born_statistics(config: ScenarioConfig, stamp: str | None):
         weights = as_probability_vector(p["weights"], name="weights")
     except ValueError as exc:
         raise ConfigError(f"born-statistics.weights: {exc}") from exc
+    support = weights > 0.0
+    if np.count_nonzero(support) < 2:
+        raise ConfigError(
+            "born-statistics.weights: the chi-square test needs two or more nonzero weights"
+        )
     n_draws = p["n_draws"]
     if n_draws < 1:
         raise ConfigError("born-statistics.n_draws: must be >= 1")
+    # Imported here: scipy.special is the only heavy import this scenario alone needs.
+    from scipy.special import chdtrc
+
     rng = np.random.default_rng(config.seed)
     counts = sample_outcome_counts(weights, n_draws, rng)
     expected = weights * n_draws
-    # Pearson's statistic and its chi-square tail with k - 1 degrees of freedom.
-    statistic = np.sum((counts - expected) ** 2 / expected)
-    p_value = chdtrc(weights.size - 1, statistic)
+    # Pearson's statistic and its chi-square tail with k - 1 degrees of freedom,
+    # over the k outcomes of nonzero weight: a weight-0 outcome is never drawn.
+    statistic = np.sum((counts[support] - expected[support]) ** 2 / expected[support])
+    p_value = chdtrc(np.count_nonzero(support) - 1, statistic)
 
     out_file = config.out_dir / "born_statistics.csv"
     write_csv(
@@ -358,9 +366,10 @@ def _gas_equilibrium(config: ScenarioConfig, stamp: str | None):
         raise ConfigError("gas-equilibrium.check_times: must lie in [0, t_max]")
 
     grid = np.linspace(0.0, gas_config.t_max, p["n_samples"])
-    counts_grid = np.empty((n_seeds, grid.size), dtype=int)
-    counts_check = np.empty((n_seeds, check_times.size), dtype=int)
-    # Rate tallies are pooled member by member; no per-member rate matrix is kept.
+    queries = np.concatenate((grid, check_times))
+    counts = np.empty((n_seeds, queries.size), dtype=int)
+    # Rate tallies are pooled member by member, in member order (the float sums of
+    # the dwell times depend on it); no per-member rate matrix is kept.
     pooled = None
     # With uniform coupling the kernel writes exactly 1 / (N - n) as every winner weight.
     uniform_weight = None
@@ -368,29 +377,36 @@ def _gas_equilibrium(config: ScenarioConfig, stamp: str | None):
         uniform_weight = 1.0 / (gas_config.n_molecules - gas_config.n_excited)
     violation_count = 0
     first_member = None
+    done = 0
 
-    members = gas_mod.iter_ensemble(gas_config, n_seeds)
+    batches = gas_mod.iter_ensemble(gas_config, n_seeds)
     try:
-        for i, (trajectory, events) in enumerate(members):
-            counts_grid[i] = trajectory.left_counts_at(grid)
-            counts_check[i] = trajectory.left_counts_at(check_times)
+        for trajectories, ledger, bounds in batches:
+            counts[done : done + len(trajectories)] = gas_mod.batch_left_counts(
+                gas_config, ledger, bounds, queries
+            )
+            done += len(trajectories)
             audit = gas_mod.audit_ledger(
-                events,
+                ledger,
                 n_molecules=gas_config.n_molecules,
                 initial_excited=range(gas_config.n_excited),
+                bounds=bounds,
             )
             violation_count += len(audit.violations)
             if uniform_weight is not None:
-                violation_count += int(np.count_nonzero(events.winner_weight != uniform_weight))
-            if events:
-                part = gas_mod.empirical_rates(gas_config, events)
+                violation_count += int(np.count_nonzero(ledger.winner_weight != uniform_weight))
+            for part in gas_mod.empirical_rates(gas_config, ledger, bounds):
+                if part is None:
+                    continue
                 if pooled is None:
-                    pooled = part
+                    pooled = gas_mod.EmpiricalRates(
+                        part.transition_counts.copy(), part.dwell_times.copy()
+                    )
                 else:
                     pooled.transition_counts += part.transition_counts
                     pooled.dwell_times += part.dwell_times
-            if i == 0:
-                first_member = (trajectory, events)
+            if first_member is None:
+                first_member = (trajectories[0], ledger[bounds[0] : bounds[1]])
     except gas_mod.ZeroCouplingError as exc:
         raise ConfigError(f"gas-equilibrium.coupling_table: {exc}") from exc
     if pooled is None:
@@ -398,6 +414,7 @@ def _gas_equilibrium(config: ScenarioConfig, stamp: str | None):
             "gas-equilibrium.t_max: no member records an event by t_max, "
             "so there are no rates to estimate"
         )
+    counts_grid, counts_check = counts[:, : grid.size], counts[:, grid.size :]
 
     series = gas_mod.summarize_ensemble(gas_config, grid, counts_grid)
 

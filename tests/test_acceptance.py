@@ -21,6 +21,7 @@ from stosszahl.gas import (
     EmpiricalRates,
     GasConfig,
     audit_ledger,
+    batch_left_counts,
     empirical_rates,
     iter_ensemble,
     macrostate_entropy,
@@ -215,14 +216,19 @@ def gas_ensemble():
     conservation_breaks = 0
     rate_parts = []
     started = time.perf_counter()
-    for i, (trajectory, events) in enumerate(iter_ensemble(config, n_seeds)):
-        counts_grid[i] = trajectory.left_counts_at(grid)
-        counts_check[i] = trajectory.left_counts_at(check_times)
-        if any(count != 50 for count in excited_counts(events, 100, 50)):
-            conservation_breaks += 1
-        audit = audit_ledger(events, n_molecules=100, initial_excited=range(50))
+    done = 0
+    for trajectories, ledger, bounds in iter_ensemble(config, n_seeds):
+        rows = slice(done, done + len(trajectories))
+        done += len(trajectories)
+        counts_grid[rows] = batch_left_counts(config, ledger, bounds, grid)
+        counts_check[rows] = batch_left_counts(config, ledger, bounds, check_times)
+        for start, stop in zip(bounds[:-1], bounds[1:]):
+            if any(count != 50 for count in excited_counts(ledger[start:stop], 100, 50)):
+                conservation_breaks += 1
+        audit = audit_ledger(ledger, n_molecules=100, initial_excited=range(50), bounds=bounds)
         violations += len(audit.violations)
-        rate_parts.append(empirical_rates(config, events))
+        rate_parts.extend(empirical_rates(config, ledger, bounds))
+    assert done == n_seeds
     elapsed = time.perf_counter() - started
     return {
         "config": config,

@@ -63,11 +63,13 @@ def test_run_missing_seed_exit_two(tmp_path, capsys):
          "born-statistics.weights: weights has a non-finite entry"),
         ("[run]\nscenario = born-statistics\nseed = 1\n[born-statistics]\nweights = 0.5, 0.4\n",
          "born-statistics.weights: weights sums to 0.9"),
+        ("[run]\nscenario = born-statistics\nseed = 1\n[born-statistics]\nweights = 1, 0\n",
+         "born-statistics.weights: the chi-square test needs two or more nonzero weights"),
         ("[run]\nscenario = two-state-relaxation\nseed = 1\n[two-state-relaxation]\nn_points = 0\n",
          "two-state-relaxation.n_points: must be >= 1"),
     ],
     ids=["repeated-key", "repeated-section", "key-before-section", "nan-weight",
-         "weights-off-one", "no-grid-points"],
+         "weights-off-one", "one-nonzero-weight", "no-grid-points"],
 )
 def test_unusable_config_exits_two(tmp_path, capsys, text, message):
     # these used to exit 3 (DuplicateOptionError, DuplicateSectionError,
@@ -193,6 +195,45 @@ def test_cli_import_leaves_scipy_stats_out():
         check=True,
     )
     assert result.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_scipy_special_out():
+    # born-statistics alone needs scipy.special, and imports it when it runs
+    probe = "import sys, stosszahl.cli; print('scipy.special' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": SRC},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.strip() == "False"
+
+
+def test_born_zero_weight_outcome_leaves_the_chi_square_sum(tmp_path):
+    # a weight-0 outcome is never drawn; it used to put 0 / 0 into Pearson's sum,
+    # a NaN p-value (exit 1) and a RuntimeWarning (exit 3 under -W error)
+    measured = []
+    for name, weights in (("zero", "0.5, 0.5, 0"), ("plain", "0.5, 0.5")):
+        config = write_config(
+            tmp_path,
+            "[run]\nscenario = born-statistics\nseed = 20260809\n"
+            f"[born-statistics]\nweights = {weights}\nn_draws = 10000\n",
+            name=f"{name}.cfg",
+        )
+        out = tmp_path / name
+        result = subprocess.run(
+            [sys.executable, "-W", "error", "-c",
+             "import sys; from stosszahl.cli import main; sys.exit(main(sys.argv[1:]))",
+             "run", "--config", str(config), "--out", str(out), "--no-header-timestamp"],
+            env={**os.environ, "PYTHONPATH": SRC},
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        check = json.loads((out / "report.json").read_text())["checks"][0]
+        measured.append((check["measured"], check["requirement"]))
+    assert measured[0] == measured[1]
 
 
 @pytest.mark.parametrize("key", ["n_unitary_steps", "n_seeds", "n_samples"])

@@ -22,6 +22,7 @@ from stosszahl.gas import (
     TransactionEvent,
     Trajectory,
     audit_ledger,
+    batch_left_counts,
     empirical_rates,
     iter_ensemble,
     macrostate_entropy,
@@ -531,7 +532,11 @@ def test_combined_rates_pool_counts_and_dwell(tmp_path):
     )
     run_scenario(ScenarioConfig("gas-equilibrium", seed=43, out_dir=tmp_path, params=params))
     config = make_config(n_molecules=10, n_excited=5, t_max=5.0, seed=43)
-    parts = [empirical_rates(config, events) for _trajectory, events in iter_ensemble(config, 100)]
+    parts = [
+        part
+        for _trajectories, ledger, bounds in iter_ensemble(config, 100)
+        for part in empirical_rates(config, ledger, bounds)
+    ]
     pooled = EmpiricalRates(
         sum(p.transition_counts for p in parts), sum(p.dwell_times for p in parts)
     )
@@ -544,8 +549,11 @@ def test_combined_rates_pool_counts_and_dwell(tmp_path):
 def test_ensemble_series_statistics():
     config = make_config(n_molecules=20, n_excited=10, t_max=20.0, seed=50)
     times = np.array([0.0, 0.5, 2.0, 5.0, 10.0, 20.0])
-    counts = np.array(
-        [trajectory.left_counts_at(times) for trajectory, _events in iter_ensemble(config, 100)]
+    counts = np.vstack(
+        [
+            batch_left_counts(config, ledger, bounds, times)
+            for _trajectories, ledger, bounds in iter_ensemble(config, 100)
+        ]
     )
     series = summarize_ensemble(config, times, counts)
     # all members share the initial macrostate
@@ -572,30 +580,46 @@ def test_ensemble_requires_hundred_seeds(tmp_path):
 
 def test_ensemble_members_are_reproducible():
     config = make_config(n_molecules=10, n_excited=5, t_max=5.0, seed=60)
-    first = [list(events) for _t, events in iter_ensemble(config, 3)]
-    second = [list(events) for _t, events in iter_ensemble(config, 3)]
+    first, second = (
+        [
+            list(ledger[start:stop])
+            for _trajectories, ledger, bounds in iter_ensemble(config, 3)
+            for start, stop in zip(bounds[:-1], bounds[1:])
+        ]
+        for _ in range(2)
+    )
     assert first == second
     assert first[0] != first[1]
 
 
 def test_ensemble_steps_its_members_through_gas_run(monkeypatch):
     # the benchmark counts events as len(result[1]) over the calls of gas.run, so
-    # iter_ensemble must reach the kernel there, in batches whose ledgers hold
-    # every member's events, each member's as a lone run gives them
+    # iter_ensemble must reach the kernel there, and yield each call's batch as
+    # it is, its ledger holding every member's events, each member's as a lone
+    # run gives them
     real_run = gas.run
     calls = []
 
     def counted_run(config, rng=None):
         result = real_run(config, rng)
-        calls.append((len(rng), len(result[1])))
+        calls.append((len(rng), result))
         return result
 
     monkeypatch.setattr(gas, "run", counted_run)
     config = make_config(n_molecules=12, n_excited=5, t_max=3.0, seed=61)
     n_members = 2 * gas._MEMBERS_PER_RUN + 3
-    ledgers = [ledger for _trajectory, ledger in iter_ensemble(config, n_members)]
-    assert [size for size, _events in calls] == [gas._MEMBERS_PER_RUN] * 2 + [3]
-    assert sum(events for _size, events in calls) == sum(len(ledger) for ledger in ledgers)
+    batches = list(iter_ensemble(config, n_members))
+    assert [size for size, _result in calls] == [gas._MEMBERS_PER_RUN] * 2 + [3]
+    assert len(batches) == len(calls)
+    ledgers = []
+    for (_size, (trajectories, ledger)), batch in zip(calls, batches):
+        assert batch[0] is trajectories and batch[1] is ledger
+        bounds = batch[2]
+        assert bounds[0] == 0 and bounds[-1] == len(ledger)
+        assert np.array_equal(np.diff(bounds), [t.times.size - 1 for t in trajectories])
+        ledgers += [ledger[start:stop] for start, stop in zip(bounds[:-1], bounds[1:])]
+    assert len(ledgers) == n_members
+    assert sum(len(result[1]) for _size, result in calls) == sum(len(ledger) for ledger in ledgers)
     children = np.random.SeedSequence(config.seed).spawn(n_members)
     for child, ledger in zip(children, ledgers):
         _trajectory, lone = real_run(config, np.random.default_rng(child))
@@ -780,6 +804,28 @@ def test_column_audit_matches_the_row_loop_on_corrupted_ledgers():
                 expected = row_by_row_audit(rows, n_molecules, initial_excited)
                 assert (audit.violations, audit.inferred_initial_excited) == expected
                 assert audit.passed == (not expected[0])
+
+
+def test_column_audit_matches_the_row_loop_on_ids_at_the_int64_limits():
+    # ids too far apart to pack beside the member index are ranked first
+    big = np.iinfo(np.int64)
+    rows = [
+        (0, 0.5, 0.6, big.max, big.min, 0.5, 1),
+        (1, 0.7, 0.8, big.min, big.max, 0.5, 1),
+        (2, 0.9, 1.0, big.max, 3, 0.5, 1),
+        (3, 1.1, 1.2, 3, big.min, 0.5, 1),
+    ]
+    for initial_excited in (None, [big.max, 3]):
+        audit = audit_ledger(rows, n_molecules=4, initial_excited=initial_excited)
+        assert (audit.violations, audit.inferred_initial_excited) == row_by_row_audit(
+            rows, 4, initial_excited
+        )
+        batch = audit_ledger(rows, n_molecules=4, initial_excited=initial_excited, bounds=[0, 1, 4])
+        lone = [audit_ledger(part, 4, initial_excited) for part in (rows[:1], rows[1:])]
+        assert batch.violations == tuple(
+            f"member {m} {message}" for m, audit in enumerate(lone) for message in audit.violations
+        )
+        assert batch.inferred_initial_excited == tuple(a.inferred_initial_excited for a in lone)
 
 
 def test_audit_respects_molecule_range():

@@ -12,7 +12,9 @@ leave every generator at the same position. The batched winner step rests
 on row-wise reductions of a (members, N - n) array being bit-equal to the
 one-dimensional ones, which is checked on its own. Every ledger the kernel
 produces must pass the audit, and every single-field edit of one row to a
-value the invariants exclude must fail it.
+value the invariants exclude must fail it. For a batch ledger with its
+member row bounds, the audit, the rate tallies and the k lookups must equal
+the calls on each member's rows alone, bit for bit.
 """
 
 import dataclasses
@@ -28,6 +30,8 @@ from stosszahl.gas import (
     GasConfig,
     ZeroCouplingError,
     audit_ledger,
+    batch_left_counts,
+    empirical_rates,
     run,
 )
 from stosszahl.measurement import ZERO_WEIGHT, inverse_cdf
@@ -348,3 +352,107 @@ def test_kernel_ledgers_pass_the_audit_and_every_excluded_edit_fails_it(config, 
         tampered = dataclasses.replace(ledger, **{field: column})
         audit = audit_ledger(tampered, config.n_molecules, declared)
         assert not audit.passed, (field, index, value)
+
+
+TAMPER_VALUES = {
+    "t_e": [math.nan, -1.0, 0.0, 1e9], "t_a": [math.nan, 0.0, math.inf],
+    "winner_weight": [0.0, -0.5, 1.5, math.nan], "confirmation_set_size": [0, 1, 10**6],
+    "emitter": [-1, 0, 1, 99], "absorber": [-1, 0, 1, 99],
+}
+
+
+@settings(max_examples=60)
+@given(gas_configs(), st.integers(1, 9), st.data())
+def test_batch_audit_rates_and_lookups_equal_the_member_calls(config, n_members, data):
+    # short horizons and n_excited of 0 or N give members without events; some
+    # members' rows are tampered for the audit (the rate estimator assumes an
+    # audited ledger, so it reads the kernel's own)
+    children = np.random.SeedSequence(config.seed).spawn(n_members)
+    rngs = [np.random.default_rng(child) for child in children]
+    try:
+        trajectories, ledger = run(config, rngs)
+    except ZeroCouplingError:
+        return
+    bounds = np.cumsum([0] + [trajectory.times.size - 1 for trajectory in trajectories])
+    members = [ledger[start:stop] for start, stop in zip(bounds[:-1], bounds[1:])]
+
+    tampered = dataclasses.replace(ledger, **{
+        field: getattr(ledger, field).copy() for field in LEDGER_FIELDS
+    })
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        if stop > start and data.draw(st.booleans()):
+            field = data.draw(st.sampled_from(LEDGER_FIELDS))
+            row = data.draw(st.integers(start, stop - 1))
+            getattr(tampered, field)[row] = data.draw(st.sampled_from(TAMPER_VALUES[field]))
+    n_molecules = data.draw(st.sampled_from([None, config.n_molecules]))
+    declared = data.draw(st.sampled_from([None, range(config.n_excited)]))
+    batch = audit_ledger(tampered, n_molecules, declared, bounds=bounds)
+    lone = [
+        audit_ledger(tampered[start:stop], n_molecules, declared)
+        for start, stop in zip(bounds[:-1], bounds[1:])
+    ]
+    assert batch.violations == tuple(
+        f"member {m} {message}" for m, audit in enumerate(lone) for message in audit.violations
+    )
+    assert batch.passed == all(audit.passed for audit in lone)
+    assert batch.n_events == len(ledger)
+    assert batch.inferred_initial_excited == tuple(audit.inferred_initial_excited for audit in lone)
+
+    parts = empirical_rates(config, ledger, bounds)
+    assert len(parts) == n_members
+    pooled_batch = pooled_lone = None
+    for part, member in zip(parts, members):
+        if not len(member):
+            assert part is None
+            continue
+        alone = empirical_rates(config, member)
+        assert part.transition_counts.tobytes() == alone.transition_counts.tobytes()
+        assert part.dwell_times.tobytes() == alone.dwell_times.tobytes()
+        if pooled_batch is None:
+            pooled_batch = [part.transition_counts.copy(), part.dwell_times.copy()]
+            pooled_lone = [alone.transition_counts.copy(), alone.dwell_times.copy()]
+        else:
+            pooled_batch[0] += part.transition_counts
+            pooled_batch[1] += part.dwell_times
+            pooled_lone[0] += alone.transition_counts
+            pooled_lone[1] += alone.dwell_times
+    if pooled_batch is not None:
+        assert [a.tobytes() for a in pooled_batch] == [a.tobytes() for a in pooled_lone]
+
+    queries = np.array(
+        data.draw(st.lists(st.floats(0.0, config.t_max), max_size=12))
+        + [0.0, config.t_max] + ledger.t_a[:3].tolist()
+    )
+    expected = np.array([trajectory.left_counts_at(queries) for trajectory in trajectories])
+    assert np.array_equal(batch_left_counts(config, ledger, bounds, queries), expected)
+
+
+def test_batch_audit_names_the_member():
+    config = GasConfig(n_molecules=10, n_excited=5, decay_rate=1.0, t_max=3.0, seed=72)
+    rngs = [np.random.default_rng(child) for child in np.random.SeedSequence(72).spawn(3)]
+    trajectories, ledger = run(config, rngs)
+    bounds = np.cumsum([0] + [trajectory.times.size - 1 for trajectory in trajectories])
+    assert bounds[2] - bounds[1] > 3
+    sizes = ledger.confirmation_set_size.copy()
+    sizes[bounds[1] + 3] += 1
+    tampered = dataclasses.replace(ledger, confirmation_set_size=sizes)
+    audit = audit_ledger(tampered, 10, range(5), bounds=bounds)
+    assert audit.violations == ("member 1 event 3: confirmation set size 6 != 5 ground molecules",)
+    # one member alone keeps the unprefixed message
+    assert audit_ledger(tampered[bounds[1] : bounds[2]], 10, range(5)).violations == (
+        "event 3: confirmation set size 6 != 5 ground molecules",
+    )
+
+
+@pytest.mark.parametrize("bounds", [[0, 5], [1, 6], [0, 3, 2, 6], [[0, 6]], [0]])
+def test_member_bounds_must_rise_from_zero_to_the_ledger_length(bounds):
+    config = GasConfig(n_molecules=10, n_excited=5, decay_rate=1.0, t_max=3.0, seed=72)
+    _trajectory, ledger = run(config)
+    ledger = ledger[:6]
+    for call in (
+        lambda: audit_ledger(ledger, bounds=bounds),
+        lambda: empirical_rates(config, ledger, bounds),
+        lambda: batch_left_counts(config, ledger, bounds, [1.0]),
+    ):
+        with pytest.raises(ValueError, match="member bounds"):
+            call()
