@@ -769,10 +769,11 @@ def empirical_rates(config: GasConfig, events, bounds=None):
     dwell[np.flatnonzero(sizes), after[lasts]] += t_total - last
     moved = after != before
     transitions = ((member * n_labels + after) * n_labels + before)[moved]
-    # Unit weights count straight into floats, exactly (casting a counted array costs more).
+    # Unit weights count straight into floats, exactly (casting a counted array costs more);
+    # bincount of no transitions returns int64 whatever the weights, hence the no-copy astype.
     counts = np.bincount(
         transitions, weights=np.ones(transitions.size), minlength=n_members * n_labels * n_labels
-    ).reshape(n_members, n_labels, n_labels)
+    ).astype(float, copy=False).reshape(n_members, n_labels, n_labels)
     if not batch:
         return EmpiricalRates(counts[0], dwell[0])
     return [
