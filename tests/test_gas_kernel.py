@@ -456,3 +456,18 @@ def test_member_bounds_must_rise_from_zero_to_the_ledger_length(bounds):
     ):
         with pytest.raises(ValueError, match="member bounds"):
             call()
+
+
+def test_member_rates_without_transitions_are_float():
+    # member 1's one event leaves k unchanged; bincount of no transitions is int64
+    config = GasConfig(
+        n_molecules=9, n_excited=8, decay_rate=4.0, t_max=0.078125, seed=245454, delay=0.05,
+    )
+    rngs = [np.random.default_rng(child) for child in np.random.SeedSequence(245454).spawn(4)]
+    trajectories, ledger = run(config, rngs)
+    bounds = np.cumsum([0] + [trajectory.times.size - 1 for trajectory in trajectories])
+    alone = empirical_rates(config, ledger[bounds[1]:bounds[2]])
+    assert not alone.transition_counts.any()
+    for rates in (alone, empirical_rates(config, ledger, bounds)[1]):
+        assert rates.transition_counts.dtype == np.float64
+        assert rates.rates.dtype == np.float64
