@@ -10,6 +10,7 @@ so there are no pass-through extras and a seed must always be present
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -22,8 +23,15 @@ class ConfigError(Exception):
 REQUIRED = object()
 
 
+def _parse_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"must be finite, got {text.strip()}")
+    return value
+
+
 def _parse_float_list(text: str) -> tuple[float, ...]:
-    values = tuple(float(part) for part in text.split(",") if part.strip())
+    values = tuple(_parse_float(part) for part in text.split(",") if part.strip())
     if not values:
         raise ValueError("expected a comma-separated list of numbers")
     return values
@@ -31,16 +39,16 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
 
 SCENARIO_SCHEMAS: dict[str, dict[str, tuple]] = {
     "two-state-relaxation": {
-        "rate_to_1": (float, 1.0),
-        "rate_to_2": (float, 1.0),
-        "p1_initial": (float, 1.0),
-        "t_max": (float, 5.0),
+        "rate_to_1": (_parse_float, 1.0),
+        "rate_to_2": (_parse_float, 1.0),
+        "p1_initial": (_parse_float, 1.0),
+        "t_max": (_parse_float, 5.0),
         "n_points": (int, 50),
     },
     "unitary-vs-collapse": {
-        "gap": (float, 1.0),
-        "collapse_rate": (float, 1.0),
-        "t_max": (float, 20.0),
+        "gap": (_parse_float, 1.0),
+        "collapse_rate": (_parse_float, 1.0),
+        "t_max": (_parse_float, 20.0),
         "n_unitary_steps": (int, 1000),
         "n_seeds": (int, 500),
         "n_samples": (int, 81),
@@ -52,12 +60,12 @@ SCENARIO_SCHEMAS: dict[str, dict[str, tuple]] = {
     "gas-equilibrium": {
         "n_molecules": (int, 100),
         "n_excited": (int, 50),
-        "decay_rate": (float, 1.0),
-        "delay": (float, None),
-        "t_max": (float, 50.0),
+        "decay_rate": (_parse_float, 1.0),
+        "delay": (_parse_float, None),
+        "t_max": (_parse_float, 50.0),
         "n_seeds": (int, 500),
         "n_samples": (int, 51),
-        "equilibration_time": (float, 30.0),
+        "equilibration_time": (_parse_float, 30.0),
         "check_times": (_parse_float_list, (2.0, 5.0, 10.0)),
         "coupling_table": (str, None),
     },

@@ -9,11 +9,14 @@ absorption timestamps. Emission strictly precedes absorption in every event,
 total quanta are conserved exactly, and a run is bit-reproducible from its
 seed.
 
-Ledger: :func:`run` returns the events as a :class:`Ledger`, one numpy column
-per field (``t_e, t_a, emitter, absorber, winner_weight,
-confirmation_set_size``) and one row per event. The audit, the rate
-estimator and the CSV writer read these columns. Indexing or iterating a
-ledger yields :class:`TransactionEvent` objects for callers that walk events.
+Ledger: :func:`run` returns ``(bounds, ledger)``: the events as a
+:class:`Ledger`, one numpy column per field (``t_e, t_a, emitter, absorber,
+winner_weight, confirmation_set_size``) and one row per event, members one
+after another, and the member row bounds. The audit, the rate estimator
+and the CSV writer read these columns; :meth:`Trajectory.from_ledger`
+builds the coarse-grained trajectory of one member's rows when it is
+wanted. Indexing or iterating a ledger yields :class:`TransactionEvent`
+objects for callers that walk events.
 
 Horizon: a run records every event whose absorption time t_a is at or before
 t_max and stops at the first event whose t_a would pass it. Every recorded
@@ -33,19 +36,21 @@ molecule, or no ground molecule to confirm) nothing is consumed. A member's
 ledger and its generator's final position do not depend on which other
 members it was run with.
 
-Block stepping: :func:`run` steps a batch of members in lockstep. Each
-member draws its uniforms in blocks from its own generator; the waiting
-times (with ``math.log1p``, not ``np.log1p``, whose vectorized loops may
-round differently), the emission and absorption times, the horizon, the
-emitter picks and the uniform-coupling winners are computed for a whole
-block of every member at once, and with a coupling table the weighted
-winners of event j of every member are resolved as one (members, N - n)
-array. The result equals composing scalar draws event by event, one member
-at a time, bit for bit, and leaves every generator where those draws would.
+Block stepping: :func:`run` steps a batch of members in lockstep, along one
+path for uniform coupling and for a coupling table. Each member draws its
+uniforms in blocks from its own generator; the waiting times (with
+``math.log1p``, not ``np.log1p``, whose vectorized loops may round
+differently), the emission and absorption times, the horizon, the emitter
+picks and the uniform-coupling winner ranks are computed for a whole block
+of every member at once. Event j of every member is then resolved together
+on the sorted excited and ground ids of all members; only a coupling table
+computes its winner ranks there, from one (members, N - n) weight array.
+The result equals composing scalar draws event by event, one member at a
+time, bit for bit, and leaves every generator where those draws would.
 
-Batches: :func:`iter_ensemble` yields one batch per call of :func:`run`,
-its ledger holding the members' events member after member, with the
-member row bounds. :func:`audit_ledger`, :func:`empirical_rates` and
+Batches: :func:`iter_ensemble` yields one ``(ledger, bounds)`` batch per
+call of :func:`run`, its ledger holding the members' events member after
+member. :func:`audit_ledger`, :func:`empirical_rates` and
 :func:`batch_left_counts` take such a ledger with its bounds and treat
 every member as if alone; their results equal the calls on each member's
 rows, bit for bit.
@@ -60,7 +65,6 @@ of the multiplicity curve.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -174,6 +178,17 @@ class Trajectory:
             raise ValueError("query times must be >= the trajectory start")
         return self.left_counts[idx]
 
+    @classmethod
+    def from_ledger(cls, config: GasConfig, ledger: Ledger) -> Trajectory:
+        """Trajectory of one member's ledger, sampled at t = 0 and at every absorption."""
+        left = _left_counts(config, ledger.emitter, ledger.absorber)
+        return cls(
+            times=np.concatenate(([0.0], ledger.t_a)),
+            left_counts=left,
+            macro_entropies=_macro_entropies(config, left),
+            n_excited=config.n_excited,
+        )
+
 
 @dataclass(eq=False)
 class Ledger:
@@ -223,26 +238,14 @@ class Ledger:
 
 
 def _indexed_ledger(rows) -> tuple:
-    """(event indices, Ledger) of a Ledger, TransactionEvents or raw CSV rows.
+    """(event indices, Ledger) of a Ledger or of raw :func:`read_ledger_raw` rows.
 
     Raw rows are tuples in ``LEDGER_COLUMNS`` order and keep their own
-    event_index; a Ledger or events are indexed by position, and their
-    indices are None.
+    event_index; a Ledger is indexed by position, and its indices are None.
     """
     if isinstance(rows, Ledger):
         return None, rows
-    normalized = []
-    positional = True
-    for index, row in enumerate(rows):
-        if isinstance(row, TransactionEvent):
-            normalized.append((
-                index, row.t_emit, row.t_absorb, row.emitter, row.absorber,
-                row.winner_weight, row.confirmation_size,
-            ))
-        else:
-            normalized.append(tuple(row))
-            positional = False
-    columns = list(zip(*normalized)) or [()] * len(LEDGER_COLUMNS)
+    columns = list(zip(*rows)) or [()] * len(LEDGER_COLUMNS)
     ledger = Ledger(
         t_e=np.array(columns[1], dtype=float),
         t_a=np.array(columns[2], dtype=float),
@@ -251,7 +254,7 @@ def _indexed_ledger(rows) -> tuple:
         winner_weight=np.array(columns[5], dtype=float),
         confirmation_set_size=np.array(columns[6], dtype=np.int64),
     )
-    return (None if positional else columns[0]), ledger
+    return columns[0], ledger
 
 
 def _member_rows(bounds, n_events: int) -> tuple[np.ndarray, np.ndarray]:
@@ -322,18 +325,18 @@ _MEMBERS_PER_RUN = 64
 
 
 def run(config: GasConfig, rng=None):
-    """Run one trajectory, or a batch of them, up to the horizon t_max.
+    """Run one member, or a batch of members, up to the horizon t_max.
 
-    With one generator (or None, for ``default_rng(config.seed)``) this
-    returns the coarse-grained trajectory and the complete event ledger of
-    one run. With a list or tuple of generators it runs one member per
-    generator and returns the list of their trajectories and one
-    :class:`Ledger` holding their events member after member; member i owns
-    ``trajectories[i].times.size - 1`` consecutive rows. Each member's
-    ledger and its generator's final position are those of a lone run on
+    ``rng`` is one generator (None for ``default_rng(config.seed)``) or a
+    list or tuple of generators, one member each. Either way this returns
+    ``(bounds, ledger)``: one :class:`Ledger` holding the members' events
+    member after member, member i owning rows ``bounds[i]:bounds[i + 1]``,
+    so one generator gives ``bounds == [0, len(ledger)]``. Each member's
+    rows and its generator's final position are those of a lone run on
     that generator; the audit, the rate estimator and
-    :func:`batch_left_counts` read the batch ledger whole, given the member
-    row bounds. If members meet a confirmation set of zero total weight,
+    :func:`batch_left_counts` read the batch ledger whole, given the bounds,
+    and :meth:`Trajectory.from_ledger` builds one member's trajectory from
+    its rows. If members meet a confirmation set of zero total weight,
     every member still runs to its end and the :class:`ZeroCouplingError`
     of the lowest such member is raised.
 
@@ -354,17 +357,19 @@ def run(config: GasConfig, rng=None):
     - emitter ranks ``min(int(u * n), n - 1)`` among the excited molecules
       in ascending id order and, for uniform coupling, winner ranks by
       ``searchsorted`` on the cumulative weights of
-      ``np.full(N - n, 1 / (N - n))``.
+      ``np.full(N - n, 1 / (N - n))``, whose every weight is 1 / (N - n).
 
-    With uniform coupling each event is then a list update (two pops and
-    two insorts). With a coupling table every member keeps its excited and
-    ground ids as sorted rows of two arrays, and event j of every member
-    that has one is resolved together: the confirmation-set weights are
-    gathered into one (members, N - n) array and normalized by their row
-    sums, and the winner is taken as :func:`~stosszahl.measurement.inverse_cdf`
-    takes it, row by row: the ``ZERO_WEIGHT`` clamp, then the count of
-    cumulative weights at or below ``u * total`` clipped to N - n - 1, which
-    is ``searchsorted(side="right")`` on a nondecreasing row. Row-wise
+    Every member keeps its excited and ground ids as sorted rows of two
+    arrays, and event j of every member that has one is resolved together:
+    the emitter is taken at its rank, the winner at its rank among the
+    ground ids, and the two ids swap rows, each row sorted again. With a
+    coupling table the winner rank depends on the state: the
+    confirmation-set weights are gathered into one (members, N - n) array
+    and normalized by their row sums, and the winner is taken as
+    :func:`~stosszahl.measurement.inverse_cdf` takes it, row by row: the
+    ``ZERO_WEIGHT`` clamp, then the count of cumulative weights at or below
+    ``u * total`` clipped to N - n - 1, which is
+    ``searchsorted(side="right")`` on a nondecreasing row. Row-wise
     ``np.add.reduce`` and ``cumsum`` of a C-contiguous array repeat the
     one-dimensional ones bit for bit.
 
@@ -373,37 +378,24 @@ def run(config: GasConfig, rng=None):
     the horizon, 2 for an event inside the horizon whose confirmation set
     has zero total weight), also when that error ends the run. The ledger
     therefore equals the per-event composition of scalar draws bit for bit
-    (covered by equivalence and property tests). Trajectories are derived
-    from the ledger columns.
+    (covered by equivalence and property tests).
     """
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    batch = isinstance(rng, (list, tuple))
-    blocks = _step_members(config, list(rng) if batch else [rng])
-    n_events = [sum(len(block[0]) for block in member) for member in blocks]
-    total = sum(n_events)
-    m = config.n_molecules - config.n_excited
+    blocks = _step_members(config, list(rng) if isinstance(rng, (list, tuple)) else [rng])
+    bounds = np.cumsum([0] + [sum(len(block[0]) for block in member) for member in blocks])
     t_e = _column(blocks, 0, float)
     ledger = Ledger(
         t_e=t_e,
         t_a=t_e + config.delay,
         emitter=_column(blocks, 1, np.int64),
         absorber=_column(blocks, 2, np.int64),
-        winner_weight=(
-            np.full(total, 1.0 / m) if config.coupling is None and total
-            else _column(blocks, 3, float)
+        winner_weight=_column(blocks, 3, float),
+        confirmation_set_size=np.full(
+            t_e.size, config.n_molecules - config.n_excited, dtype=np.int64
         ),
-        confirmation_set_size=np.full(total, m, dtype=np.int64),
     )
-    trajectories = []
-    stop = 0
-    for count in n_events:
-        rows = slice(stop, stop + count)
-        stop += count
-        trajectories.append(
-            _trajectory(config, ledger.t_a[rows], ledger.emitter[rows], ledger.absorber[rows])
-        )
-    return (trajectories, ledger) if batch else (trajectories[0], ledger)
+    return bounds, ledger
 
 
 def _column(blocks, field: int, dtype) -> np.ndarray:
@@ -413,9 +405,9 @@ def _column(blocks, field: int, dtype) -> np.ndarray:
 
 
 def _step_members(config: GasConfig, rngs: list) -> list[list[tuple]]:
-    """Per member, the (t_e, emitters, absorbers[, weights]) of each block it stepped.
+    """Per member, the (t_e, emitters, absorbers, weights) of each block it stepped.
 
-    Weights are recorded only for a coupling table. See :func:`run`.
+    See :func:`run`.
     """
     n = config.n_molecules
     n_quanta = config.n_excited
@@ -425,21 +417,19 @@ def _step_members(config: GasConfig, rngs: list) -> list[list[tuple]]:
         return blocks
     coupling = config.coupling
     log1p = math.log1p
-    insort = bisect.insort
     add_reduce = np.add.reduce
     total_rate = n_quanta * config.decay_rate
     t_max = config.t_max
     if coupling is None:
-        id_lists = [(list(range(n_quanta)), list(range(n_quanta, n))) for _ in rngs]
         uniform = np.full(m, 1.0 / m)
         cumulative = np.cumsum(uniform)
         uniform_total = float(uniform.sum())
     else:
         flat_coupling = coupling.ravel()
-        excited = np.tile(np.arange(n_quanta), (len(rngs), 1))
-        ground = np.tile(np.arange(n_quanta, n), (len(rngs), 1))
     # Members still stepping; row i of excited, ground and t belongs to active[i].
     active = np.arange(len(rngs))
+    excited = np.tile(np.arange(n_quanta), (len(rngs), 1))
+    ground = np.tile(np.arange(n_quanta, n), (len(rngs), 1))
     t = np.zeros(len(rngs))
     # member -> message of its zero-coupling error
     failures: dict[int, str] = {}
@@ -465,48 +455,37 @@ def _step_members(config: GasConfig, rngs: list) -> list[list[tuple]]:
                 win_u[row] = u[2::3]
             chain[:, 1::2] /= total_rate
             times = chain.cumsum(axis=1, out=chain)
-            picks = np.minimum((pick_u * n_quanta).astype(np.int64), n_quanta - 1)
             # Events whose absorption is at or before t_max; the next one is the horizon.
             counts = np.count_nonzero(times[:, 2::2] <= t_max, axis=1)
             # Members step in order of descending event count, so the members
-            # with an event j are a prefix; order maps that order to block rows.
+            # with an event j are a prefix of the rows.
             order = np.argsort(-counts, kind="stable")
-            active, counts = active[order], counts[order]
+            active, counts, times = active[order], counts[order], times[order]
+            excited, ground, win_u = excited[order], ground[order], win_u[order]
+            picks = np.minimum((pick_u[order] * n_quanta).astype(np.int64), n_quanta - 1)
             width = int(counts[0])
             emitted = np.empty((rows, width), dtype=np.int64)
             absorbed = np.empty((rows, width), dtype=np.int64)
-            weights = None
             if coupling is None:
                 winners = np.minimum(
                     cumulative.searchsorted(win_u * uniform_total, side="right"), m - 1
                 )
-                for row, (member, count) in enumerate(zip(active.tolist(), counts.tolist())):
-                    excited_ids, ground_ids = id_lists[member]
-                    emitters, absorbers = [], []
-                    for pick, winner in zip(
-                        picks[order[row], :count].tolist(), winners[order[row], :count].tolist()
-                    ):
-                        emitter = excited_ids.pop(pick)
-                        absorber = ground_ids.pop(winner)
-                        insort(ground_ids, emitter)
-                        insort(excited_ids, absorber)
-                        emitters.append(emitter)
-                        absorbers.append(absorber)
-                    emitted[row, :count] = emitters
-                    absorbed[row, :count] = absorbers
+                weights = np.full((rows, width), 1.0 / m)
             else:
-                excited, ground = excited[order], ground[order]
                 weights = np.empty((rows, width))
-                index = np.arange(rows)
-                live = rows
-                for j in range(width):
-                    while counts[live - 1] <= j:
-                        live -= 1
-                    r = index[:live]
-                    x = excited[:live]
-                    g = ground[:live]
-                    pick = picks[order[:live], j]
-                    e = x[r, pick]
+            index = np.arange(rows)
+            live = rows
+            for j in range(width):
+                while counts[live - 1] <= j:
+                    live -= 1
+                r = index[:live]
+                x = excited[:live]
+                g = ground[:live]
+                pick = picks[:live, j]
+                e = x[r, pick]
+                if coupling is None:
+                    winner = winners[:live, j]
+                else:
                     raw = flat_coupling.take((e * n)[:, None] + g)
                     raw_total = add_reduce(raw, axis=1)
                     if raw_total.min() <= 0.0:
@@ -523,37 +502,34 @@ def _step_members(config: GasConfig, rngs: list) -> list[list[tuple]]:
                         raw_total[zero] = 1.0
                     raw /= raw_total[:, None]
                     clamped = np.where(raw < ZERO_WEIGHT, 0.0, raw)
-                    thresholds = win_u[order[:live], j] * add_reduce(clamped, axis=1)
+                    thresholds = win_u[:live, j] * add_reduce(clamped, axis=1)
                     winner = np.count_nonzero(
                         clamped.cumsum(axis=1) <= thresholds[:, None], axis=1
                     )
                     np.minimum(winner, m - 1, out=winner)
-                    absorber = g[r, winner]
                     weights[:live, j] = raw[r, winner]
-                    emitted[:live, j] = e
-                    absorbed[:live, j] = absorber
-                    x[r, pick] = absorber
-                    x.sort(axis=1, kind="stable")
-                    g[r, winner] = e
-                    g.sort(axis=1, kind="stable")
+                absorber = g[r, winner]
+                emitted[:live, j] = e
+                absorbed[:live, j] = absorber
+                x[r, pick] = absorber
+                x.sort(axis=1, kind="stable")
+                g[r, winner] = e
+                g.sort(axis=1, kind="stable")
             carry_on = counts == _TRIPLES
             for row, (member, count) in enumerate(zip(active.tolist(), counts.tolist())):
                 if member in failures:
                     carry_on[row] = False
                     continue
                 if count:
-                    block = (
-                        times[order[row], 1 : 2 * count : 2].copy(),
+                    blocks[member].append((
+                        times[row, 1 : 2 * count : 2].copy(),
                         emitted[row, :count].copy(),
                         absorbed[row, :count].copy(),
-                    )
-                    if weights is not None:
-                        block += (weights[row, :count].copy(),)
-                    blocks[member].append(block)
+                        weights[row, :count].copy(),
+                    ))
                 consumed[member] += _UNIFORM_BLOCK if count == _TRIPLES else 3 * count + 1
-            active, t = active[carry_on], times[order[carry_on], -1]
-            if coupling is not None:
-                excited, ground = excited[carry_on], ground[carry_on]
+            active, t = active[carry_on], times[carry_on, -1]
+            excited, ground = excited[carry_on], ground[carry_on]
         if failures:
             raise ZeroCouplingError(failures[min(failures)])
     finally:
@@ -589,48 +565,35 @@ def _macro_entropies(config: GasConfig, left_counts: np.ndarray) -> np.ndarray:
     return table[left_counts - k_lo]
 
 
-def _trajectory(config: GasConfig, t_a, emitter, absorber) -> Trajectory:
-    """Trajectory sampled at t = 0 and at every absorption, from the ledger columns."""
-    left = _left_counts(config, emitter, absorber)
-    return Trajectory(
-        times=np.concatenate(([0.0], t_a)),
-        left_counts=left,
-        macro_entropies=_macro_entropies(config, left),
-        n_excited=config.n_excited,
-    )
-
-
 def iter_ensemble(config: GasConfig, n_members: int):
-    """Yield (trajectories, ledger, bounds) for n_members independent runs.
+    """Yield (ledger, bounds) for n_members independent runs, one batch at a time.
 
     Member generators come from spawning ``numpy.random.SeedSequence(seed)``,
     so the whole ensemble is reproducible from the single config seed and
     members are statistically independent. Members are stepped in batches
     of up to ``_MEMBERS_PER_RUN``, one call of :func:`run` per batch, and
-    each batch is yielded as run returns it, in member order, with its
-    member row bounds: the batch's member i owns ledger rows
-    ``bounds[i]:bounds[i + 1]``. :func:`audit_ledger`,
-    :func:`empirical_rates` and :func:`batch_left_counts` take a batch
-    ledger with its bounds; ``ledger[bounds[i]:bounds[i + 1]]`` copies one
-    member's ledger out.
+    each batch is yielded as run returns it, in member order: the batch's
+    member i owns ledger rows ``bounds[i]:bounds[i + 1]``.
+    :func:`audit_ledger`, :func:`empirical_rates` and
+    :func:`batch_left_counts` take a batch ledger with its bounds;
+    ``ledger[bounds[i]:bounds[i + 1]]`` copies one member's ledger out.
     """
     if n_members < 1:
         raise ValueError(f"n_members must be >= 1, got {n_members}")
     children = np.random.SeedSequence(config.seed).spawn(n_members)
     for first in range(0, n_members, _MEMBERS_PER_RUN):
         rngs = [np.random.default_rng(child) for child in children[first : first + _MEMBERS_PER_RUN]]
-        trajectories, ledger = run(config, rngs)
-        bounds = np.cumsum([0] + [trajectory.times.size - 1 for trajectory in trajectories])
-        yield trajectories, ledger, bounds
+        bounds, ledger = run(config, rngs)
+        yield ledger, bounds
         # Free this batch before the next one is stepped.
-        del trajectories, ledger
+        del ledger
 
 
 def batch_left_counts(config: GasConfig, ledger: Ledger, bounds, query_times) -> np.ndarray:
     """k of every member of a batch ledger at each query time, one row per member.
 
-    Row i equals ``trajectories[i].left_counts_at(query_times)`` for the
-    trajectories :func:`run` returned with the ledger. Query times are one
+    Row i equals ``Trajectory.from_ledger(config, member).left_counts_at(query_times)``
+    for the rows ``member`` of member i. Query times are one
     dimensional and nonnegative. Each row's absorption time is located once
     among the sorted queries, and one ``bincount`` over (member, first query
     at or after it) counts every member's absorptions up to every query.
@@ -721,7 +684,7 @@ class EmpiricalRates:
 def empirical_rates(config: GasConfig, events, bounds=None):
     """Estimate transition rates between k labels from one ledger, or per member of a batch.
 
-    ``events`` is a :class:`Ledger` or a sequence of events, assumed to pass
+    ``events`` is a :class:`Ledger` or raw :func:`read_ledger_raw` rows, assumed to pass
     :func:`audit_ledger`. Each state is labeled by its left-half excited
     count k in 0..ceil(N/2), taken from the ledger columns, and the dwell in
     the last state ends at t_max.
@@ -800,7 +763,7 @@ _INT64 = np.iinfo(np.int64)
 
 
 def write_ledger_csv(path, events, header_comment: str | None = None) -> None:
-    """Write a :class:`Ledger` (or a sequence of events) with 17-digit floats."""
+    """Write a :class:`Ledger` (or raw :func:`read_ledger_raw` rows) with 17-digit floats."""
     ledger = _indexed_ledger(events)[1]
     columns = (
         ledger.t_e, ledger.t_a, ledger.emitter, ledger.absorber,
@@ -899,9 +862,9 @@ def audit_ledger(
 ) -> LedgerAudit:
     """Check ledger invariants: ordering, weights, and the precondition chain.
 
-    ``rows`` may be a :class:`Ledger`, :class:`TransactionEvent` objects, or
-    raw tuples from :func:`read_ledger_raw` (whose event_index names the
-    event in messages); all are checked as columns. The precondition chain
+    ``rows`` may be a :class:`Ledger` or raw tuples from
+    :func:`read_ledger_raw` (whose event_index names the event in
+    messages); both are checked as columns. The precondition chain
     (each emitter excited, each absorber ground at its event) is equivalent
     to per-molecule role alternation, so it can be audited without the
     initial state; the initial level of every participating molecule is

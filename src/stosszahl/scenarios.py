@@ -146,6 +146,13 @@ def _two_state_relaxation(config: ScenarioConfig, stamp: str | None):
     p = config.params
     if p["n_points"] < 1:
         raise ConfigError("two-state-relaxation.n_points: must be >= 1")
+    # A zero rate leaves a state empty at equilibrium, and the relative entropy to it infinite.
+    if not min(p["rate_to_1"], p["rate_to_2"]) > 0.0:
+        raise ConfigError("two-state-relaxation: rate_to_1 and rate_to_2 must be positive")
+    if not 0.0 <= p["p1_initial"] <= 1.0:
+        raise ConfigError("two-state-relaxation.p1_initial: must lie in [0, 1]")
+    if p["t_max"] < 0.0:
+        raise ConfigError("two-state-relaxation.t_max: must be >= 0")
     rates = np.array([[0.0, p["rate_to_1"]], [p["rate_to_2"], 0.0]])
     m = master_mod.build_master_operator(rates)
     p0 = np.array([p["p1_initial"], 1.0 - p["p1_initial"]])
@@ -361,6 +368,8 @@ def _gas_equilibrium(config: ScenarioConfig, stamp: str | None):
     n_seeds = p["n_seeds"]
     if n_seeds < 100:
         raise ConfigError("gas-equilibrium.n_seeds: ensemble statistics need >= 100")
+    if p["n_samples"] < 1:
+        raise ConfigError("gas-equilibrium.n_samples: must be >= 1")
     check_times = np.asarray(p["check_times"], dtype=float)
     if np.any(check_times > gas_config.t_max) or np.any(check_times < 0.0):
         raise ConfigError("gas-equilibrium.check_times: must lie in [0, t_max]")
@@ -376,16 +385,16 @@ def _gas_equilibrium(config: ScenarioConfig, stamp: str | None):
     if coupling is None:
         uniform_weight = 1.0 / (gas_config.n_molecules - gas_config.n_excited)
     violation_count = 0
-    first_member = None
+    events0 = None
     done = 0
 
     batches = gas_mod.iter_ensemble(gas_config, n_seeds)
     try:
-        for trajectories, ledger, bounds in batches:
-            counts[done : done + len(trajectories)] = gas_mod.batch_left_counts(
+        for ledger, bounds in batches:
+            counts[done : done + bounds.size - 1] = gas_mod.batch_left_counts(
                 gas_config, ledger, bounds, queries
             )
-            done += len(trajectories)
+            done += bounds.size - 1
             audit = gas_mod.audit_ledger(
                 ledger,
                 n_molecules=gas_config.n_molecules,
@@ -405,8 +414,8 @@ def _gas_equilibrium(config: ScenarioConfig, stamp: str | None):
                 else:
                     pooled.transition_counts += part.transition_counts
                     pooled.dwell_times += part.dwell_times
-            if first_member is None:
-                first_member = (trajectories[0], ledger[bounds[0] : bounds[1]])
+            if events0 is None:
+                events0 = ledger[bounds[0] : bounds[1]]
     except gas_mod.ZeroCouplingError as exc:
         raise ConfigError(f"gas-equilibrium.coupling_table: {exc}") from exc
     if pooled is None:
@@ -442,13 +451,14 @@ def _gas_equilibrium(config: ScenarioConfig, stamp: str | None):
         empirical = np.bincount(counts_check[:, j], minlength=n_labels) / n_seeds
         tv_worst = max(tv_worst, 0.5 * float(np.abs(predicted - empirical).sum()))
 
-    trajectory0, events0 = first_member
     ledger_file = config.out_dir / "gas_ledger_member0.csv"
     trajectory_file = config.out_dir / "gas_trajectory_member0.csv"
     series_file = config.out_dir / "gas_ensemble_series.csv"
     rates_file = config.out_dir / "gas_empirical_rates.csv"
     gas_mod.write_ledger_csv(ledger_file, events0, header_comment=stamp)
-    gas_mod.write_trajectory_csv(trajectory_file, trajectory0, header_comment=stamp)
+    gas_mod.write_trajectory_csv(
+        trajectory_file, gas_mod.Trajectory.from_ledger(gas_config, events0), header_comment=stamp
+    )
     write_csv(
         series_file,
         ["t", "k_distribution_entropy", "mean_macrostate_entropy", "mean_k"],

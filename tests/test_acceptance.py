@@ -217,9 +217,9 @@ def gas_ensemble():
     rate_parts = []
     started = time.perf_counter()
     done = 0
-    for trajectories, ledger, bounds in iter_ensemble(config, n_seeds):
-        rows = slice(done, done + len(trajectories))
-        done += len(trajectories)
+    for ledger, bounds in iter_ensemble(config, n_seeds):
+        rows = slice(done, done + bounds.size - 1)
+        done += bounds.size - 1
         counts_grid[rows] = batch_left_counts(config, ledger, bounds, grid)
         counts_check[rows] = batch_left_counts(config, ledger, bounds, check_times)
         for start, stop in zip(bounds[:-1], bounds[1:]):

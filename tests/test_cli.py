@@ -10,7 +10,7 @@ import pytest
 
 from stosszahl import cli, scenarios
 from stosszahl.cli import main
-from stosszahl.gas import GasConfig, run, write_ledger_csv
+from stosszahl.gas import GasConfig, Ledger, run, write_ledger_csv
 from stosszahl.scenarios import SCENARIO_CHECKS
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -60,22 +60,44 @@ def test_run_missing_seed_exit_two(tmp_path, capsys):
         ("[run]\nscenario = born-statistics\nseed = 1\n[run]\n", "section 'run'"),
         ("seed = 1\n[run]\nscenario = born-statistics\n", "no section headers"),
         ("[run]\nscenario = born-statistics\nseed = 1\n[born-statistics]\nweights = 0.5, nan\n",
-         "born-statistics.weights: weights has a non-finite entry"),
+         "born-statistics.weights: must be finite, got nan"),
         ("[run]\nscenario = born-statistics\nseed = 1\n[born-statistics]\nweights = 0.5, 0.4\n",
          "born-statistics.weights: weights sums to 0.9"),
         ("[run]\nscenario = born-statistics\nseed = 1\n[born-statistics]\nweights = 1, 0\n",
          "born-statistics.weights: the chi-square test needs two or more nonzero weights"),
         ("[run]\nscenario = two-state-relaxation\nseed = 1\n[two-state-relaxation]\nn_points = 0\n",
          "two-state-relaxation.n_points: must be >= 1"),
+        ("[run]\nscenario = two-state-relaxation\nseed = 1\n[two-state-relaxation]\nrate_to_1 = -1\n",
+         "two-state-relaxation: rate_to_1 and rate_to_2 must be positive"),
+        ("[run]\nscenario = two-state-relaxation\nseed = 1\n[two-state-relaxation]\nrate_to_2 = -0.5\n",
+         "two-state-relaxation: rate_to_1 and rate_to_2 must be positive"),
+        ("[run]\nscenario = two-state-relaxation\nseed = 1\n[two-state-relaxation]\n"
+         "rate_to_1 = 0\nrate_to_2 = 0\n",
+         "two-state-relaxation: rate_to_1 and rate_to_2 must be positive"),
+        ("[run]\nscenario = two-state-relaxation\nseed = 1\n[two-state-relaxation]\nrate_to_1 = 0\n",
+         "two-state-relaxation: rate_to_1 and rate_to_2 must be positive"),
+        ("[run]\nscenario = two-state-relaxation\nseed = 1\n[two-state-relaxation]\np1_initial = 1.5\n",
+         "two-state-relaxation.p1_initial: must lie in [0, 1]"),
+        ("[run]\nscenario = two-state-relaxation\nseed = 1\n[two-state-relaxation]\np1_initial = -0.5\n",
+         "two-state-relaxation.p1_initial: must lie in [0, 1]"),
+        ("[run]\nscenario = two-state-relaxation\nseed = 1\n[two-state-relaxation]\nt_max = -1\n",
+         "two-state-relaxation.t_max: must be >= 0"),
+        ("[run]\nscenario = gas-equilibrium\nseed = 1\n[gas-equilibrium]\nn_samples = 0\n",
+         "gas-equilibrium.n_samples: must be >= 1"),
+        ("[run]\nscenario = gas-equilibrium\nseed = 1\n[gas-equilibrium]\nn_samples = -1\n",
+         "gas-equilibrium.n_samples: must be >= 1"),
     ],
     ids=["repeated-key", "repeated-section", "key-before-section", "nan-weight",
-         "weights-off-one", "one-nonzero-weight", "no-grid-points"],
+         "weights-off-one", "one-nonzero-weight", "no-grid-points", "negative-rate-to-1",
+         "negative-rate-to-2", "both-rates-zero", "one-rate-zero", "p1-above-one",
+         "p1-below-zero", "negative-t-max", "no-gas-samples", "negative-gas-samples"],
 )
 def test_unusable_config_exits_two(tmp_path, capsys, text, message):
     # these used to exit 3 (DuplicateOptionError, DuplicateSectionError,
-    # MissingSectionHeaderError, the born weights' sum check) or to report a
+    # MissingSectionHeaderError, the born weights' sum check, the two-state
+    # rates, p1_initial and t_max, a negative gas n_samples) or to report a
     # NaN p-value as a failed check (exit 1) or two checks passed on an
-    # empty grid (exit 0)
+    # empty grid (exit 0) or blame equilibration_time (gas n_samples = 0)
     config = write_config(tmp_path, text)
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
@@ -111,7 +133,7 @@ def test_out_flag_beats_env_var(tmp_path, monkeypatch):
 
 def test_audit_clean_ledger_exit_zero(tmp_path, capsys):
     gas_config = GasConfig(n_molecules=8, n_excited=4, decay_rate=1.0, t_max=10.0, seed=6)
-    _trajectory, events = run(gas_config)
+    _bounds, events = run(gas_config)
     path = tmp_path / "ledger.csv"
     write_ledger_csv(path, events)
     assert main(["audit", "--ledger", str(path), "--n-molecules", "8"]) == 0
@@ -120,9 +142,10 @@ def test_audit_clean_ledger_exit_zero(tmp_path, capsys):
 
 def test_audit_tampered_ledger_exit_one(tmp_path, capsys):
     gas_config = GasConfig(n_molecules=8, n_excited=4, decay_rate=1.0, t_max=10.0, seed=6)
-    _trajectory, events = run(gas_config)
+    _bounds, events = run(gas_config)
     path = tmp_path / "ledger.csv"
-    write_ledger_csv(path, list(events) + [events[0]])
+    # the first event replayed at the end
+    write_ledger_csv(path, Ledger(*(np.append(column, column[0]) for column in vars(events).values())))
     assert main(["audit", "--ledger", str(path)]) == 1
     out = capsys.readouterr().out
     assert "violation" in out and "audit: FAIL" in out

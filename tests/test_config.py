@@ -114,3 +114,27 @@ def test_shipped_configs_parse(path):
     config = load_scenario_config(path)
     assert config.seed >= 0
     assert config.params
+
+
+FLOAT_KEYS = {
+    "two-state-relaxation": ("rate_to_1", "rate_to_2", "p1_initial", "t_max"),
+    "unitary-vs-collapse": ("gap", "collapse_rate", "t_max"),
+    "born-statistics": ("weights",),
+    "gas-equilibrium": ("decay_rate", "delay", "t_max", "equilibration_time", "check_times"),
+}
+
+
+@pytest.mark.parametrize(
+    "scenario, key", [(scenario, key) for scenario, keys in FLOAT_KEYS.items() for key in keys]
+)
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999", "-1e999"])
+def test_non_finite_floats_rejected_with_path(tmp_path, scenario, key, value):
+    # such values used to hang a run (t_max = inf), end it in an internal
+    # error, or reach a check as NaN; a list is rejected for any such entry
+    if key in ("weights", "check_times"):
+        value = f"0.5, {value}"
+    path = write_config(
+        tmp_path, f"[run]\nscenario = {scenario}\nseed = 7\n[{scenario}]\n{key} = {value}\n"
+    )
+    with pytest.raises(ConfigError, match=rf"^{scenario}\.{key}: must be finite"):
+        load_scenario_config(path)

@@ -1,0 +1,86 @@
+"""Fuzz the config path: a small config of every scenario with edited values.
+
+Each example starts from a small base config of one scenario, overrides one
+to three of its schema keys with values from a fixed pool (numbers, signed
+zeros and ones, non-finite spellings, an empty string and a word), and may
+add an unknown key or repeat a key. Whatever the edits, ``cli.main`` must end
+in exit code 0, 1 or 2: never in 3, the code of an unexpected exception.
+"""
+
+import contextlib
+import io
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from stosszahl.cli import main
+from stosszahl.config import SCENARIO_SCHEMAS
+from stosszahl.gas import GasConfig, run, write_ledger_csv
+
+POOL = ("-1", "0", "1", "2", "100", "0.5", "3", "nan", "inf", "-inf", "1e999", "", "x")
+LIST_KEYS = ("weights", "check_times")
+
+# Small enough that a run takes a fraction of a second.
+BASES = {
+    "two-state-relaxation": {"n_points": "5"},
+    "unitary-vs-collapse": {
+        "t_max": "2", "n_unitary_steps": "10", "n_seeds": "2", "n_samples": "5",
+    },
+    "born-statistics": {"n_draws": "100"},
+    "gas-equilibrium": {
+        "n_molecules": "4", "n_excited": "2", "t_max": "3", "n_seeds": "100",
+        "n_samples": "4", "equilibration_time": "1", "check_times": "1, 2",
+    },
+    "ledger-audit": {"n_molecules": "4"},
+}
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    """A directory holding a clean ledger for the ledger-audit base config."""
+    path = tmp_path_factory.mktemp("fuzz")
+    config = GasConfig(n_molecules=4, n_excited=2, decay_rate=1.0, t_max=3.0, seed=1)
+    write_ledger_csv(path / "ledger.csv", run(config)[1])
+    return path
+
+
+def value_for(key):
+    if key in LIST_KEYS:
+        return st.lists(st.sampled_from(POOL), min_size=1, max_size=3).map(", ".join)
+    return st.sampled_from(POOL)
+
+
+@st.composite
+def edited_configs(draw):
+    """(scenario, the [scenario] section's lines) of one edited base config."""
+    scenario = draw(st.sampled_from(sorted(BASES)))
+    entries = dict(BASES[scenario])
+    keys = draw(st.lists(st.sampled_from(sorted(SCENARIO_SCHEMAS[scenario])), min_size=1,
+                         max_size=3, unique=True))
+    for key in keys:
+        entries[key] = draw(value_for(key))
+    lines = [f"{key} = {value}" for key, value in entries.items()]
+    # Either ends the parse, so each comes in one example of four.
+    if draw(st.integers(0, 3)) == 0:
+        lines.append(f"{draw(st.sampled_from(['junk', 'T_MAX', 'seed']))} = 1")
+    if draw(st.integers(0, 3)) == 0:
+        key = draw(st.sampled_from(keys))
+        lines.append(f"{key} = {draw(value_for(key))}")
+    return scenario, lines
+
+
+@settings(max_examples=400)
+@given(edited_configs())
+def test_edited_configs_never_exit_three(workdir, edited):
+    scenario, lines = edited
+    if scenario == "ledger-audit" and not any(line.startswith("ledger ") for line in lines):
+        lines = lines + [f"ledger = {workdir / 'ledger.csv'}"]
+    text = f"[run]\nscenario = {scenario}\nseed = 1\n[{scenario}]\n" + "\n".join(lines) + "\n"
+    config = workdir / "run.cfg"
+    config.write_text(text)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["run", "--config", str(config), "--out", str(workdir / "out"),
+                     "--no-header-timestamp"])
+    assert code != 3, (text, err.getvalue())

@@ -196,19 +196,21 @@ def test_apply_event_requires_ground_absorber():
 # --- full runs ----------------------------------------------------------------------
 
 def test_empty_gas_gives_empty_ledger():
-    trajectory, events = run(make_config(n_molecules=6, n_excited=0))
+    config = make_config(n_molecules=6, n_excited=0)
+    bounds, events = run(config)
     assert list(events) == []
-    assert trajectory.times.tolist() == [0.0]
+    assert bounds.tolist() == [0, 0]
+    assert Trajectory.from_ledger(config, events).times.tolist() == [0.0]
 
 
 def test_saturated_gas_gives_empty_ledger():
-    _trajectory, events = run(make_config(n_molecules=6, n_excited=6))
+    _bounds, events = run(make_config(n_molecules=6, n_excited=6))
     assert list(events) == []
 
 
 def test_two_body_exchange_alternates():
     config = make_config(n_molecules=2, n_excited=1, delay=0.01, t_max=50.0)
-    _trajectory, events = run(config)
+    _bounds, events = run(config)
     assert len(events) > 10
     for i, event in enumerate(events):
         assert event.t_emit < event.t_absorb
@@ -219,9 +221,12 @@ def test_two_body_exchange_alternates():
 
 def test_run_is_deterministic():
     config = make_config(n_molecules=30, n_excited=15, t_max=20.0, seed=77)
-    trajectory_a, events_a = run(config)
-    trajectory_b, events_b = run(config)
+    bounds_a, events_a = run(config)
+    bounds_b, events_b = run(config)
     assert list(events_a) == list(events_b)
+    assert bounds_a.tolist() == bounds_b.tolist() == [0, len(events_a)]
+    trajectory_a = Trajectory.from_ledger(config, events_a)
+    trajectory_b = Trajectory.from_ledger(config, events_b)
     assert np.array_equal(trajectory_a.times, trajectory_b.times)
     assert np.array_equal(trajectory_a.left_counts, trajectory_b.left_counts)
 
@@ -235,7 +240,7 @@ def test_run_matches_stepwise_composition():
         make_config(n_molecules=12, n_excited=6, t_max=15.0, seed=6, coupling=table),
     ]
     for config in configs:
-        _trajectory, fast = run(config)
+        _bounds, fast = run(config)
         rng = np.random.default_rng(config.seed)
         state = init_gas(config)
         slow = []
@@ -251,7 +256,7 @@ def test_run_matches_stepwise_composition():
 
 def test_arrow_of_time_holds_on_every_event():
     config = make_config(n_molecules=20, n_excited=10, t_max=30.0, seed=3)
-    _trajectory, events = run(config)
+    _bounds, events = run(config)
     emit_times = [event.t_emit for event in events]
     assert all(event.t_emit < event.t_absorb for event in events)
     assert all(b >= a for a, b in zip(emit_times, emit_times[1:]))
@@ -260,7 +265,7 @@ def test_arrow_of_time_holds_on_every_event():
 def test_conservation_is_exact_on_trajectory():
     # replay the ledger columns: every event leaves exactly n molecules excited
     config = make_config(n_molecules=20, n_excited=7, t_max=30.0, seed=4)
-    _trajectory, ledger = run(config)
+    _bounds, ledger = run(config)
     levels = init_gas(config).levels
     excited_after = []
     for emitter, absorber in zip(ledger.emitter.tolist(), ledger.absorber.tolist()):
@@ -285,7 +290,7 @@ def test_run_consumes_three_uniforms_per_event_plus_the_horizon_draw():
     ]
     for config, forms_events in cases:
         rng = np.random.default_rng(config.seed)
-        _trajectory, ledger = run(config, rng)
+        _bounds, ledger = run(config, rng)
         assert (len(ledger) > 0) == forms_events
         reference = np.random.default_rng(config.seed)
         for _ in range(3 * len(ledger) + 1 if forms_events else 0):
@@ -314,7 +319,7 @@ def test_long_runs_match_stepwise_composition():
         make_config(n_molecules=40, n_excited=20, t_max=30.0, seed=12, coupling=table),
     ]
     for config in configs:
-        _trajectory, fast = run(config)
+        _bounds, fast = run(config)
         rng = np.random.default_rng(config.seed)
         state = init_gas(config)
         slow = []
@@ -331,15 +336,15 @@ def test_long_runs_match_stepwise_composition():
 def test_run_stops_at_last_absorption_inside_horizon():
     # a delay of half a lifetime makes emissions before t_max absorb after it
     config = make_config(n_molecules=10, n_excited=5, t_max=10.0, delay=0.5, seed=1)
-    trajectory, ledger = run(config)
+    _bounds, ledger = run(config)
     assert ledger.t_a[-1] <= config.t_max
-    assert trajectory.times[-1] == ledger.t_a[-1]
+    assert Trajectory.from_ledger(config, ledger).times[-1] == ledger.t_a[-1]
     empirical_rates(config, ledger)
 
 
 def test_emitter_and_absorber_anticorrelated_after_event():
     config = make_config(n_molecules=10, n_excited=5, t_max=10.0, seed=9)
-    _trajectory, events = run(config)
+    _bounds, events = run(config)
     state = init_gas(config)
     for event in events:
         state = apply_event(state, event)
@@ -350,7 +355,7 @@ def test_emitter_and_absorber_anticorrelated_after_event():
 def test_half_filled_gas_relaxes_to_hypergeometric_mean():
     # oracle: equilibrium mean k = n (N/2) / N = 25
     config = make_config(n_molecules=100, n_excited=50, t_max=50.0, seed=21)
-    trajectory, _events = run(config)
+    trajectory = Trajectory.from_ledger(config, run(config)[1])
     assert trajectory.left_counts[0] == 50
     late = trajectory.left_counts[trajectory.times >= 30.0]
     assert abs(late.mean() - 25.0) < 2.0
@@ -359,7 +364,7 @@ def test_half_filled_gas_relaxes_to_hypergeometric_mean():
 def test_events_keep_occurring_at_equilibrium():
     # ledger density stays near n * decay_rate while any absorber exists
     config = make_config(n_molecules=20, n_excited=10, t_max=100.0, seed=30)
-    _trajectory, events = run(config)
+    _bounds, events = run(config)
     late = [event for event in events if event.t_emit >= 50.0]
     density = len(late) / 50.0
     assert abs(density - 10.0) / 10.0 < 0.2
@@ -368,7 +373,7 @@ def test_events_keep_occurring_at_equilibrium():
 def test_left_count_autocorrelation_decays():
     # molecular-chaos imprint: correlation gone after 5 mixing times
     config = make_config(n_molecules=20, n_excited=10, t_max=500.0, seed=31)
-    trajectory, _events = run(config)
+    trajectory = Trajectory.from_ledger(config, run(config)[1])
     sample_times = np.arange(10.0, 500.0, 0.5)
     k = trajectory.left_counts_at(sample_times).astype(float)
     k -= k.mean()
@@ -444,7 +449,7 @@ def test_two_molecule_rates_recover_decay_rate():
     # exponential-clock oracle: both rates equal decay_rate; with one molecule per
     # half, k = 1 labels "molecule 0 excited" and k = 0 "molecule 1 excited"
     config = make_config(n_molecules=2, n_excited=1, t_max=2000.0, seed=40, decay_rate=1.0)
-    _trajectory, events = run(config)
+    _bounds, events = run(config)
     estimate = empirical_rates(config, events)
     assert estimate.zero_dwell_labels == ()
     for rate in (estimate.rates[0, 1], estimate.rates[1, 0]):
@@ -455,7 +460,7 @@ def test_k_chain_rates_match_birth_death_oracle():
     # analytic rates for the half-filled gas: down = k^2/(N/2), up = (n-k)^2/(N/2);
     # only labels with enough dwell time carry a meaningful estimate
     config = make_config(n_molecules=100, n_excited=50, t_max=1000.0, seed=41)
-    _trajectory, events = run(config)
+    _bounds, events = run(config)
     estimate = empirical_rates(config, events)
     half = 50
     checked = 0
@@ -472,7 +477,7 @@ def test_k_chain_rates_match_birth_death_oracle():
 
 def test_unvisited_labels_are_flagged_not_fabricated():
     config = make_config(n_molecules=100, n_excited=50, t_max=20.0, seed=42)
-    _trajectory, events = run(config)
+    _bounds, events = run(config)
     estimate = empirical_rates(config, events)
     assert len(estimate.zero_dwell_labels) > 0
     for label in estimate.zero_dwell_labels:
@@ -514,7 +519,7 @@ def test_column_rates_equal_the_replayed_rates():
         make_config(n_molecules=30, n_excited=8, t_max=20.0, seed=14, coupling=table),
     ]
     for config in configs:
-        _trajectory, ledger = run(config)
+        _bounds, ledger = run(config)
         counts, dwell = replayed_rates(config, ledger)
         estimate = empirical_rates(config, ledger)
         assert np.array_equal(estimate.transition_counts, counts)
@@ -534,7 +539,7 @@ def test_combined_rates_pool_counts_and_dwell(tmp_path):
     config = make_config(n_molecules=10, n_excited=5, t_max=5.0, seed=43)
     parts = [
         part
-        for _trajectories, ledger, bounds in iter_ensemble(config, 100)
+        for ledger, bounds in iter_ensemble(config, 100)
         for part in empirical_rates(config, ledger, bounds)
     ]
     pooled = EmpiricalRates(
@@ -552,7 +557,7 @@ def test_ensemble_series_statistics():
     counts = np.vstack(
         [
             batch_left_counts(config, ledger, bounds, times)
-            for _trajectories, ledger, bounds in iter_ensemble(config, 100)
+            for ledger, bounds in iter_ensemble(config, 100)
         ]
     )
     series = summarize_ensemble(config, times, counts)
@@ -583,7 +588,7 @@ def test_ensemble_members_are_reproducible():
     first, second = (
         [
             list(ledger[start:stop])
-            for _trajectories, ledger, bounds in iter_ensemble(config, 3)
+            for ledger, bounds in iter_ensemble(config, 3)
             for start, stop in zip(bounds[:-1], bounds[1:])
         ]
         for _ in range(2)
@@ -612,17 +617,16 @@ def test_ensemble_steps_its_members_through_gas_run(monkeypatch):
     assert [size for size, _result in calls] == [gas._MEMBERS_PER_RUN] * 2 + [3]
     assert len(batches) == len(calls)
     ledgers = []
-    for (_size, (trajectories, ledger)), batch in zip(calls, batches):
-        assert batch[0] is trajectories and batch[1] is ledger
-        bounds = batch[2]
+    for (size, (bounds, ledger)), batch in zip(calls, batches):
+        assert batch[0] is ledger and batch[1] is bounds
+        assert bounds.size == size + 1
         assert bounds[0] == 0 and bounds[-1] == len(ledger)
-        assert np.array_equal(np.diff(bounds), [t.times.size - 1 for t in trajectories])
         ledgers += [ledger[start:stop] for start, stop in zip(bounds[:-1], bounds[1:])]
     assert len(ledgers) == n_members
     assert sum(len(result[1]) for _size, result in calls) == sum(len(ledger) for ledger in ledgers)
     children = np.random.SeedSequence(config.seed).spawn(n_members)
     for child, ledger in zip(children, ledgers):
-        _trajectory, lone = real_run(config, np.random.default_rng(child))
+        _bounds, lone = real_run(config, np.random.default_rng(child))
         assert list(ledger) == list(lone)
 
 
@@ -630,7 +634,7 @@ def test_ensemble_steps_its_members_through_gas_run(monkeypatch):
 
 def test_ledger_csv_round_trip(tmp_path):
     config = make_config(n_molecules=10, n_excited=5, t_max=5.0, seed=70)
-    _trajectory, events = run(config)
+    _bounds, events = run(config)
     path = tmp_path / "ledger.csv"
     write_ledger_csv(path, events, header_comment="demo run")
     assert path.read_text().startswith("# demo run\n")
@@ -659,7 +663,7 @@ def test_ledger_csv_rejects_ids_beyond_int64(tmp_path):
 
 def test_trajectory_csv(tmp_path):
     config = make_config(n_molecules=4, n_excited=2, t_max=5.0, seed=71)
-    trajectory, _events = run(config)
+    trajectory = Trajectory.from_ledger(config, run(config)[1])
     path = tmp_path / "trajectory.csv"
     write_trajectory_csv(path, trajectory)
     lines = path.read_text().splitlines()
@@ -669,7 +673,7 @@ def test_trajectory_csv(tmp_path):
 
 def test_audit_accepts_clean_run():
     config = make_config(n_molecules=10, n_excited=5, t_max=10.0, seed=72)
-    _trajectory, events = run(config)
+    _bounds, events = run(config)
     audit = audit_ledger(events, n_molecules=10, initial_excited=range(5))
     assert audit.passed
     assert audit.n_events == len(events)
@@ -715,7 +719,7 @@ def test_audit_checks_declared_initial_state():
 
 def test_audit_flags_confirmation_set_size_mismatch():
     config = make_config(n_molecules=10, n_excited=5, t_max=10.0, seed=72)
-    _trajectory, ledger = run(config)
+    _bounds, ledger = run(config)
     sizes = ledger.confirmation_set_size.copy()
     sizes[3] += 1
     tampered = dataclasses.replace(ledger, confirmation_set_size=sizes)
@@ -783,7 +787,7 @@ def test_column_audit_matches_the_row_loop_on_corrupted_ledgers():
     kinds = ["int", "float", "float", "int", "int", "float", "int"]
     for trial in range(150):
         config = make_config(n_molecules=10, n_excited=5, t_max=3.0, seed=100 + trial)
-        _trajectory, ledger = run(config)
+        _bounds, ledger = run(config)
         rows = [
             [index, event.t_emit, event.t_absorb, event.emitter, event.absorber,
              event.winner_weight, event.confirmation_size]

@@ -28,6 +28,7 @@ from hypothesis import strategies as st
 from gas_oracle import apply_event, init_gas, next_event
 from stosszahl.gas import (
     GasConfig,
+    Trajectory,
     ZeroCouplingError,
     audit_ledger,
     batch_left_counts,
@@ -118,8 +119,7 @@ def outcome(step, config):
 
 
 def kernel_events(config, rng):
-    _trajectory, ledger = run(config, rng)
-    return ledger
+    return run(config, rng)[1]
 
 
 def column_bytes(events):
@@ -152,7 +152,7 @@ def test_kernel_equals_the_composition_across_blocks_and_at_a_block_edge(kind):
         n_molecules=40, n_excited=20, decay_rate=1.0, t_max=60.0, seed=17,
         delay=1e-6, coupling=make_table(kind, 40, 3),
     )
-    _trajectory, ledger = run(long_config)
+    _bounds, ledger = run(long_config)
     assert len(ledger) > 3 * TRIPLES_PER_BLOCK
     edge = dataclasses.replace(long_config, t_max=float(ledger.t_a[TRIPLES_PER_BLOCK - 1]))
     for config in (long_config, edge):
@@ -164,22 +164,17 @@ def test_kernel_equals_the_composition_across_blocks_and_at_a_block_edge(kind):
 
 
 def lone_runs(config, children):
-    """Per member: (trajectory and ledger bytes, or the error message; generator state)."""
+    """Per member: (bounds and ledger bytes, or the error message; generator state)."""
     outcomes = []
     for child in children:
         rng = np.random.default_rng(child)
         try:
-            trajectory, ledger = run(config, rng)
-            result = trajectory_bytes(trajectory) + column_bytes(ledger)
+            bounds, ledger = run(config, rng)
+            result = [bounds.tolist()] + column_bytes(ledger)
         except ZeroCouplingError as exc:
             result = str(exc)
         outcomes.append((result, rng.bit_generator.state))
     return outcomes
-
-
-def trajectory_bytes(trajectory):
-    return [trajectory.times.tobytes(), trajectory.left_counts.tobytes(),
-            trajectory.macro_entropies.tobytes()]
 
 
 @settings(max_examples=40)
@@ -195,13 +190,11 @@ def test_batch_equals_lone_runs_member_by_member(config, n_members):
             run(config, rngs)
         assert str(info.value) == errors[0]
     else:
-        trajectories, ledger = run(config, rngs)
-        assert len(trajectories) == n_members
-        stop = 0
-        for trajectory, (result, _state) in zip(trajectories, lone):
-            start, stop = stop, stop + trajectory.times.size - 1
-            assert trajectory_bytes(trajectory) + column_bytes(ledger[start:stop]) == result
-        assert stop == len(ledger)
+        bounds, ledger = run(config, rngs)
+        assert bounds.size == n_members + 1
+        for start, stop, (result, _state) in zip(bounds[:-1], bounds[1:], lone):
+            assert [[0, stop - start]] + column_bytes(ledger[start:stop]) == result
+        assert bounds[0] == 0 and bounds[-1] == len(ledger)
     assert [rng.bit_generator.state for rng in rngs] == [state for _result, state in lone]
 
 
@@ -293,7 +286,7 @@ def test_clamp_keeps_a_tiny_weight_from_winning():
         coupling=table,
     )
     uniforms = [0.5, 0.0, 0.0, 0.99]  # wait, emitter rank 0, winner, a wait past t_max
-    _trajectory, ledger = run(config, ScriptedUniforms(uniforms))
+    _bounds, ledger = run(config, ScriptedUniforms(uniforms))
     assert column_bytes(ledger) == column_bytes(stepwise(config, ScriptedUniforms(uniforms)))
     assert list(ledger.absorber) == [3]
 
@@ -338,7 +331,7 @@ def excluded_values(config, ledger, index, field):
 )
 def test_kernel_ledgers_pass_the_audit_and_every_excluded_edit_fails_it(config, where, field):
     try:
-        _trajectory, ledger = run(config)
+        _bounds, ledger = run(config)
     except ZeroCouplingError:
         return
     declared = range(config.n_excited)
@@ -370,10 +363,9 @@ def test_batch_audit_rates_and_lookups_equal_the_member_calls(config, n_members,
     children = np.random.SeedSequence(config.seed).spawn(n_members)
     rngs = [np.random.default_rng(child) for child in children]
     try:
-        trajectories, ledger = run(config, rngs)
+        bounds, ledger = run(config, rngs)
     except ZeroCouplingError:
         return
-    bounds = np.cumsum([0] + [trajectory.times.size - 1 for trajectory in trajectories])
     members = [ledger[start:stop] for start, stop in zip(bounds[:-1], bounds[1:])]
 
     tampered = dataclasses.replace(ledger, **{
@@ -423,15 +415,16 @@ def test_batch_audit_rates_and_lookups_equal_the_member_calls(config, n_members,
         data.draw(st.lists(st.floats(0.0, config.t_max), max_size=12))
         + [0.0, config.t_max] + ledger.t_a[:3].tolist()
     )
-    expected = np.array([trajectory.left_counts_at(queries) for trajectory in trajectories])
+    expected = np.array(
+        [Trajectory.from_ledger(config, member).left_counts_at(queries) for member in members]
+    )
     assert np.array_equal(batch_left_counts(config, ledger, bounds, queries), expected)
 
 
 def test_batch_audit_names_the_member():
     config = GasConfig(n_molecules=10, n_excited=5, decay_rate=1.0, t_max=3.0, seed=72)
     rngs = [np.random.default_rng(child) for child in np.random.SeedSequence(72).spawn(3)]
-    trajectories, ledger = run(config, rngs)
-    bounds = np.cumsum([0] + [trajectory.times.size - 1 for trajectory in trajectories])
+    bounds, ledger = run(config, rngs)
     assert bounds[2] - bounds[1] > 3
     sizes = ledger.confirmation_set_size.copy()
     sizes[bounds[1] + 3] += 1
@@ -447,7 +440,7 @@ def test_batch_audit_names_the_member():
 @pytest.mark.parametrize("bounds", [[0, 5], [1, 6], [0, 3, 2, 6], [[0, 6]], [0]])
 def test_member_bounds_must_rise_from_zero_to_the_ledger_length(bounds):
     config = GasConfig(n_molecules=10, n_excited=5, decay_rate=1.0, t_max=3.0, seed=72)
-    _trajectory, ledger = run(config)
+    _bounds, ledger = run(config)
     ledger = ledger[:6]
     for call in (
         lambda: audit_ledger(ledger, bounds=bounds),
@@ -464,8 +457,7 @@ def test_member_rates_without_transitions_are_float():
         n_molecules=9, n_excited=8, decay_rate=4.0, t_max=0.078125, seed=245454, delay=0.05,
     )
     rngs = [np.random.default_rng(child) for child in np.random.SeedSequence(245454).spawn(4)]
-    trajectories, ledger = run(config, rngs)
-    bounds = np.cumsum([0] + [trajectory.times.size - 1 for trajectory in trajectories])
+    bounds, ledger = run(config, rngs)
     alone = empirical_rates(config, ledger[bounds[1]:bounds[2]])
     assert not alone.transition_counts.any()
     for rates in (alone, empirical_rates(config, ledger, bounds)[1]):

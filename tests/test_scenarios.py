@@ -8,7 +8,7 @@ from scipy.stats import chisquare
 
 from stosszahl import gas
 from stosszahl.config import SCENARIO_SCHEMAS, ConfigError, ScenarioConfig
-from stosszahl.gas import GasConfig, read_ledger_raw, run, write_ledger_csv
+from stosszahl.gas import GasConfig, Ledger, read_ledger_raw, run, write_ledger_csv
 from stosszahl.scenarios import (
     SCENARIO_CHECKS,
     SCHEMA_VERSION,
@@ -110,13 +110,13 @@ def test_uniform_winner_weight_check_counts_altered_weights(tmp_path, monkeypatc
     altered = []
 
     def run_with_one_altered_weight(config, rng=None):
-        trajectory, ledger = real_run(config, rng)
+        bounds, ledger = real_run(config, rng)
         if not altered:
             weights = ledger.winner_weight.copy()
             weights[3] = np.nextafter(weights[3], 1.0)
             ledger = dataclasses.replace(ledger, winner_weight=weights)
             altered.append(3)
-        return trajectory, ledger
+        return bounds, ledger
 
     monkeypatch.setattr(gas, "run", run_with_one_altered_weight)
     config = make_config(
@@ -137,7 +137,7 @@ def test_gas_equilibrium_rejects_odd_molecule_count(tmp_path):
 
 def test_ledger_audit_scenario_passes_on_clean_ledger(tmp_path):
     gas_config = GasConfig(n_molecules=10, n_excited=5, decay_rate=1.0, t_max=10.0, seed=5)
-    _trajectory, events = run(gas_config)
+    _bounds, events = run(gas_config)
     ledger_path = tmp_path / "ledger.csv"
     write_ledger_csv(ledger_path, events)
     config = make_config(
@@ -149,9 +149,11 @@ def test_ledger_audit_scenario_passes_on_clean_ledger(tmp_path):
 
 def test_ledger_audit_scenario_fails_on_tampered_ledger(tmp_path):
     gas_config = GasConfig(n_molecules=10, n_excited=5, decay_rate=1.0, t_max=10.0, seed=5)
-    _trajectory, events = run(gas_config)
+    _bounds, events = run(gas_config)
     ledger_path = tmp_path / "ledger.csv"
-    write_ledger_csv(ledger_path, list(events) + [events[-1]])  # replayed event breaks the chain
+    # the last event replayed breaks the chain
+    replayed = Ledger(*(np.append(column, column[-1]) for column in vars(events).values()))
+    write_ledger_csv(ledger_path, replayed)
     config = make_config("ledger-audit", tmp_path, ledger=str(ledger_path), n_molecules=10)
     report = run_scenario(config)
     assert not report.passed
