@@ -38,20 +38,23 @@ class Propagator:
     def shape(self) -> tuple[int, int]:
         return self.eigenvectors.shape
 
-    def unitary(self, t: float) -> np.ndarray:
-        """U(t) = V exp(-i Lambda t) V^dag."""
-        phases = np.exp(-1j * self.eigenvalues * t)
-        return (self.eigenvectors * phases) @ self._eigenvectors_dag
+    def unitary(self, t) -> np.ndarray:
+        """U(t) = V exp(-i Lambda t) V^dag; a ``(...,)`` array of times gives ``(..., d, d)``."""
+        phases = np.exp(-1j * self.eigenvalues * np.asarray(t)[..., None])
+        return (self.eigenvectors * phases[..., None, :]) @ self._eigenvectors_dag
 
-    def evolve(self, a: np.ndarray, t: float) -> np.ndarray:
-        """U(t) a U(t)^dag for a complex matrix ``a`` of the Hamiltonian's shape.
+    def evolve(self, a: np.ndarray, t) -> np.ndarray:
+        """U(t) a U(t)^dag for complex matrices ``a`` of the Hamiltonian's shape.
 
-        ``a`` is not validated; the result is re-symmetrized, which keeps
-        the Hermiticity invariant tight against roundoff.
+        ``a`` is one ``(d, d)`` matrix or a ``(..., d, d)`` stack, and ``t``
+        a scalar or one time per matrix; each matrix of a stack comes out
+        bit-equal to its own 2-D call. ``a`` is not validated; the result is
+        re-symmetrized, which keeps the Hermiticity invariant tight against
+        roundoff.
         """
         u = self.unitary(t)
-        out = u @ a @ u.conj().T
-        return (out + out.conj().T) / 2.0
+        out = u @ a @ u.conj().swapaxes(-1, -2)
+        return (out + out.conj().swapaxes(-1, -2)) / 2.0
 
 
 def propagator(hamiltonian, t: float) -> np.ndarray:

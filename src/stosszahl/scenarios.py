@@ -26,7 +26,9 @@ from .csvio import fmt, write_csv
 # The benchmark's call spans (perfbench/spans.py) wrap ``evolve_unitary``,
 # ``decohere`` and ``vn_entropy`` as attributes of this module and count
 # collapse events as calls to ``decohere``; so all three stay importable from
-# here, and the collapse loop looks ``decohere`` up here on every collapse.
+# here, and the lockstep collapse ensemble looks ``decohere`` up here once per
+# collapse, one member's state per call, even though it stacks the evolution
+# and the entropies of the members.
 from .evolution import Propagator, evolve_unitary  # noqa: F401
 from .measurement import as_measurement_basis, decohere, sample_outcome_counts
 from .states import (
@@ -34,7 +36,6 @@ from .states import (
     as_probability_vector,
     density_from_pure,
     shannon_entropy,
-    spectral_entropy,
     vn_entropy,
 )
 
@@ -49,6 +50,15 @@ CHI_SQUARE_SIGNIFICANCE = 0.001
 MEAN_K_TOL = 1.0
 MACRO_ENTROPY_REL_TOL = 0.05
 CROSS_PREDICTION_TV_TOL = 0.1
+
+# A run whose expected transactions or collapses per ensemble member exceed
+# this is unusable input: every committed config stays below 3000, and a
+# member's events are all held in memory at once.
+MAX_EXPECTED_EVENTS_PER_MEMBER = 1e6
+
+# The most states one stacked numpy call of unitary-vs-collapse takes: a
+# block of collapse members, branch A's steps or the sample grid.
+_STACK = 256
 
 SCENARIO_CHECKS: dict[str, tuple[str, ...]] = {
     "two-state-relaxation": ("solver_matches_closed_form", "equilibrium_matches_rates"),
@@ -140,6 +150,14 @@ def run_scenario(config: ScenarioConfig) -> RunReport:
     return report
 
 
+def _require_bounded_work(scenario: str, keys: str, events: str, expected: float) -> None:
+    if expected > MAX_EXPECTED_EVENTS_PER_MEMBER:
+        raise ConfigError(
+            f"{scenario}: {keys} = {expected:g} expected {events} per member, "
+            f"above the limit of {MAX_EXPECTED_EVENTS_PER_MEMBER:g}"
+        )
+
+
 # --- scenario 1: two-state relaxation ---------------------------------------
 
 def _two_state_relaxation(config: ScenarioConfig, stamp: str | None):
@@ -216,6 +234,10 @@ def _unitary_vs_collapse(config: ScenarioConfig, stamp: str | None):
         if p[key] < 1:
             raise ConfigError(f"unitary-vs-collapse.{key}: must be >= 1")
 
+    _require_bounded_work(
+        "unitary-vs-collapse", "collapse_rate * t_max", "collapses", rate * t_max
+    )
+
     # Everything is validated here once; the loops below step through the
     # unchecked kernels, and each final state is checked as a density matrix.
     unitary = Propagator(np.array([[gap / 2.0, 0.0], [0.0, -gap / 2.0]], dtype=complex))
@@ -226,39 +248,45 @@ def _unitary_vs_collapse(config: ScenarioConfig, stamp: str | None):
         np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
     )
 
-    # Branch A: pure Liouville evolution, entropy must stay put.
+    # Branch A: pure Liouville evolution, entropy must stay put. Each step
+    # starts from the last, so the states are stepped one by one and only
+    # their entropies are stacked.
     entropy_0 = vn_entropy(rho0)  # validates rho0
     rho = rho0
     drift = 0.0
     dt = t_max / p["n_unitary_steps"]
-    for _ in range(p["n_unitary_steps"]):
-        rho = unitary.evolve(rho, dt)
-        drift = max(drift, abs(spectral_entropy(rho) - entropy_0))
+    steps = np.empty((min(p["n_unitary_steps"], _STACK), 2, 2), dtype=complex)
+    for first in range(0, p["n_unitary_steps"], _STACK):
+        block = steps[: min(_STACK, p["n_unitary_steps"] - first)]
+        for i in range(block.shape[0]):
+            rho = unitary.evolve(rho, dt)
+            block[i] = rho
+        drift = max(drift, float(np.max(np.abs(_qubit_entropies(block) - entropy_0))))
     as_density_matrix(rho, name="unitary branch final state")
 
     # Branch B: same Hamiltonian, interrupted by Poisson-clocked collapses.
     grid = np.linspace(0.0, t_max, p["n_samples"])
     mean_entropy = np.zeros(grid.size)
     children = np.random.SeedSequence(config.seed).spawn(p["n_seeds"])
-    for member, child in enumerate(children):
-        rng = np.random.default_rng(child)
-        times = [0.0]
-        entropies = [entropy_0]
-        rho = rho0
-        t = 0.0
-        while True:
-            t += -math.log1p(-rng.random()) / rate
-            if t > t_max:
-                break
-            rho = decohere(unitary.evolve(rho, t - times[-1]), basis)
-            times.append(t)
-            entropies.append(spectral_entropy(rho))
-        as_density_matrix(rho, name=f"collapse member {member} final state")
-        idx = np.searchsorted(times, grid, side="right") - 1
-        mean_entropy += np.asarray(entropies)[idx]
+    for first in range(0, p["n_seeds"], _STACK):
+        block = children[first : first + _STACK]
+        clock, entropies, states = _collapse_members(
+            unitary, basis, rho0, entropy_0, rate, t_max, block
+        )
+        # Checks and the mean run in member order, as the float sums need;
+        # the inf that pads a member's times lies past every grid point.
+        for row in range(len(block)):
+            as_density_matrix(states[row], name=f"collapse member {first + row} final state")
+            idx = np.searchsorted(clock[row], grid, side="right") - 1
+            mean_entropy += entropies[row][idx]
     mean_entropy /= p["n_seeds"]
 
-    unitary_entropy = [spectral_entropy(unitary.evolve(rho0, float(t))) for t in grid]
+    unitary_entropy = np.concatenate(
+        [
+            _qubit_entropies(unitary.evolve(rho0, grid[first : first + _STACK]))
+            for first in range(0, grid.size, _STACK)
+        ]
+    )
     out_file = config.out_dir / "unitary_vs_collapse.csv"
     write_csv(
         out_file,
@@ -284,6 +312,62 @@ def _unitary_vs_collapse(config: ScenarioConfig, stamp: str | None):
         ),
     ]
     return checks, [out_file.name]
+
+
+def _collapse_members(unitary, basis, rho0, entropy_0, rate, t_max, children):
+    """Run one collapse member per seed sequence in ``children``, in lockstep.
+
+    Each member draws its Poisson collapse times from its own generator
+    first. The members are then ordered by descending collapse count, so
+    the members that have a collapse j are a prefix of the rows, and step j
+    is one stacked evolution of that prefix, one ``decohere`` call per
+    member (the benchmark counts collapses as calls of this module's
+    ``decohere``) and one stacked entropy. Returns, one row per member in
+    member order, its times (0.0, its collapse times, then inf), the entropy
+    after each of its collapses (after entropy_0), and its final state.
+    """
+    times = [_collapse_times(np.random.default_rng(child), rate, t_max) for child in children]
+    order = np.argsort([-len(member) for member in times], kind="stable")
+    steps = np.array([len(times[member]) for member in order])
+    clock = np.full((order.size, steps[0] + 1), np.inf)
+    clock[:, 0] = 0.0
+    for row, member in enumerate(order):
+        clock[row, 1 : steps[row] + 1] = times[member]
+    entropies = np.empty_like(clock)
+    entropies[:, 0] = entropy_0
+    states = np.broadcast_to(rho0, (order.size, 2, 2)).copy()
+    for j in range(steps[0]):
+        live = int(np.count_nonzero(steps > j))
+        evolved = unitary.evolve(states[:live], clock[:live, j + 1] - clock[:live, j])
+        for row in range(live):
+            states[row] = decohere(evolved[row], basis)
+        entropies[:live, j + 1] = _qubit_entropies(states[:live])
+    rows = np.argsort(order)
+    return clock[rows], entropies[rows], states[rows]
+
+
+def _collapse_times(rng, rate: float, t_max: float) -> list[float]:
+    """Poisson-clocked collapse times up to ``t_max``, one uniform per gap."""
+    times = []
+    t = 0.0
+    while True:
+        t += -math.log1p(-rng.random()) / rate
+        if t > t_max:
+            return times
+        times.append(t)
+
+
+def _qubit_entropies(states: np.ndarray) -> np.ndarray:
+    """:func:`stosszahl.states.spectral_entropy` of each 2 x 2 matrix of a stack, bit for bit.
+
+    Clamped eigenvalues are kept as zeros whose x ln x term is 0 rather than
+    dropped. The row sums then equal the sums over the positive eigenvalues
+    alone only because numpy adds fewer than 8 terms in order; for larger
+    matrices its pairwise summation would regroup them.
+    """
+    eigenvalues = np.linalg.eigh(states)[0]
+    x = np.sort(np.where(eigenvalues > 0.0, eigenvalues, 0.0), axis=-1)
+    return -np.sum(x * np.log(np.where(x > 0.0, x, 1.0)), axis=-1)
 
 
 # --- scenario 3: born statistics ---------------------------------------------
@@ -365,6 +449,12 @@ def _gas_equilibrium(config: ScenarioConfig, stamp: str | None):
         )
     except ValueError as exc:
         raise ConfigError(f"gas-equilibrium: {exc}") from exc
+    _require_bounded_work(
+        "gas-equilibrium",
+        "n_excited * decay_rate * t_max",
+        "transactions",
+        gas_config.n_excited * gas_config.decay_rate * gas_config.t_max,
+    )
     n_seeds = p["n_seeds"]
     if n_seeds < 100:
         raise ConfigError("gas-equilibrium.n_seeds: ensemble statistics need >= 100")

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -269,6 +270,24 @@ def test_unitary_vs_collapse_rejects_empty_counts(tmp_path, capsys, key):
     )
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
     assert f"config error: unitary-vs-collapse.{key}: must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "scenario, params, keys",
+    [
+        ("gas-equilibrium", "t_max = 1e6\n", "n_excited * decay_rate * t_max = 5e+07"),
+        ("unitary-vs-collapse", "collapse_rate = 1e3\nt_max = 1e6\n", "collapse_rate * t_max = 1e+09"),
+    ],
+    ids=["gas", "collapse"],
+)
+def test_unbounded_work_is_a_config_error(tmp_path, capsys, scenario, params, keys):
+    # such a horizon used to run for minutes or longer, holding every event in memory
+    config = write_config(tmp_path, f"[run]\nscenario = {scenario}\nseed = 1\n[{scenario}]\n{params}")
+    start = time.perf_counter()
+    code = main(["run", "--config", str(config), "--out", str(tmp_path / "out")])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert f"config error: {scenario}: {keys} expected" in capsys.readouterr().err
 
 
 def test_unexpected_exception_exits_three_without_traceback(tmp_path, monkeypatch, capsys):

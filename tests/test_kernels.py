@@ -7,6 +7,9 @@ and then steps through ``Propagator.evolve``, ``decohere`` and
 rejecting invalid input. Both must also stay bit-equal to the reference
 expressions below, written out here as the package computed them before the
 kernels were split off: the golden output digests depend on every last bit.
+The scenario's lockstep ensemble stacks states, so a stacked
+``Propagator.evolve`` and the scenario's stacked qubit entropy must equal
+the 2-D calls on each matrix of the stack, bit for bit.
 """
 
 import numpy as np
@@ -17,6 +20,7 @@ from hypothesis.extra.numpy import arrays
 
 from stosszahl.evolution import Propagator, evolve_unitary, propagator
 from stosszahl.measurement import decohere, process1
+from stosszahl.scenarios import _qubit_entropies
 from stosszahl.states import spectral_entropy, vn_entropy
 
 def reference_evolve(rho, h, t):
@@ -111,6 +115,65 @@ def test_spectral_entropy_equals_vn_entropy(system):
         expected = reference_entropy(state)
         assert spectral_entropy(state) == expected
         assert vn_entropy(state) == expected
+
+
+# --- stacked kernels are bit-equal to the 2-D calls ----------------------------
+
+@st.composite
+def stacks(draw):
+    """A Hamiltonian of dimension 1..64, a stack of matrices of its shape, one time each."""
+    d = draw(st.integers(min_value=1, max_value=64))
+    n = draw(st.integers(min_value=1, max_value=4))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    stack = rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))
+    return (a + a.conj().T) / 2.0, stack, draw(st.lists(times, min_size=n, max_size=n))
+
+
+@given(stacks())
+def test_stacked_evolve_equals_the_2d_call(system):
+    h, stack, ts = system
+    unitary = Propagator(h)
+    per_matrix = unitary.evolve(stack, np.array(ts))
+    shared = unitary.evolve(stack, ts[0])
+    one_state = unitary.evolve(stack[0], np.array(ts))
+    for a, t, each, same, first in zip(stack, ts, per_matrix, shared, one_state):
+        assert np.array_equal(each, unitary.evolve(a, t))
+        assert np.array_equal(same, unitary.evolve(a, ts[0]))
+        assert np.array_equal(first, unitary.evolve(stack[0], t))
+    assert np.array_equal(unitary.unitary(np.array(ts)), [unitary.unitary(t) for t in ts])
+
+
+# A zero, a roundoff-negative and a subnormal eigenvalue, and equal ones.
+EDGE_WEIGHTS = (0.0, -1e-17, 5e-324, 1e-300, 0.5, 1.0)
+
+
+@st.composite
+def qubit_states(draw):
+    """Mixed, pure, and diagonal or rotated states with edge-case eigenvalues."""
+    kind = draw(st.sampled_from(["mixed", "pure", "edge"]))
+    if kind == "mixed":
+        return draw(density_matrices(2))
+    if kind == "pure":
+        v = draw(complex_matrices(2))[:, 0]
+        norm_sq = np.vdot(v, v).real
+        assume(norm_sq > 1e-3)
+        return np.outer(v, v.conj()) / norm_sq
+    w = draw(st.sampled_from(EDGE_WEIGHTS))
+    rho = np.diag([w, 1.0 - w]).astype(complex)
+    if draw(st.booleans()):
+        q = draw(unitary_bases(2))
+        rho = (q * np.diag(rho)) @ q.conj().T
+    return rho
+
+
+@given(st.lists(qubit_states(), min_size=1, max_size=12))
+def test_stacked_qubit_entropy_equals_spectral_entropy(states):
+    got = _qubit_entropies(np.stack(states))
+    expected = np.array([spectral_entropy(rho) for rho in states])
+    assert got.shape == expected.shape
+    # bit for bit, the sign of a zero included
+    assert got.tobytes() == expected.tobytes()
 
 
 # --- the validating functions still reject -----------------------------------
