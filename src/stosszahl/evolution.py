@@ -7,7 +7,10 @@ with the opposite sign, U^dag O U, so that Tr(rho(t) O) = Tr(rho O(t)).
 
 :class:`Propagator` validates and decomposes one Hamiltonian once and then
 steps states without further checks; the functions below validate their
-arguments on every call and then use it.
+arguments on every call and then use it. They keep the :class:`Propagator`
+of the last Hamiltonian they were given and reuse it while the next one is
+bit-equal, so a caller that passes one Hamiltonian many times pays its
+validation and decomposition once.
 """
 
 from __future__ import annotations
@@ -57,9 +60,28 @@ class Propagator:
         return (out + out.conj().swapaxes(-1, -2)) / 2.0
 
 
+# (shape and bytes of the complex Hamiltonian, its Propagator) of the last
+# Hamiltonian the functions below were given.
+_last_propagator = (None, None)
+
+
+def _propagator_of(hamiltonian) -> Propagator:
+    """The Propagator of ``hamiltonian``, reused when it is bit-equal to the last one.
+
+    A miss validates and decomposes it as ``Propagator`` does; a Hamiltonian
+    that fails validation is never kept.
+    """
+    global _last_propagator
+    h = np.asarray(hamiltonian, dtype=complex)
+    key = (h.shape, h.tobytes())
+    if _last_propagator[0] != key:
+        _last_propagator = (key, Propagator(h))
+    return _last_propagator[1]
+
+
 def propagator(hamiltonian, t: float) -> np.ndarray:
     """Unitary exp(-iHt) via eigendecomposition of the Hamiltonian."""
-    return Propagator(hamiltonian).unitary(t)
+    return _propagator_of(hamiltonian).unitary(t)
 
 
 def evolve_unitary(rho, hamiltonian, t: float) -> np.ndarray:
@@ -69,7 +91,7 @@ def evolve_unitary(rho, hamiltonian, t: float) -> np.ndarray:
     von Neumann entropy. Negative t runs the reversible dynamics backwards.
     """
     a = as_density_matrix(rho)
-    unitary = Propagator(hamiltonian)
+    unitary = _propagator_of(hamiltonian)
     if unitary.shape != a.shape:
         raise ValueError(f"dimension mismatch: rho {a.shape} vs hamiltonian {unitary.shape}")
     return unitary.evolve(a, t)
@@ -78,7 +100,7 @@ def evolve_unitary(rho, hamiltonian, t: float) -> np.ndarray:
 def evolve_observable(observable, hamiltonian, t: float) -> np.ndarray:
     """Evolve an observable for time t (adjoint action, sign opposite to states)."""
     o = require_hermitian(observable, name="observable")
-    unitary = Propagator(hamiltonian)
+    unitary = _propagator_of(hamiltonian)
     if unitary.shape != o.shape:
         raise ValueError(
             f"dimension mismatch: observable {o.shape} vs hamiltonian {unitary.shape}"

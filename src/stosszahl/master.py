@@ -11,6 +11,13 @@ different ranges of validity: relative entropy to the equilibrium
 distribution is non-increasing for every generator with a unique
 equilibrium, while the Shannon entropy itself is guaranteed non-decreasing
 only for symmetric (doubly stochastic) generators.
+
+scipy is imported on first use, not with the module: :func:`expm` imports
+``scipy.linalg.expm`` on its first call and :func:`equilibrium` imports
+``null_space`` when it runs, so a process that solves no master equation
+never loads ``scipy.linalg``. :func:`expm` stays a module-level function
+that :func:`_propagate` looks up by name on every call, because the
+benchmark's ``master.expm`` span wraps that attribute.
 """
 
 from __future__ import annotations
@@ -18,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm, null_space
 
 from .csvio import fmt, read_csv, write_csv
 from .states import as_probability_vector, neg_sum_x_ln_x
@@ -135,6 +141,20 @@ def _require_forward(t: float) -> None:
         raise ValueError(f"t = {t!r}: the master equation is not run backwards")
 
 
+# scipy.linalg.expm, bound by the first call of expm.
+_scipy_expm = None
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential by ``scipy.linalg.expm``, imported on the first call."""
+    global _scipy_expm
+    if _scipy_expm is None:
+        from scipy.linalg import expm as scipy_expm
+
+        _scipy_expm = scipy_expm
+    return _scipy_expm(a)
+
+
 def _propagate(m: np.ndarray, p: np.ndarray, t: float) -> np.ndarray:
     """exp(M t) p for a validated generator, initial vector and time.
 
@@ -176,6 +196,8 @@ def equilibrium(matrix) -> np.ndarray:
     Generators whose null space is not one-dimensional (reducible chains)
     are rejected with the measured multiplicity rather than averaged.
     """
+    from scipy.linalg import null_space
+
     m = _require_master(matrix)
     kernel = null_space(m)
     multiplicity = kernel.shape[1]

@@ -50,8 +50,11 @@ def as_measurement_basis(basis, name: str = "basis") -> np.ndarray:
 
 def born_weights(psi, basis) -> np.ndarray:
     """Outcome probabilities |<X_k|psi>|^2 of a pure state in a basis."""
-    v = as_state_vector(psi)
-    b = as_measurement_basis(basis)
+    return _born_weights(as_state_vector(psi), as_measurement_basis(basis))
+
+
+def _born_weights(v: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """:func:`born_weights` of a validated state vector and basis."""
     if b.shape[0] != v.size:
         raise ValueError(f"dimension mismatch: state {v.size} vs basis {b.shape[0]}")
     amplitudes = b.conj().T @ v
@@ -168,12 +171,14 @@ def measure(psi, basis, rng: np.random.Generator) -> tuple[CollapseOutcome, np.n
 
     Samples an outcome with Born-rule weights and returns it together with
     the post-measurement state |X_k>. Measuring the post-state again in the
-    same basis returns the same outcome with probability 1.
+    same basis returns the same outcome with probability 1. The state and
+    basis are validated once; the draw is :func:`collapse_sample`'s, one
+    uniform through :func:`inverse_cdf`.
     """
     v = as_state_vector(psi)
     b = as_measurement_basis(basis)
-    weights = born_weights(v, b)
-    index = collapse_sample(weights, rng)
+    weights = _born_weights(v, b)
+    index = inverse_cdf(weights, rng.random())
     post_state = b[:, index].copy()
     outcome = CollapseOutcome(
         index=index,

@@ -208,9 +208,8 @@ def test_gas_run_with_fewer_quanta_than_half_the_molecules_reports(tmp_path, cap
     assert "scenario gas-equilibrium:" in capsys.readouterr().out
 
 
-def test_cli_import_leaves_scipy_stats_out():
-    # scipy.stats used to cost most of the CLI start-up for one chi-square call
-    probe = "import sys, stosszahl.cli; print('scipy.stats' in sys.modules)"
+def run_probe(probe):
+    """stdout of ``python -c probe`` with this checkout's package on the path."""
     result = subprocess.run(
         [sys.executable, "-c", probe],
         env={**os.environ, "PYTHONPATH": SRC},
@@ -218,20 +217,57 @@ def test_cli_import_leaves_scipy_stats_out():
         text=True,
         check=True,
     )
-    assert result.stdout.strip() == "False"
+    return result.stdout.split()
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    # scipy.stats used to cost most of the CLI start-up for one chi-square call
+    probe = "import sys, stosszahl.cli; print('scipy.stats' in sys.modules)"
+    assert run_probe(probe) == ["False"]
 
 
 def test_cli_import_leaves_scipy_special_out():
     # born-statistics alone needs scipy.special, and imports it when it runs
     probe = "import sys, stosszahl.cli; print('scipy.special' in sys.modules)"
-    result = subprocess.run(
-        [sys.executable, "-c", probe],
-        env={**os.environ, "PYTHONPATH": SRC},
-        capture_output=True,
-        text=True,
-        check=True,
+    assert run_probe(probe) == ["False"]
+
+
+def test_import_loads_no_scipy():
+    # scipy is imported where it is used: scipy.special by born-statistics,
+    # scipy.linalg by the first master-equation solve
+    probe = (
+        "import sys\n"
+        "def scipy_loaded():\n"
+        "    return any(name.split('.')[0] == 'scipy' for name in sys.modules)\n"
+        "import stosszahl\n"
+        "print(scipy_loaded())\n"
+        "import stosszahl.cli\n"
+        "print(scipy_loaded())\n"
     )
-    assert result.stdout.strip() == "False"
+    assert run_probe(probe) == ["False", "False"]
+
+
+@pytest.mark.parametrize(
+    "config, loads_linalg",
+    [
+        (None, False),
+        ("unitary_vs_collapse.cfg", False),
+        ("born_statistics.cfg", False),
+        ("two_state_relaxation.cfg", True),
+    ],
+)
+def test_only_master_solves_load_scipy_linalg(tmp_path, config, loads_linalg):
+    command = ["list-scenarios"]
+    if config is not None:
+        path = Path(SRC).parent / "configs" / config
+        command = ["run", "--config", str(path), "--out", str(tmp_path)]
+    probe = (
+        "import sys\n"
+        "from stosszahl.cli import main\n"
+        f"code = main({command!r})\n"
+        "print(code, 'scipy.linalg' in sys.modules)\n"
+    )
+    assert run_probe(probe)[-2:] == ["0", str(loads_linalg)]
 
 
 def test_born_zero_weight_outcome_leaves_the_chi_square_sum(tmp_path):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from stosszahl.evolution import evolve_observable, evolve_unitary, propagator
+from stosszahl import evolution
+from stosszahl.evolution import Propagator, evolve_observable, evolve_unitary, propagator
 from stosszahl.states import density_from_pure, purity, vn_entropy
 
 SQ2 = 1.0 / math.sqrt(2.0)
@@ -130,3 +131,68 @@ def test_dimension_mismatch_rejected():
         evolve_unitary(rho, np.eye(3), 1.0)
     with pytest.raises(ValueError, match="dimension mismatch"):
         evolve_observable(np.eye(2), np.eye(3), 1.0)
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Start from an empty memo and record every Propagator the functions build."""
+    hamiltonians = []
+
+    class Counted(Propagator):
+        def __init__(self, hamiltonian):
+            hamiltonians.append(hamiltonian)
+            super().__init__(hamiltonian)
+
+    monkeypatch.setattr(evolution, "Propagator", Counted)
+    monkeypatch.setattr(evolution, "_last_propagator", (None, None))
+    return hamiltonians
+
+
+def test_memo_hit_equals_a_fresh_propagator(built):
+    rng = np.random.default_rng(21)
+    for d in (1, 2, 7, 64):
+        h = random_hermitian(rng, d, scale=3.0)
+        rho = random_density(rng, d)
+        fresh = Propagator(h)
+        for t in (0.4, -1.3):
+            expected = fresh.evolve(rho.astype(complex), t)
+            assert np.array_equal(evolve_unitary(rho, h, t), expected)
+            assert np.array_equal(evolve_unitary(rho, h.copy(), t), expected)
+            assert np.array_equal(propagator(h, t), fresh.unitary(t))
+            u = fresh.unitary(t)
+            out = u.conj().T @ rho @ u
+            assert np.array_equal(evolve_observable(rho, h, t), (out + out.conj().T) / 2.0)
+        # the memo built one Propagator for all three functions and both times
+        assert len(built) == 1
+        built.clear()
+
+
+def test_flipping_one_entry_misses_the_memo(built):
+    rng = np.random.default_rng(22)
+    h = random_hermitian(rng, 4)
+    rho = random_density(rng, 4)
+    evolve_unitary(rho, h, 1.0)
+    flipped = h.copy()
+    flipped[2, 2] = np.nextafter(flipped[2, 2].real, np.inf)
+    assert np.array_equal(evolve_unitary(rho, flipped, 1.0), Propagator(flipped).evolve(rho, 1.0))
+    evolve_unitary(rho, flipped, 1.0)
+    assert len(built) == 2
+    # the same bytes under another shape are another Hamiltonian
+    with pytest.raises(ValueError, match="must be square"):
+        propagator(flipped.ravel(), 1.0)
+    assert len(built) == 3
+
+
+def test_memo_keeps_rejecting_invalid_hamiltonians(built):
+    h = np.array([[1.0, 0.3], [0.3, -1.0]])
+    rho = np.diag([0.7, 0.3])
+    evolve_unitary(rho, h, 0.5)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        evolve_unitary(rho, np.array([[1.0, 0.3], [0.0, -1.0]]), 0.5)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        propagator([[0.0, 1.0], [-1.0, 0.0]], 0.5)
+    with pytest.raises(ValueError, match="exceeds the configured cap"):
+        propagator(np.eye(65), 0.5)
+    # the rejected Hamiltonians were never kept: h is still a hit
+    evolve_unitary(rho, h, 0.5)
+    assert len(built) == 4

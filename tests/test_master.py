@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from stosszahl import master
 from stosszahl.master import (
     as_rate_matrix,
     build_master_operator,
@@ -285,6 +287,28 @@ def test_series_equals_the_validating_per_point_functions():
             p_t = evolve_probabilities(m, p0, float(t))
             expected.append((float(t), shannon_entropy(p_t), relative_entropy(p_t, p_eq)))
         assert entropy_series(m, p0, grid) == expected
+
+
+def test_every_exponential_goes_through_the_module_attribute(monkeypatch):
+    # The benchmark's master.expm span wraps this attribute before any solve,
+    # so the first call, which imports scipy, must not rebind it either.
+    monkeypatch.setattr(master, "_scipy_expm", None)
+    calls = []
+    lazy = master.expm
+
+    def counted(a):
+        calls.append(a.shape)
+        return lazy(a)
+
+    monkeypatch.setattr(master, "expm", counted)
+    m = build_master_operator([[0.0, 2.0, 0.5], [1.0, 0.0, 1.0], [0.0, 3.0, 0.0]])
+    p_t = evolve_probabilities(m, [1.0, 0.0, 0.0], 0.7)
+    assert calls == [(3, 3)]
+    assert master.expm is counted
+    assert np.array_equal(p_t, scipy.linalg.expm(m * 0.7) @ np.array([1.0, 0.0, 0.0]))
+    grid = np.linspace(0.0, 2.0, 9)
+    assert len(entropy_series(m, [1.0, 0.0, 0.0], grid)) == grid.size
+    assert len(calls) == 1 + grid.size
 
 
 def test_series_rejects_bad_inputs_before_stepping():

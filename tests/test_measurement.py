@@ -3,6 +3,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.stats import chisquare
 
 from stosszahl.measurement import (
@@ -271,6 +274,33 @@ def test_measure_histogram_matches_born_weights():
         counts[outcome.index] += 1
     sigma = math.sqrt((1 / 3) * (2 / 3) / n)
     assert abs(counts[0] / n - 1 / 3) < 3 * sigma
+
+
+@given(
+    d=st.integers(min_value=1, max_value=8),
+    basis_seed=st.integers(min_value=0, max_value=2**32 - 1),
+    entries=arrays(np.float64, 16, elements=st.floats(min_value=-4.0, max_value=4.0)),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_measure_equals_born_weights_then_collapse_sample(d, basis_seed, entries, seed):
+    # measure validates its state and basis once and draws through inverse_cdf;
+    # the outcome, weight, post-state and uniforms used must stay those of the
+    # two public steps
+    psi = entries[:d] + 1j * entries[8 : 8 + d]
+    norm = np.linalg.norm(psi)
+    assume(norm > 1e-3)
+    psi = psi / norm
+    basis = random_basis(np.random.default_rng(basis_seed), d)
+    rng = np.random.default_rng(seed)
+    reference_rng = np.random.default_rng(seed)
+    outcome, post = measure(psi, basis, rng)
+    weights = born_weights(psi, basis)
+    index = collapse_sample(weights, reference_rng)
+    assert outcome.index == index
+    assert outcome.weight == float(weights[index])
+    assert np.array_equal(post, basis[:, index])
+    assert np.array_equal(outcome.projector, np.outer(post, post.conj()))
+    assert rng.random() == reference_rng.random()
 
 
 def test_outcome_projector_and_weight():
