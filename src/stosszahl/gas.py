@@ -50,10 +50,10 @@ time, bit for bit, and leaves every generator where those draws would.
 
 Batches: :func:`iter_ensemble` yields one ``(ledger, bounds)`` batch per
 call of :func:`run`, its ledger holding the members' events member after
-member. :func:`audit_ledger`, :func:`empirical_rates` and
-:func:`batch_left_counts` take such a ledger with its bounds and treat
-every member as if alone; their results equal the calls on each member's
-rows, bit for bit.
+member. :func:`audit_ledger` and :func:`batch_left_counts` take such a
+ledger with its bounds and treat every member as if alone, bit for bit;
+:func:`empirical_rates` adds the batch to one pooled tally, equal bit for
+bit to adding the members' lone tallies in member order.
 
 Coarse graining: the macro-observable is k, the number of excited molecules
 in the left half (ids below N/2). Its Boltzmann entropy is the log
@@ -86,10 +86,10 @@ class GasConfig:
     """Parameters of one gas realization.
 
     ``delay`` is the emission-to-absorption propagation delay and must be
-    strictly positive so the event ordering invariant t_emit < t_absorb is
-    sharp; it defaults to 1e-6 / decay_rate. ``coupling`` is None for uniform
-    weights over the confirmation set, or an (N, N) table of nonnegative
-    per-pair weights indexed [emitter, absorber].
+    above half the float spacing at t_max, so the event ordering invariant
+    t_emit < t_absorb holds in floats; it defaults to 1e-6 / decay_rate.
+    ``coupling`` is None for uniform weights over the confirmation set, or an
+    (N, N) table of nonnegative per-pair weights indexed [emitter, absorber].
     """
 
     n_molecules: int
@@ -116,6 +116,12 @@ class GasConfig:
         if not self.delay > 0.0:
             raise ValueError(
                 f"delay must be strictly positive to keep emission before absorption, got {self.delay}"
+            )
+        # Every recorded t_e is below t_max, so its float spacing is at most ulp(t_max).
+        if not self.delay > math.ulp(self.t_max) / 2:
+            raise ValueError(
+                f"delay {self.delay!r} must exceed half the float spacing {math.ulp(self.t_max)!r} "
+                f"at t_max = {self.t_max!r}, or t_e + delay rounds back to t_e"
             )
         if self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
@@ -321,7 +327,7 @@ def _entropy_table(n_molecules: int, n_excited: int) -> tuple[int, np.ndarray]:
 _UNIFORM_BLOCK = 768
 _TRIPLES = _UNIFORM_BLOCK // 3
 # Ensemble members that :func:`iter_ensemble` steps together in one call of run.
-_MEMBERS_PER_RUN = 64
+_MEMBERS_PER_RUN = 256
 
 
 def run(config: GasConfig, rng=None):
@@ -333,9 +339,9 @@ def run(config: GasConfig, rng=None):
     member after member, member i owning rows ``bounds[i]:bounds[i + 1]``,
     so one generator gives ``bounds == [0, len(ledger)]``. Each member's
     rows and its generator's final position are those of a lone run on
-    that generator; the audit, the rate estimator and
-    :func:`batch_left_counts` read the batch ledger whole, given the bounds,
-    and :meth:`Trajectory.from_ledger` builds one member's trajectory from
+    that generator; the audit, :func:`batch_left_counts` and the pooled
+    rate tally read the batch ledger whole, given the bounds, and
+    :meth:`Trajectory.from_ledger` builds one member's trajectory from
     its rows. If members meet a confirmation set of zero total weight,
     every member still runs to its end and the :class:`ZeroCouplingError`
     of the lowest such member is raised.
@@ -347,7 +353,7 @@ def run(config: GasConfig, rng=None):
     (``Generator.random(k)`` fills the same doubles as k scalar draws), read
     as 256 (wait, pick, winner) triples. For every member's block at once:
 
-    - waiting times ``-log1p(-u) / (n * decay_rate)``, with ``math.log1p``:
+    - waiting times ``log1p(-u) / -(n * decay_rate)`` with ``math.log1p``:
       ``np.log1p`` may differ from it in the last bit (its SIMD loops do on
       AVX-512 machines);
     - emission and absorption times from a row-wise ``cumsum`` over
@@ -450,10 +456,11 @@ def _step_members(config: GasConfig, rngs: list) -> list[list[tuple]]:
             win_u = np.empty((rows, _TRIPLES))
             for row, member in enumerate(active.tolist()):
                 u = rngs[member].random(_UNIFORM_BLOCK)
-                chain[row, 1::2] = [-log1p(-x) for x in u[0::3].tolist()]
+                chain[row, 1::2] = list(map(log1p, (-u[0::3]).tolist()))
                 pick_u[row] = u[1::3]
                 win_u[row] = u[2::3]
-            chain[:, 1::2] /= total_rate
+            # Equal to -log1p(-u) / rate bit for bit: division is sign-symmetric.
+            chain[:, 1::2] /= -total_rate
             times = chain.cumsum(axis=1, out=chain)
             # Events whose absorption is at or before t_max; the next one is the horizon.
             counts = np.count_nonzero(times[:, 2::2] <= t_max, axis=1)
@@ -574,9 +581,10 @@ def iter_ensemble(config: GasConfig, n_members: int):
     of up to ``_MEMBERS_PER_RUN``, one call of :func:`run` per batch, and
     each batch is yielded as run returns it, in member order: the batch's
     member i owns ledger rows ``bounds[i]:bounds[i + 1]``.
-    :func:`audit_ledger`, :func:`empirical_rates` and
-    :func:`batch_left_counts` take a batch ledger with its bounds;
-    ``ledger[bounds[i]:bounds[i + 1]]`` copies one member's ledger out.
+    :func:`audit_ledger` and :func:`batch_left_counts` take a batch ledger
+    with its bounds, and ``pooled = empirical_rates(config, ledger, bounds,
+    pooled)``, from None, pools the rate tallies, the same bits at any batch
+    width; ``ledger[bounds[i]:bounds[i + 1]]`` copies one member out.
     """
     if n_members < 1:
         raise ValueError(f"n_members must be >= 1, got {n_members}")
@@ -681,8 +689,8 @@ class EmpiricalRates:
         return rates
 
 
-def empirical_rates(config: GasConfig, events, bounds=None):
-    """Estimate transition rates between k labels from one ledger, or per member of a batch.
+def empirical_rates(config: GasConfig, events, bounds=None, pooled=None):
+    """Estimate transition rates between k labels from one ledger, or pool a batch into a tally.
 
     ``events`` is a :class:`Ledger` or raw :func:`read_ledger_raw` rows, assumed to pass
     :func:`audit_ledger`. Each state is labeled by its left-half excited
@@ -690,22 +698,21 @@ def empirical_rates(config: GasConfig, events, bounds=None):
     the last state ends at t_max.
 
     With member row bounds (as :func:`iter_ensemble` yields them) this
-    returns one :class:`EmpiricalRates` per member, None for a member
-    without events, each equal bit for bit to the estimate from that
-    member's rows alone. Every member's dwell times come from one
-    ``bincount`` over ``member * n_labels + label``, which adds each
-    member's dwell weights in event order, and its transition counts from
-    another; pool members by adding their tallies one member at a time.
+    returns a new :class:`EmpiricalRates`, ``pooled`` (None for zero) plus
+    every member's tallies, equal bit for bit to adding each member's lone
+    estimate in member order; a batch without events returns ``pooled``.
+    The transition counts, integers, come from one ``bincount``. The dwell
+    rows come from a ``bincount`` over ``member * n_labels + label``, in
+    event order, and a ``cumsum`` adds them to ``pooled`` in member order.
     """
     ledger = _indexed_ledger(events)[1]
-    batch = bounds is not None
-    if not (batch or len(ledger)):
+    if bounds is None and not len(ledger):
         raise ValueError("cannot estimate rates from an empty ledger")
     bounds, member = _member_rows(bounds, len(ledger))
     sizes = np.diff(bounds)
     n_members = sizes.size
     if not len(ledger):
-        return [None] * n_members
+        return pooled
     t_total = config.t_max
     firsts = bounds[:-1][sizes > 0]
     lasts = bounds[1:][sizes > 0] - 1
@@ -731,18 +738,16 @@ def empirical_rates(config: GasConfig, events, bounds=None):
     ).reshape(n_members, n_labels)
     dwell[np.flatnonzero(sizes), after[lasts]] += t_total - last
     moved = after != before
-    transitions = ((member * n_labels + after) * n_labels + before)[moved]
-    # Unit weights count straight into floats, exactly (casting a counted array costs more);
-    # bincount of no transitions returns int64 whatever the weights, hence the no-copy astype.
     counts = np.bincount(
-        transitions, weights=np.ones(transitions.size), minlength=n_members * n_labels * n_labels
-    ).astype(float, copy=False).reshape(n_members, n_labels, n_labels)
-    if not batch:
-        return EmpiricalRates(counts[0], dwell[0])
-    return [
-        EmpiricalRates(counts[i], dwell[i]) if size else None
-        for i, size in enumerate(sizes.tolist())
-    ]
+        (after * n_labels + before)[moved], minlength=n_labels * n_labels
+    ).reshape(n_labels, n_labels)
+    if pooled is None:
+        pooled = EmpiricalRates(np.zeros((n_labels, n_labels)), np.zeros(n_labels))
+    # A member without events has a zero dwell row, and x + 0.0 is x.
+    return EmpiricalRates(
+        pooled.transition_counts + counts,
+        np.vstack((pooled.dwell_times, dwell)).cumsum(axis=0)[-1],
+    )
 
 
 # --- ledger and trajectory files -------------------------------------------

@@ -89,9 +89,10 @@ def decohere(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     call this on every collapse. Diagonal weights that roundoff makes
     negative are clamped to zero.
     """
-    diagonal = np.einsum("ij,jk,ki->i", b.conj().T, a, b).real
+    b_dagger = b.conj().T
+    diagonal = np.einsum("ij,jk,ki->i", b_dagger, a, b).real
     diagonal = np.where(diagonal < 0.0, 0.0, diagonal)
-    return (b * diagonal) @ b.conj().T
+    return (b * diagonal) @ b_dagger
 
 
 @dataclass(frozen=True)

@@ -467,8 +467,6 @@ def _gas_equilibrium(config: ScenarioConfig, stamp: str | None):
     grid = np.linspace(0.0, gas_config.t_max, p["n_samples"])
     queries = np.concatenate((grid, check_times))
     counts = np.empty((n_seeds, queries.size), dtype=int)
-    # Rate tallies are pooled member by member, in member order (the float sums of
-    # the dwell times depend on it); no per-member rate matrix is kept.
     pooled = None
     # With uniform coupling the kernel writes exactly 1 / (N - n) as every winner weight.
     uniform_weight = None
@@ -494,18 +492,11 @@ def _gas_equilibrium(config: ScenarioConfig, stamp: str | None):
             violation_count += len(audit.violations)
             if uniform_weight is not None:
                 violation_count += int(np.count_nonzero(ledger.winner_weight != uniform_weight))
-            for part in gas_mod.empirical_rates(gas_config, ledger, bounds):
-                if part is None:
-                    continue
-                if pooled is None:
-                    pooled = gas_mod.EmpiricalRates(
-                        part.transition_counts.copy(), part.dwell_times.copy()
-                    )
-                else:
-                    pooled.transition_counts += part.transition_counts
-                    pooled.dwell_times += part.dwell_times
+            pooled = gas_mod.empirical_rates(gas_config, ledger, bounds, pooled)
             if events0 is None:
                 events0 = ledger[bounds[0] : bounds[1]]
+            # Free this batch before the next one is stepped.
+            del ledger, bounds, audit
     except gas_mod.ZeroCouplingError as exc:
         raise ConfigError(f"gas-equilibrium.coupling_table: {exc}") from exc
     if pooled is None:

@@ -18,7 +18,6 @@ from stosszahl.config import SCENARIO_SCHEMAS, ScenarioConfig
 from stosszahl.evolution import evolve_unitary
 from stosszahl.fock import fock_annihilate, fock_create
 from stosszahl.gas import (
-    EmpiricalRates,
     GasConfig,
     audit_ledger,
     batch_left_counts,
@@ -214,7 +213,7 @@ def gas_ensemble():
     counts_check = np.empty((n_seeds, check_times.size), dtype=int)
     violations = 0
     conservation_breaks = 0
-    rate_parts = []
+    pooled = None
     started = time.perf_counter()
     done = 0
     for ledger, bounds in iter_ensemble(config, n_seeds):
@@ -227,7 +226,7 @@ def gas_ensemble():
                 conservation_breaks += 1
         audit = audit_ledger(ledger, n_molecules=100, initial_excited=range(50), bounds=bounds)
         violations += len(audit.violations)
-        rate_parts.extend(empirical_rates(config, ledger, bounds))
+        pooled = empirical_rates(config, ledger, bounds, pooled)
     assert done == n_seeds
     elapsed = time.perf_counter() - started
     return {
@@ -238,10 +237,7 @@ def gas_ensemble():
         "counts_check": counts_check,
         "violations": violations,
         "conservation_breaks": conservation_breaks,
-        "pooled": EmpiricalRates(
-            sum(part.transition_counts for part in rate_parts),
-            sum(part.dwell_times for part in rate_parts),
-        ),
+        "pooled": pooled,
         "elapsed": elapsed,
     }
 

@@ -395,9 +395,14 @@ def write_coupling_table(path, edit, n=10):
         ({}, ((2, 7), math.nan), "gas-equilibrium: coupling weights must be finite"),
         ({"delay": "0.5", "t_max": "0.1", "equilibration_time": "0", "check_times": "0.1"}, None,
          "gas-equilibrium.t_max: no member records an event by t_max"),
+        # t_e + 1e-13 rounds back to t_e from t_e ~ 1024 on; this used to run and
+        # fail ledger_audits_clean with 595,394 violations (exit 1)
+        ({"n_molecules": "4", "n_excited": "2", "t_max": "4000", "delay": "1e-13"}, None,
+         "gas-equilibrium: delay 1e-13 must exceed half the float spacing"),
     ],
     ids=["zero-delay", "more-quanta-than-molecules", "no-quanta", "missing-table",
-         "nonzero-diagonal", "zero-row", "nan-weight", "no-event-by-t-max"],
+         "nonzero-diagonal", "zero-row", "nan-weight", "no-event-by-t-max",
+         "delay-below-clock-spacing"],
 )
 def test_gas_run_rejects_unusable_input_with_exit_two(tmp_path, capsys, params, edit, message):
     # each of these used to end in exit 3 ("internal error: ValueError" or

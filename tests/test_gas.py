@@ -74,6 +74,26 @@ def test_config_rejects_zero_delay():
         make_config(delay=0.0)
 
 
+@pytest.mark.parametrize("fraction", [0.25, 0.5])
+def test_config_rejects_a_delay_the_clock_cannot_add(fraction):
+    # below ulp(t_max) / 2, or at it (a tie rounds to the even neighbour),
+    # t_e + delay rounds back to t_e for emissions in the last binade
+    t_max = 4000.0
+    assert 3000.0 + math.ulp(t_max) / 2 == 3000.0
+    with pytest.raises(ValueError, match="half the float spacing"):
+        make_config(t_max=t_max, delay=math.ulp(t_max) * fraction)
+
+
+@pytest.mark.parametrize("delay", [math.ulp(4000.0), math.nextafter(math.ulp(4000.0) / 2, 1.0)])
+def test_smallest_accepted_delay_keeps_emission_before_absorption(delay):
+    # ~8000 events per member carry t_e up to t_max, where ulp(t_e) = ulp(t_max)
+    config = make_config(n_molecules=4, n_excited=2, t_max=4000.0, delay=delay)
+    _bounds, ledger = run(config)
+    assert ledger.t_e[-1] > 2048.0
+    assert np.all(ledger.t_e < ledger.t_a)
+    assert audit_ledger(ledger, 4, range(2)).passed
+
+
 def test_config_delay_defaults_to_fraction_of_lifetime():
     config = make_config(decay_rate=4.0)
     assert np.isclose(config.delay, 1e-6 / 4.0)
@@ -527,8 +547,8 @@ def test_column_rates_equal_the_replayed_rates():
 
 
 def test_combined_rates_pool_counts_and_dwell(tmp_path):
-    # the gas-equilibrium scenario adds each member's tallies in place; its rate
-    # file must hold the rates of the members' summed counts and dwell times
+    # the gas-equilibrium scenario pools every batch into one tally; its rate
+    # file must hold the rates of the members' lone tallies summed in member order
     schema = SCENARIO_SCHEMAS["gas-equilibrium"]
     params = {key: default for key, (_parse, default) in schema.items()}
     params.update(
@@ -538,9 +558,10 @@ def test_combined_rates_pool_counts_and_dwell(tmp_path):
     run_scenario(ScenarioConfig("gas-equilibrium", seed=43, out_dir=tmp_path, params=params))
     config = make_config(n_molecules=10, n_excited=5, t_max=5.0, seed=43)
     parts = [
-        part
+        empirical_rates(config, ledger[start:stop])
         for ledger, bounds in iter_ensemble(config, 100)
-        for part in empirical_rates(config, ledger, bounds)
+        for start, stop in zip(bounds[:-1], bounds[1:])
+        if stop > start
     ]
     pooled = EmpiricalRates(
         sum(p.transition_counts for p in parts), sum(p.dwell_times for p in parts)

@@ -19,6 +19,7 @@ the calls on each member's rows alone, bit for bit.
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -390,26 +391,30 @@ def test_batch_audit_rates_and_lookups_equal_the_member_calls(config, n_members,
     assert batch.n_events == len(ledger)
     assert batch.inferred_initial_excited == tuple(audit.inferred_initial_excited for audit in lone)
 
-    parts = empirical_rates(config, ledger, bounds)
-    assert len(parts) == n_members
-    pooled_batch = pooled_lone = None
-    for part, member in zip(parts, members):
-        if not len(member):
-            assert part is None
-            continue
-        alone = empirical_rates(config, member)
-        assert part.transition_counts.tobytes() == alone.transition_counts.tobytes()
-        assert part.dwell_times.tobytes() == alone.dwell_times.tobytes()
-        if pooled_batch is None:
-            pooled_batch = [part.transition_counts.copy(), part.dwell_times.copy()]
-            pooled_lone = [alone.transition_counts.copy(), alone.dwell_times.copy()]
+    # the batch tally is the member-order sum of the lone tallies, also when it
+    # is pooled onto the tally of an earlier batch (the batch split at `cut`)
+    pooled_lone = None
+    for member in members:
+        if len(member):
+            alone = empirical_rates(config, member)
+            if pooled_lone is None:
+                pooled_lone = [alone.transition_counts.copy(), alone.dwell_times.copy()]
+            else:
+                pooled_lone[0] += alone.transition_counts
+                pooled_lone[1] += alone.dwell_times
+    cut = data.draw(st.integers(0, n_members - 1))
+    head = empirical_rates(config, ledger[: bounds[cut]], bounds[: cut + 1]) if cut else None
+    tail_bounds = bounds[cut:] - bounds[cut]
+    for pooled in (
+        empirical_rates(config, ledger, bounds),
+        empirical_rates(config, ledger[bounds[cut] :], tail_bounds, head),
+    ):
+        if pooled_lone is None:
+            assert pooled is None
         else:
-            pooled_batch[0] += part.transition_counts
-            pooled_batch[1] += part.dwell_times
-            pooled_lone[0] += alone.transition_counts
-            pooled_lone[1] += alone.dwell_times
-    if pooled_batch is not None:
-        assert [a.tobytes() for a in pooled_batch] == [a.tobytes() for a in pooled_lone]
+            assert [pooled.transition_counts.tobytes(), pooled.dwell_times.tobytes()] == [
+                a.tobytes() for a in pooled_lone
+            ]
 
     queries = np.array(
         data.draw(st.lists(st.floats(0.0, config.t_max), max_size=12))
@@ -458,8 +463,27 @@ def test_member_rates_without_transitions_are_float():
     )
     rngs = [np.random.default_rng(child) for child in np.random.SeedSequence(245454).spawn(4)]
     bounds, ledger = run(config, rngs)
-    alone = empirical_rates(config, ledger[bounds[1]:bounds[2]])
+    member = ledger[bounds[1]:bounds[2]]
+    alone = empirical_rates(config, member)
     assert not alone.transition_counts.any()
-    for rates in (alone, empirical_rates(config, ledger, bounds)[1]):
+    # the same member as a one-member batch, pooled from zero
+    for rates in (alone, empirical_rates(config, member, [0, len(member)])):
         assert rates.transition_counts.dtype == np.float64
         assert rates.rates.dtype == np.float64
+
+
+def test_batch_tally_holds_no_per_member_tally():
+    # one (51, 51) float tally per member of a 256-member batch would take
+    # 256 * 51**2 * 8 bytes; pooling the batch must peak well below that
+    config = GasConfig(n_molecules=100, n_excited=50, decay_rate=1.0, t_max=3.0, seed=3)
+    rngs = [np.random.default_rng(child) for child in np.random.SeedSequence(3).spawn(256)]
+    bounds, ledger = run(config, rngs)
+    assert len(ledger) > 30_000
+    tracemalloc.start()
+    try:
+        pooled = empirical_rates(config, ledger, bounds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pooled.transition_counts.shape == (51, 51)
+    assert peak < 256 * 51 * 51 * 8

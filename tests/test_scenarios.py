@@ -250,6 +250,37 @@ def test_gas_coupling_table_rows_are_emitters(tmp_path):
         assert weight == pytest.approx(w[absorber] / (sum(w) - w[emitter]), rel=1e-12)
 
 
+@pytest.mark.parametrize("coupled", [False, True], ids=["uniform", "coupling-table"])
+def test_gas_outputs_do_not_depend_on_the_batch_width(tmp_path, monkeypatch, coupled):
+    # the dwell sums are pooled in member order whatever the batch width, so a
+    # width of one member, a width that splits the ensemble unevenly and the
+    # kernel's own width must write the same bytes
+    overrides = {}
+    if coupled:
+        table = np.random.default_rng(5).random((10, 10))
+        table = table + table.T
+        np.fill_diagonal(table, 0.0)
+        path = tmp_path / "coupling.csv"
+        path.write_text(
+            ",".join(f"m{i}" for i in range(10)) + "\n"
+            + "".join(",".join(repr(float(x)) for x in row) + "\n" for row in table)
+        )
+        overrides["coupling_table"] = str(path)
+    outputs = {}
+    for width in (1, 7, 64, 256):
+        monkeypatch.setattr(gas, "_MEMBERS_PER_RUN", width)
+        out_dir = tmp_path / f"width{width}"
+        run_scenario(make_config(
+            "gas-equilibrium", out_dir, seed=9, n_molecules=10, n_excited=5, t_max=5.0,
+            n_seeds=300, n_samples=11, equilibration_time=2.0, check_times=(1.0, 2.0, 5.0),
+            **overrides,
+        ))
+        outputs[width] = {path.name: path.read_bytes() for path in sorted(out_dir.iterdir())}
+    assert len(outputs[1]) == 5
+    for width in (7, 64, 256):
+        assert outputs[width] == outputs[1], width
+
+
 def test_one_timestamp_stamp_per_run(tmp_path):
     config = make_config(
         "gas-equilibrium",
