@@ -56,8 +56,17 @@ class Propagator:
         roundoff.
         """
         u = self.unitary(t)
-        out = u @ a @ u.conj().swapaxes(-1, -2)
-        return (out + out.conj().swapaxes(-1, -2)) / 2.0
+        return apply_unitary(u, u.conj().swapaxes(-1, -2), a)
+
+
+def apply_unitary(u: np.ndarray, u_dagger: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """u a u^dag, re-symmetrized: :meth:`Propagator.evolve` with U formed by the caller.
+
+    ``u_dagger`` is ``u.conj().swapaxes(-1, -2)``; a loop that steps by one
+    time forms both once and gets the bits of ``evolve`` at every step.
+    """
+    out = u @ a @ u_dagger
+    return (out + out.conj().swapaxes(-1, -2)) / 2.0
 
 
 # (shape and bytes of the complex Hamiltonian, its Propagator) of the last

@@ -700,10 +700,11 @@ def empirical_rates(config: GasConfig, events, bounds=None, pooled=None):
     With member row bounds (as :func:`iter_ensemble` yields them) this
     returns a new :class:`EmpiricalRates`, ``pooled`` (None for zero) plus
     every member's tallies, equal bit for bit to adding each member's lone
-    estimate in member order; a batch without events returns ``pooled``.
-    The transition counts, integers, come from one ``bincount``. The dwell
-    rows come from a ``bincount`` over ``member * n_labels + label``, in
-    event order, and a ``cumsum`` adds them to ``pooled`` in member order.
+    estimate in member order. A member without events adds a dwell of t_max
+    in the initial label, where it sat for the whole run. The transition
+    counts, integers, come from one ``bincount``. The dwell rows come from a
+    ``bincount`` over ``member * n_labels + label``, in event order, and a
+    ``cumsum`` adds them to ``pooled`` in member order.
     """
     ledger = _indexed_ledger(events)[1]
     if bounds is None and not len(ledger):
@@ -711,8 +712,6 @@ def empirical_rates(config: GasConfig, events, bounds=None, pooled=None):
     bounds, member = _member_rows(bounds, len(ledger))
     sizes = np.diff(bounds)
     n_members = sizes.size
-    if not len(ledger):
-        return pooled
     t_total = config.t_max
     firsts = bounds[:-1][sizes > 0]
     lasts = bounds[1:][sizes > 0] - 1
@@ -732,18 +731,19 @@ def empirical_rates(config: GasConfig, events, bounds=None, pooled=None):
     before[firsts] = labels[0]
     spans = np.diff(ledger.t_a, prepend=0.0)
     spans[firsts] = ledger.t_a[firsts]
-    # bincount adds the weights of each label in event order, as a replay would.
+    # bincount adds the weights of each label in event order, as a replay
+    # would; over no rows it returns int64 whatever its weights.
     dwell = np.bincount(
         member * n_labels + before, weights=spans, minlength=n_members * n_labels
-    ).reshape(n_members, n_labels)
+    ).reshape(n_members, n_labels).astype(float, copy=False)
     dwell[np.flatnonzero(sizes), after[lasts]] += t_total - last
+    dwell[sizes == 0, labels[0]] = t_total
     moved = after != before
     counts = np.bincount(
         (after * n_labels + before)[moved], minlength=n_labels * n_labels
     ).reshape(n_labels, n_labels)
     if pooled is None:
         pooled = EmpiricalRates(np.zeros((n_labels, n_labels)), np.zeros(n_labels))
-    # A member without events has a zero dwell row, and x + 0.0 is x.
     return EmpiricalRates(
         pooled.transition_counts + counts,
         np.vstack((pooled.dwell_times, dwell)).cumsum(axis=0)[-1],

@@ -91,7 +91,7 @@ def decohere(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     b_dagger = b.conj().T
     diagonal = np.einsum("ij,jk,ki->i", b_dagger, a, b).real
-    diagonal = np.where(diagonal < 0.0, 0.0, diagonal)
+    diagonal[diagonal < 0.0] = 0.0
     return (b * diagonal) @ b_dagger
 
 

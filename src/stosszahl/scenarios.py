@@ -29,13 +29,14 @@ from .csvio import fmt, write_csv
 # here, and the lockstep collapse ensemble looks ``decohere`` up here once per
 # collapse, one member's state per call, even though it stacks the evolution
 # and the entropies of the members.
-from .evolution import Propagator, evolve_unitary  # noqa: F401
+from .evolution import Propagator, apply_unitary, evolve_unitary  # noqa: F401
 from .measurement import as_measurement_basis, decohere, sample_outcome_counts
 from .states import (
     as_density_matrix,
     as_probability_vector,
     density_from_pure,
     shannon_entropy,
+    suspect_density_matrices,
     vn_entropy,
 )
 
@@ -59,6 +60,8 @@ MAX_EXPECTED_EVENTS_PER_MEMBER = 1e6
 # The most states one stacked numpy call of unitary-vs-collapse takes: a
 # block of collapse members, branch A's steps or the sample grid.
 _STACK = 256
+# Uniforms a collapse member draws from its generator at a time.
+_CLOCK_DRAWS = 8
 
 SCENARIO_CHECKS: dict[str, tuple[str, ...]] = {
     "two-state-relaxation": ("solver_matches_closed_form", "equilibrium_matches_rates"),
@@ -249,17 +252,19 @@ def _unitary_vs_collapse(config: ScenarioConfig, stamp: str | None):
     )
 
     # Branch A: pure Liouville evolution, entropy must stay put. Each step
-    # starts from the last, so the states are stepped one by one and only
-    # their entropies are stacked.
+    # starts from the last, so the states are stepped one by one, by one
+    # U(dt) formed once, and only their entropies are stacked.
     entropy_0 = vn_entropy(rho0)  # validates rho0
     rho = rho0
     drift = 0.0
     dt = t_max / p["n_unitary_steps"]
+    u = unitary.unitary(dt)
+    u_dagger = u.conj().swapaxes(-1, -2)
     steps = np.empty((min(p["n_unitary_steps"], _STACK), 2, 2), dtype=complex)
     for first in range(0, p["n_unitary_steps"], _STACK):
         block = steps[: min(_STACK, p["n_unitary_steps"] - first)]
         for i in range(block.shape[0]):
-            rho = unitary.evolve(rho, dt)
+            rho = apply_unitary(u, u_dagger, rho)
             block[i] = rho
         drift = max(drift, float(np.max(np.abs(_qubit_entropies(block) - entropy_0))))
     as_density_matrix(rho, name="unitary branch final state")
@@ -273,10 +278,11 @@ def _unitary_vs_collapse(config: ScenarioConfig, stamp: str | None):
         clock, entropies, states = _collapse_members(
             unitary, basis, rho0, entropy_0, rate, t_max, block
         )
-        # Checks and the mean run in member order, as the float sums need;
-        # the inf that pads a member's times lies past every grid point.
-        for row in range(len(block)):
+        for row in suspect_density_matrices(states):
             as_density_matrix(states[row], name=f"collapse member {first + row} final state")
+        # The mean runs in member order, as the float sums need; the inf
+        # that pads a member's times lies past every grid point.
+        for row in range(len(block)):
             idx = np.searchsorted(clock[row], grid, side="right") - 1
             mean_entropy += entropies[row][idx]
     mean_entropy /= p["n_seeds"]
@@ -347,14 +353,19 @@ def _collapse_members(unitary, basis, rho0, entropy_0, rate, t_max, children):
 
 
 def _collapse_times(rng, rate: float, t_max: float) -> list[float]:
-    """Poisson-clocked collapse times up to ``t_max``, one uniform per gap."""
+    """Poisson-clocked collapse times up to ``t_max``, one uniform per gap.
+
+    ``Generator.random(k)`` yields the same doubles as k scalar draws, and
+    the caller discards ``rng`` afterwards, so unused uniforms change nothing.
+    """
     times = []
     t = 0.0
     while True:
-        t += -math.log1p(-rng.random()) / rate
-        if t > t_max:
-            return times
-        times.append(t)
+        for u in rng.random(_CLOCK_DRAWS).tolist():
+            t += -math.log1p(-u) / rate
+            if t > t_max:
+                return times
+            times.append(t)
 
 
 def _qubit_entropies(states: np.ndarray) -> np.ndarray:
@@ -473,6 +484,7 @@ def _gas_equilibrium(config: ScenarioConfig, stamp: str | None):
     if coupling is None:
         uniform_weight = 1.0 / (gas_config.n_molecules - gas_config.n_excited)
     violation_count = 0
+    n_events = 0
     events0 = None
     done = 0
 
@@ -492,6 +504,7 @@ def _gas_equilibrium(config: ScenarioConfig, stamp: str | None):
             violation_count += len(audit.violations)
             if uniform_weight is not None:
                 violation_count += int(np.count_nonzero(ledger.winner_weight != uniform_weight))
+            n_events += len(ledger)
             pooled = gas_mod.empirical_rates(gas_config, ledger, bounds, pooled)
             if events0 is None:
                 events0 = ledger[bounds[0] : bounds[1]]
@@ -499,7 +512,7 @@ def _gas_equilibrium(config: ScenarioConfig, stamp: str | None):
             del ledger, bounds, audit
     except gas_mod.ZeroCouplingError as exc:
         raise ConfigError(f"gas-equilibrium.coupling_table: {exc}") from exc
-    if pooled is None:
+    if not n_events:
         raise ConfigError(
             "gas-equilibrium.t_max: no member records an event by t_max, "
             "so there are no rates to estimate"

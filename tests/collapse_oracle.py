@@ -5,7 +5,9 @@ kernels: branch A steps and takes ``spectral_entropy`` after every step, and
 branch B runs each collapse member to its horizon before the next one starts,
 with one ``Propagator.evolve``, ``decohere`` and ``spectral_entropy`` call
 per collapse. It defines what the scenario's lockstep ensemble must produce
-bit for bit. Nothing in ``src/`` calls it.
+bit for bit. ``where_pinching`` is ``decohere`` as it was written before it
+clamped in place, through ``np.where``; ``decohere`` must stay bit-equal to
+it. Nothing in ``src/`` calls either.
 """
 
 import math
@@ -61,3 +63,10 @@ def unitary_vs_collapse(params: dict, seed: int):
     unitary_entropy = [spectral_entropy(unitary.evolve(rho0, float(t))) for t in grid]
     rows = [[fmt(t), fmt(su), fmt(sc)] for t, su, sc in zip(grid, unitary_entropy, mean_entropy)]
     return rows, drift, float(mean_entropy[-1]), collapses
+
+
+def where_pinching(rho, basis):
+    """The pinching of ``decohere``, its negative roundoff clamped by ``np.where``."""
+    diagonal = np.einsum("ij,jk,ki->i", basis.conj().T, rho, basis).real
+    diagonal = np.where(diagonal < 0.0, 0.0, diagonal)
+    return (basis * diagonal) @ basis.conj().T

@@ -348,7 +348,7 @@ def _to_trace_two(kernel):
 @pytest.mark.parametrize(
     "target, attr, failing_state",
     [
-        (scenarios.Propagator, "evolve", "unitary branch final state"),
+        (scenarios, "apply_unitary", "unitary branch final state"),
         (scenarios, "decohere", "collapse member 0 final state"),
     ],
     ids=["propagator", "decohere"],

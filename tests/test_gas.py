@@ -546,6 +546,23 @@ def test_column_rates_equal_the_replayed_rates():
         assert np.array_equal(estimate.dwell_times, dwell)
 
 
+def test_pooled_rates_count_the_dwell_of_members_without_events():
+    # at k = 5 of 10 molecules with 5 quanta every quantum is on the left, so
+    # the exact exit rate is decay_rate * 5 * 5 / 5 = 5; over t_max = 0.1 most
+    # members record no event and sat at k = 5 all along
+    config = make_config(n_molecules=10, n_excited=5, t_max=0.1, seed=7)
+    pooled = None
+    empty = 0
+    for ledger, bounds in iter_ensemble(config, 2000):
+        empty += int(np.count_nonzero(np.diff(bounds) == 0))
+        pooled = empirical_rates(config, ledger, bounds, pooled)
+    assert empty == 1181
+    exits = pooled.transition_counts[:, 5].sum()
+    # within 4 standard errors of a Poisson count; without the empty members'
+    # dwell it read 22.3
+    assert abs(pooled.rates[:, 5].sum() - 5.0) <= 4.0 * 5.0 / math.sqrt(exits)
+
+
 def test_combined_rates_pool_counts_and_dwell(tmp_path):
     # the gas-equilibrium scenario pools every batch into one tally; its rate
     # file must hold the rates of the members' lone tallies summed in member order

@@ -392,16 +392,18 @@ def test_batch_audit_rates_and_lookups_equal_the_member_calls(config, n_members,
     assert batch.inferred_initial_excited == tuple(audit.inferred_initial_excited for audit in lone)
 
     # the batch tally is the member-order sum of the lone tallies, also when it
-    # is pooled onto the tally of an earlier batch (the batch split at `cut`)
-    pooled_lone = None
+    # is pooled onto the tally of an earlier batch (the batch split at `cut`);
+    # a member without events adds t_max to the dwell of its initial label
+    n_labels = (config.n_molecules + 1) // 2 + 1
+    pooled_lone = [np.zeros((n_labels, n_labels)), np.zeros(n_labels)]
     for member in members:
         if len(member):
             alone = empirical_rates(config, member)
-            if pooled_lone is None:
-                pooled_lone = [alone.transition_counts.copy(), alone.dwell_times.copy()]
-            else:
-                pooled_lone[0] += alone.transition_counts
-                pooled_lone[1] += alone.dwell_times
+            pooled_lone[0] += alone.transition_counts
+            pooled_lone[1] += alone.dwell_times
+        else:
+            initial = Trajectory.from_ledger(config, member).left_counts_at(np.array([0.0]))[0]
+            pooled_lone[1][initial] += config.t_max
     cut = data.draw(st.integers(0, n_members - 1))
     head = empirical_rates(config, ledger[: bounds[cut]], bounds[: cut + 1]) if cut else None
     tail_bounds = bounds[cut:] - bounds[cut]
@@ -409,12 +411,9 @@ def test_batch_audit_rates_and_lookups_equal_the_member_calls(config, n_members,
         empirical_rates(config, ledger, bounds),
         empirical_rates(config, ledger[bounds[cut] :], tail_bounds, head),
     ):
-        if pooled_lone is None:
-            assert pooled is None
-        else:
-            assert [pooled.transition_counts.tobytes(), pooled.dwell_times.tobytes()] == [
-                a.tobytes() for a in pooled_lone
-            ]
+        assert [pooled.transition_counts.tobytes(), pooled.dwell_times.tobytes()] == [
+            a.tobytes() for a in pooled_lone
+        ]
 
     queries = np.array(
         data.draw(st.lists(st.floats(0.0, config.t_max), max_size=12))

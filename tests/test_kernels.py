@@ -5,11 +5,15 @@ and then steps through ``Propagator.evolve``, ``decohere`` and
 ``spectral_entropy``. On valid input these must be bit-equal to
 ``evolve_unitary``, ``process1`` and ``vn_entropy``, which in turn must keep
 rejecting invalid input. Both must also stay bit-equal to the reference
-expressions below, written out here as the package computed them before the
-kernels were split off: the golden output digests depend on every last bit.
+expressions below and ``where_pinching`` in ``collapse_oracle``, written out
+as the package computed them before the kernels were split off: the golden
+output digests depend on every last bit.
 The scenario's lockstep ensemble stacks states, so a stacked
 ``Propagator.evolve`` and the scenario's stacked qubit entropy must equal
-the 2-D calls on each matrix of the stack, bit for bit.
+the 2-D calls on each matrix of the stack, bit for bit, and so must
+``apply_unitary`` with a U formed once, which the scenario's unitary branch
+steps with. ``decohere`` clamps negative roundoff in place; it must equal the
+``np.where`` form bit for bit, signs of zero and NaNs included, for d = 1..64.
 """
 
 import numpy as np
@@ -18,7 +22,8 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from stosszahl.evolution import Propagator, evolve_unitary, propagator
+from collapse_oracle import where_pinching
+from stosszahl.evolution import Propagator, apply_unitary, evolve_unitary, propagator
 from stosszahl.measurement import decohere, process1
 from stosszahl.scenarios import _qubit_entropies
 from stosszahl.states import spectral_entropy, vn_entropy
@@ -28,12 +33,6 @@ def reference_evolve(rho, h, t):
     u = (v * np.exp(-1j * eigenvalues * t)) @ v.conj().T
     out = u @ rho @ u.conj().T
     return (out + out.conj().T) / 2.0
-
-
-def reference_pinching(rho, basis):
-    diagonal = np.einsum("ij,jk,ki->i", basis.conj().T, rho, basis).real
-    diagonal = np.where(diagonal < 0.0, 0.0, diagonal)
-    return (basis * diagonal) @ basis.conj().T
 
 
 def reference_entropy(rho):
@@ -103,7 +102,7 @@ def test_propagator_equals_evolve_unitary(system):
 @given(systems())
 def test_decohere_equals_process1(system):
     _h, rho, basis, _t = system
-    expected = reference_pinching(rho, basis)
+    expected = where_pinching(rho, basis)
     assert np.array_equal(decohere(rho, basis), expected)
     assert np.array_equal(process1(rho, basis), expected)
 
@@ -142,6 +141,64 @@ def test_stacked_evolve_equals_the_2d_call(system):
         assert np.array_equal(same, unitary.evolve(a, ts[0]))
         assert np.array_equal(first, unitary.evolve(stack[0], t))
     assert np.array_equal(unitary.unitary(np.array(ts)), [unitary.unitary(t) for t in ts])
+
+
+@given(stacks())
+def test_apply_unitary_equals_evolve(system):
+    h, stack, ts = system
+    unitary = Propagator(h)
+    for t in (ts[0], np.array(ts)):
+        # formed once, as the unitary branch of unitary-vs-collapse forms it
+        u = unitary.unitary(t)
+        u_dagger = u.conj().swapaxes(-1, -2)
+        assert apply_unitary(u, u_dagger, stack).tobytes() == unitary.evolve(stack, t).tobytes()
+    u = unitary.unitary(ts[0])
+    u_dagger = u.conj().swapaxes(-1, -2)
+    for a in stack:
+        assert apply_unitary(u, u_dagger, a).tobytes() == unitary.evolve(a, ts[0]).tobytes()
+
+
+@st.composite
+def pinching_inputs(draw):
+    """A basis of dimension 1..64 and a mixed, pinched or NaN-holding state."""
+    d = draw(st.integers(min_value=1, max_value=64))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    basis = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    rho = a @ a.conj().T
+    rho /= np.trace(rho).real
+    kind = draw(st.sampled_from(["mixed", "pinched", "nan"]))
+    if kind == "pinched":
+        # already diagonal in the basis, with zero weights: pinching it again
+        # gives roundoff of either sign where the weights are zero
+        weights = rng.random(d) * (rng.random(d) < 0.5)
+        rho = (basis * (weights / max(weights.sum(), 1.0))) @ basis.conj().T
+    elif kind == "nan":
+        rho[rng.integers(d), rng.integers(d)] = np.nan
+    return rho, basis
+
+
+@given(pinching_inputs())
+def test_decohere_equals_the_where_form(system):
+    rho, basis = system
+    assert decohere(rho, basis).tobytes() == where_pinching(rho, basis).tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 3, 8, 64])
+def test_decohere_equals_the_where_form_on_negative_roundoff(d):
+    # a basis state pinched in its own basis has d - 1 zero weights; pinching
+    # it again reads them back with roundoff of either sign. Take the first
+    # seeded basis whose roundoff has a negative entry.
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        basis = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+        pinched = decohere(np.outer(basis[:, 0], basis[:, 0].conj()), basis)
+        diagonal = np.einsum("ij,jk,ki->i", basis.conj().T, pinched, basis).real
+        if (diagonal < 0.0).any():
+            break
+    else:
+        pytest.fail("no seeded basis gave negative roundoff")
+    assert decohere(pinched, basis).tobytes() == where_pinching(pinched, basis).tobytes()
 
 
 # A zero, a roundoff-negative and a subnormal eigenvalue, and equal ones.
