@@ -30,6 +30,21 @@ def _parse_float(text: str) -> float:
     return value
 
 
+# The largest count key a run accepts (grid points, unitary steps, ensemble
+# members, samples, Born draws). The committed configs go up to 1e5, and a
+# run holds an array entry or an output row per count.
+_MAX_COUNT = 10**6
+
+
+def _parse_count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError("must be >= 1")
+    if value > _MAX_COUNT:
+        raise ValueError(f"must be <= {_MAX_COUNT}, got {value}")
+    return value
+
+
 def _parse_float_list(text: str) -> tuple[float, ...]:
     values = tuple(_parse_float(part) for part in text.split(",") if part.strip())
     if not values:
@@ -43,19 +58,19 @@ SCENARIO_SCHEMAS: dict[str, dict[str, tuple]] = {
         "rate_to_2": (_parse_float, 1.0),
         "p1_initial": (_parse_float, 1.0),
         "t_max": (_parse_float, 5.0),
-        "n_points": (int, 50),
+        "n_points": (_parse_count, 50),
     },
     "unitary-vs-collapse": {
         "gap": (_parse_float, 1.0),
         "collapse_rate": (_parse_float, 1.0),
         "t_max": (_parse_float, 20.0),
-        "n_unitary_steps": (int, 1000),
-        "n_seeds": (int, 500),
-        "n_samples": (int, 81),
+        "n_unitary_steps": (_parse_count, 1000),
+        "n_seeds": (_parse_count, 500),
+        "n_samples": (_parse_count, 81),
     },
     "born-statistics": {
         "weights": (_parse_float_list, (1.0 / 3.0, 2.0 / 3.0)),
-        "n_draws": (int, 100_000),
+        "n_draws": (_parse_count, 100_000),
     },
     "gas-equilibrium": {
         "n_molecules": (int, 100),
@@ -63,8 +78,8 @@ SCENARIO_SCHEMAS: dict[str, dict[str, tuple]] = {
         "decay_rate": (_parse_float, 1.0),
         "delay": (_parse_float, None),
         "t_max": (_parse_float, 50.0),
-        "n_seeds": (int, 500),
-        "n_samples": (int, 51),
+        "n_seeds": (_parse_count, 500),
+        "n_samples": (_parse_count, 51),
         "equilibration_time": (_parse_float, 30.0),
         "check_times": (_parse_float_list, (2.0, 5.0, 10.0)),
         "coupling_table": (str, None),

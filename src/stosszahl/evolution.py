@@ -115,5 +115,4 @@ def evolve_observable(observable, hamiltonian, t: float) -> np.ndarray:
             f"dimension mismatch: observable {o.shape} vs hamiltonian {unitary.shape}"
         )
     u = unitary.unitary(t)
-    out = u.conj().T @ o @ u
-    return (out + out.conj().T) / 2.0
+    return apply_unitary(u.conj().T, u, o)

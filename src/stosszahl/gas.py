@@ -24,17 +24,15 @@ transaction therefore completes inside the window, and the dwell in the last
 state ends at t_max.
 
 Randomness contract: every member of an ensemble draws from its own
-generator, and every recorded event consumes exactly three uniforms from
-it, in order: (1) the exponential waiting time by inverse CDF, (2) the
-uniform emitter pick among excited molecules, and (3) the winner selection
-over the confirmation set in ascending id order, by the inverse-CDF step of
-:func:`stosszahl.measurement.inverse_cdf`, which
-:func:`stosszahl.measurement.collapse_sample` also uses. The event that would
-cross the horizon consumes only its waiting-time uniform, so a run that
-records m events consumes 3m + 1 uniforms. If no event can form (no excited
-molecule, or no ground molecule to confirm) nothing is consumed. A member's
-ledger and its generator's final position do not depend on which other
-members it was run with.
+generator, and event j of a member uses uniforms 3j, 3j + 1 and 3j + 2 of
+its stream, in order: (1) the exponential waiting time by inverse CDF, (2)
+the uniform emitter pick among excited molecules, and (3) the winner
+selection over the confirmation set in ascending id order, by the
+inverse-CDF step of :func:`stosszahl.measurement.inverse_cdf`, which
+:func:`stosszahl.measurement.collapse_sample` also uses. That stream order
+defines the ledger, so a member's ledger does not depend on which other
+members it was run with. :func:`run` consumes its generators: where it
+leaves them is not part of the contract.
 
 Block stepping: :func:`run` steps a batch of members in lockstep, along one
 path for uniform coupling and for a coupling table. Each member draws its
@@ -46,7 +44,7 @@ of every member at once. Event j of every member is then resolved together
 on the sorted excited and ground ids of all members; only a coupling table
 computes its winner ranks there, from one (members, N - n) weight array.
 The result equals composing scalar draws event by event, one member at a
-time, bit for bit, and leaves every generator where those draws would.
+time, bit for bit.
 
 Batches: :func:`iter_ensemble` yields one ``(ledger, bounds)`` batch per
 call of :func:`run`, its ledger holding the members' events member after
@@ -73,7 +71,7 @@ import numpy as np
 
 from .csvio import fmt, read_csv, write_csv
 # perfbench/spans.py counts calls to ``collapse_sample`` looked up in this module.
-from .measurement import ZERO_WEIGHT, collapse_sample  # noqa: F401
+from .measurement import ZERO_WEIGHT, collapse_sample, inverse_cdf  # noqa: F401
 from .states import shannon_entropy
 
 
@@ -244,9 +242,10 @@ class Ledger:
 
 
 def _indexed_ledger(rows) -> tuple:
-    """(event indices, Ledger) of a Ledger or of raw :func:`read_ledger_raw` rows.
+    """(event indices, Ledger) of the rows :func:`audit_ledger` takes.
 
-    Raw rows are tuples in ``LEDGER_COLUMNS`` order and keep their own
+    Raw :func:`read_ledger_raw` rows enter the package only through the
+    audit. They are tuples in ``LEDGER_COLUMNS`` order and keep their own
     event_index; a Ledger is indexed by position, and its indices are None.
     """
     if isinstance(rows, Ledger):
@@ -297,7 +296,8 @@ def macrostate_entropy(k: int, config: GasConfig) -> float:
         raise ValueError(f"k = {k} outside [0, {min(n, half)}]")
     if n - k > half:
         raise ValueError(f"k = {k} leaves {n - k} quanta for {half} right-half slots")
-    return _log_binomial(half, k) + _log_binomial(half, n - k)
+    k_lo, table = _entropy_table(n_mol, n)
+    return float(table[k - k_lo])
 
 
 def _log_binomial(m: int, k: int) -> float:
@@ -308,8 +308,8 @@ def _log_binomial(m: int, k: int) -> float:
 def _entropy_table(n_molecules: int, n_excited: int) -> tuple[int, np.ndarray]:
     """(k_lo, read-only macrostate entropies for k = k_lo .. min(n, N/2)), N even.
 
-    Every member of an ensemble shares one table; the values are those of
-    :func:`macrostate_entropy` on the physical k window.
+    Every member of an ensemble shares one table, and
+    :func:`macrostate_entropy` reads its values from it.
     """
     half = n_molecules // 2
     k_lo = max(0, n_excited - half)
@@ -338,13 +338,13 @@ def run(config: GasConfig, rng=None):
     ``(bounds, ledger)``: one :class:`Ledger` holding the members' events
     member after member, member i owning rows ``bounds[i]:bounds[i + 1]``,
     so one generator gives ``bounds == [0, len(ledger)]``. Each member's
-    rows and its generator's final position are those of a lone run on
-    that generator; the audit, :func:`batch_left_counts` and the pooled
-    rate tally read the batch ledger whole, given the bounds, and
-    :meth:`Trajectory.from_ledger` builds one member's trajectory from
-    its rows. If members meet a confirmation set of zero total weight,
-    every member still runs to its end and the :class:`ZeroCouplingError`
-    of the lowest such member is raised.
+    rows are those of a lone run on its generator; the audit,
+    :func:`batch_left_counts` and the pooled rate tally read the batch
+    ledger whole, given the bounds, and :meth:`Trajectory.from_ledger`
+    builds one member's trajectory from its rows. If members meet a
+    confirmation set of zero total weight, every member still runs to its
+    end and the :class:`ZeroCouplingError` of the lowest such member is
+    raised.
 
     The kernel is Gillespie's direct method. Quanta are conserved, so the
     total emission rate n * decay_rate and the confirmation-set size N - n
@@ -362,7 +362,7 @@ def run(config: GasConfig, rng=None):
     - the horizon, the first absorption after t_max;
     - emitter ranks ``min(int(u * n), n - 1)`` among the excited molecules
       in ascending id order and, for uniform coupling, winner ranks by
-      ``searchsorted`` on the cumulative weights of
+      :func:`~stosszahl.measurement.inverse_cdf` of
       ``np.full(N - n, 1 / (N - n))``, whose every weight is 1 / (N - n).
 
     Every member keeps its excited and ground ids as sorted rows of two
@@ -379,12 +379,9 @@ def run(config: GasConfig, rng=None):
     ``np.add.reduce`` and ``cumsum`` of a C-contiguous array repeat the
     one-dimensional ones bit for bit.
 
-    Each generator is rewound on return and advanced by exactly the
-    uniforms its member consumed (3 per event, 1 for the event that crosses
-    the horizon, 2 for an event inside the horizon whose confirmation set
-    has zero total weight), also when that error ends the run. The ledger
-    therefore equals the per-event composition of scalar draws bit for bit
-    (covered by equivalence and property tests).
+    The ledger equals the per-event composition of scalar draws bit for bit
+    (covered by equivalence and property tests). The generators are
+    consumed: each is left wherever its member's last block left it.
     """
     if rng is None:
         rng = np.random.default_rng(config.seed)
@@ -428,8 +425,6 @@ def _step_members(config: GasConfig, rngs: list) -> list[list[tuple]]:
     t_max = config.t_max
     if coupling is None:
         uniform = np.full(m, 1.0 / m)
-        cumulative = np.cumsum(uniform)
-        uniform_total = float(uniform.sum())
     else:
         flat_coupling = coupling.ravel()
     # Members still stepping; row i of excited, ground and t belongs to active[i].
@@ -440,111 +435,92 @@ def _step_members(config: GasConfig, rngs: list) -> list[list[tuple]]:
     # member -> message of its zero-coupling error
     failures: dict[int, str] = {}
 
-    # The finally clause rewinds each generator and redraws exactly the
-    # uniforms its member consumed, so it ends where scalar draws would have
-    # left it, also when a ZeroCouplingError ends the run.
-    starts = [rng.bit_generator.state for rng in rngs]
-    consumed = [0] * len(rngs)
-    try:
-        while active.size:
-            rows = active.size
-            # chain = [t, w1, delay, w2, delay, ...]; its cumsum interleaves t_e and t_a.
-            chain = np.empty((rows, 2 * _TRIPLES + 1))
-            chain[:, 0] = t
-            chain[:, 2::2] = config.delay
-            pick_u = np.empty((rows, _TRIPLES))
-            win_u = np.empty((rows, _TRIPLES))
-            for row, member in enumerate(active.tolist()):
-                u = rngs[member].random(_UNIFORM_BLOCK)
-                chain[row, 1::2] = list(map(log1p, (-u[0::3]).tolist()))
-                pick_u[row] = u[1::3]
-                win_u[row] = u[2::3]
-            # Equal to -log1p(-u) / rate bit for bit: division is sign-symmetric.
-            chain[:, 1::2] /= -total_rate
-            times = chain.cumsum(axis=1, out=chain)
-            # Events whose absorption is at or before t_max; the next one is the horizon.
-            counts = np.count_nonzero(times[:, 2::2] <= t_max, axis=1)
-            # Members step in order of descending event count, so the members
-            # with an event j are a prefix of the rows.
-            order = np.argsort(-counts, kind="stable")
-            active, counts, times = active[order], counts[order], times[order]
-            excited, ground, win_u = excited[order], ground[order], win_u[order]
-            picks = np.minimum((pick_u[order] * n_quanta).astype(np.int64), n_quanta - 1)
-            width = int(counts[0])
-            emitted = np.empty((rows, width), dtype=np.int64)
-            absorbed = np.empty((rows, width), dtype=np.int64)
+    while active.size:
+        rows = active.size
+        # chain = [t, w1, delay, w2, delay, ...]; its cumsum interleaves t_e and t_a.
+        chain = np.empty((rows, 2 * _TRIPLES + 1))
+        chain[:, 0] = t
+        chain[:, 2::2] = config.delay
+        pick_u = np.empty((rows, _TRIPLES))
+        win_u = np.empty((rows, _TRIPLES))
+        for row, member in enumerate(active.tolist()):
+            u = rngs[member].random(_UNIFORM_BLOCK)
+            chain[row, 1::2] = list(map(log1p, (-u[0::3]).tolist()))
+            pick_u[row] = u[1::3]
+            win_u[row] = u[2::3]
+        # Equal to -log1p(-u) / rate bit for bit: division is sign-symmetric.
+        chain[:, 1::2] /= -total_rate
+        times = chain.cumsum(axis=1, out=chain)
+        # Events whose absorption is at or before t_max; the next one is the horizon.
+        counts = np.count_nonzero(times[:, 2::2] <= t_max, axis=1)
+        # Members step in order of descending event count, so the members
+        # with an event j are a prefix of the rows.
+        order = np.argsort(-counts, kind="stable")
+        active, counts, times = active[order], counts[order], times[order]
+        excited, ground, win_u = excited[order], ground[order], win_u[order]
+        picks = np.minimum((pick_u[order] * n_quanta).astype(np.int64), n_quanta - 1)
+        width = int(counts[0])
+        emitted = np.empty((rows, width), dtype=np.int64)
+        absorbed = np.empty((rows, width), dtype=np.int64)
+        if coupling is None:
+            winners = inverse_cdf(uniform, win_u)
+            weights = np.full((rows, width), 1.0 / m)
+        else:
+            weights = np.empty((rows, width))
+        index = np.arange(rows)
+        live = rows
+        for j in range(width):
+            while counts[live - 1] <= j:
+                live -= 1
+            r = index[:live]
+            x = excited[:live]
+            g = ground[:live]
+            pick = picks[:live, j]
+            e = x[r, pick]
             if coupling is None:
-                winners = np.minimum(
-                    cumulative.searchsorted(win_u * uniform_total, side="right"), m - 1
-                )
-                weights = np.full((rows, width), 1.0 / m)
+                winner = winners[:live, j]
             else:
-                weights = np.empty((rows, width))
-            index = np.arange(rows)
-            live = rows
-            for j in range(width):
-                while counts[live - 1] <= j:
-                    live -= 1
-                r = index[:live]
-                x = excited[:live]
-                g = ground[:live]
-                pick = picks[:live, j]
-                e = x[r, pick]
-                if coupling is None:
-                    winner = winners[:live, j]
-                else:
-                    raw = flat_coupling.take((e * n)[:, None] + g)
-                    raw_total = add_reduce(raw, axis=1)
-                    if raw_total.min() <= 0.0:
-                        zero = raw_total <= 0.0
-                        for row in np.flatnonzero(zero).tolist():
-                            member = int(active[row])
-                            if member not in failures:
-                                consumed[member] += 3 * j + 2
-                                failures[member] = (
-                                    f"coupling weights from emitter {e[row]} to the "
-                                    "confirmation set are all zero"
-                                )
-                        # A failed member steps on harmlessly; its events are dropped.
-                        raw_total[zero] = 1.0
-                    raw /= raw_total[:, None]
-                    clamped = np.where(raw < ZERO_WEIGHT, 0.0, raw)
-                    thresholds = win_u[:live, j] * add_reduce(clamped, axis=1)
-                    winner = np.count_nonzero(
-                        clamped.cumsum(axis=1) <= thresholds[:, None], axis=1
-                    )
-                    np.minimum(winner, m - 1, out=winner)
-                    weights[:live, j] = raw[r, winner]
-                absorber = g[r, winner]
-                emitted[:live, j] = e
-                absorbed[:live, j] = absorber
-                x[r, pick] = absorber
-                x.sort(axis=1, kind="stable")
-                g[r, winner] = e
-                g.sort(axis=1, kind="stable")
-            carry_on = counts == _TRIPLES
-            for row, (member, count) in enumerate(zip(active.tolist(), counts.tolist())):
-                if member in failures:
-                    carry_on[row] = False
-                    continue
-                if count:
-                    blocks[member].append((
-                        times[row, 1 : 2 * count : 2].copy(),
-                        emitted[row, :count].copy(),
-                        absorbed[row, :count].copy(),
-                        weights[row, :count].copy(),
-                    ))
-                consumed[member] += _UNIFORM_BLOCK if count == _TRIPLES else 3 * count + 1
-            active, t = active[carry_on], times[carry_on, -1]
-            excited, ground = excited[carry_on], ground[carry_on]
-        if failures:
-            raise ZeroCouplingError(failures[min(failures)])
-    finally:
-        for rng, start, count in zip(rngs, starts, consumed):
-            rng.bit_generator.state = start
-            for _ in range(count // _UNIFORM_BLOCK):
-                rng.random(_UNIFORM_BLOCK)
-            rng.random(count % _UNIFORM_BLOCK)
+                raw = flat_coupling.take((e * n)[:, None] + g)
+                raw_total = add_reduce(raw, axis=1)
+                if raw_total.min() <= 0.0:
+                    zero = raw_total <= 0.0
+                    for row in np.flatnonzero(zero).tolist():
+                        failures.setdefault(int(active[row]), (
+                            f"coupling weights from emitter {e[row]} to the "
+                            "confirmation set are all zero"
+                        ))
+                    # A failed member steps on harmlessly; its events are dropped.
+                    raw_total[zero] = 1.0
+                raw /= raw_total[:, None]
+                clamped = np.where(raw < ZERO_WEIGHT, 0.0, raw)
+                thresholds = win_u[:live, j] * add_reduce(clamped, axis=1)
+                winner = np.count_nonzero(
+                    clamped.cumsum(axis=1) <= thresholds[:, None], axis=1
+                )
+                np.minimum(winner, m - 1, out=winner)
+                weights[:live, j] = raw[r, winner]
+            absorber = g[r, winner]
+            emitted[:live, j] = e
+            absorbed[:live, j] = absorber
+            x[r, pick] = absorber
+            x.sort(axis=1, kind="stable")
+            g[r, winner] = e
+            g.sort(axis=1, kind="stable")
+        carry_on = counts == _TRIPLES
+        for row, (member, count) in enumerate(zip(active.tolist(), counts.tolist())):
+            if member in failures:
+                carry_on[row] = False
+            elif count:
+                blocks[member].append((
+                    times[row, 1 : 2 * count : 2].copy(),
+                    emitted[row, :count].copy(),
+                    absorbed[row, :count].copy(),
+                    weights[row, :count].copy(),
+                ))
+        active, t = active[carry_on], times[carry_on, -1]
+        excited, ground = excited[carry_on], ground[carry_on]
+    if failures:
+        raise ZeroCouplingError(failures[min(failures)])
     return blocks
 
 
@@ -689,11 +665,10 @@ class EmpiricalRates:
         return rates
 
 
-def empirical_rates(config: GasConfig, events, bounds=None, pooled=None):
+def empirical_rates(config: GasConfig, ledger: Ledger, bounds=None, pooled=None):
     """Estimate transition rates between k labels from one ledger, or pool a batch into a tally.
 
-    ``events`` is a :class:`Ledger` or raw :func:`read_ledger_raw` rows, assumed to pass
-    :func:`audit_ledger`. Each state is labeled by its left-half excited
+    ``ledger`` is assumed to pass :func:`audit_ledger`. Each state is labeled by its left-half excited
     count k in 0..ceil(N/2), taken from the ledger columns, and the dwell in
     the last state ends at t_max.
 
@@ -706,7 +681,6 @@ def empirical_rates(config: GasConfig, events, bounds=None, pooled=None):
     ``bincount`` over ``member * n_labels + label``, in event order, and a
     ``cumsum`` adds them to ``pooled`` in member order.
     """
-    ledger = _indexed_ledger(events)[1]
     if bounds is None and not len(ledger):
         raise ValueError("cannot estimate rates from an empty ledger")
     bounds, member = _member_rows(bounds, len(ledger))
@@ -767,9 +741,8 @@ TRAJECTORY_COLUMNS = ("t", "n", "k", "S_macro")
 _INT64 = np.iinfo(np.int64)
 
 
-def write_ledger_csv(path, events, header_comment: str | None = None) -> None:
-    """Write a :class:`Ledger` (or raw :func:`read_ledger_raw` rows) with 17-digit floats."""
-    ledger = _indexed_ledger(events)[1]
+def write_ledger_csv(path, ledger: Ledger, header_comment: str | None = None) -> None:
+    """Write a :class:`Ledger` with 17-digit floats, its rows numbered from 0."""
     columns = (
         ledger.t_e, ledger.t_a, ledger.emitter, ledger.absorber,
         ledger.winner_weight, ledger.confirmation_set_size,

@@ -120,16 +120,18 @@ def collapse_sample(weights, rng: np.random.Generator) -> int:
     are treated as exactly zero; if every entry is zero the weights are
     degenerate and rejected.
     """
-    return inverse_cdf(as_probability_vector(weights, name="weights"), rng.random())
+    return int(inverse_cdf(as_probability_vector(weights, name="weights"), rng.random()))
 
 
-def inverse_cdf(weights: np.ndarray, u: float) -> int:
+def inverse_cdf(weights: np.ndarray, u):
     """The inverse-CDF step of :func:`collapse_sample`, without its validation.
 
-    Returns the index that the uniform ``u`` in [0, 1) selects. ``weights``
+    Returns the index that a uniform ``u`` in [0, 1) selects, or for an
+    array of uniforms the array of the indices each selects. ``weights``
     must be a float vector of nonnegative entries; they need not sum to one.
-    The gas kernel (:func:`stosszahl.gas.run`) takes the same step along the
-    rows of a batch of weight vectors.
+    :func:`sample_outcomes` and the uniform-coupling winners of the gas
+    kernel (:func:`stosszahl.gas.run`) call it with arrays; a coupling table
+    takes the same step along the rows of a batch of weight vectors.
     """
     weights = np.where(weights < ZERO_WEIGHT, 0.0, weights)
     # ndarray methods and np.add.reduce skip the Python-level wrappers of
@@ -137,9 +139,7 @@ def inverse_cdf(weights: np.ndarray, u: float) -> int:
     total = float(np.add.reduce(weights))
     if total <= 0.0:
         raise ValueError("degenerate weights: all entries are zero")
-    cumulative = weights.cumsum()
-    index = int(cumulative.searchsorted(u * total, side="right"))
-    return min(index, weights.size - 1)
+    return np.minimum(weights.cumsum().searchsorted(u * total, side="right"), weights.size - 1)
 
 
 def sample_outcomes(weights, n_draws: int, rng: np.random.Generator) -> np.ndarray:
@@ -150,15 +150,9 @@ def sample_outcomes(weights, n_draws: int, rng: np.random.Generator) -> np.ndarr
     ``Generator.random(n)`` yields the same doubles as n single draws.
     """
     w = as_probability_vector(weights, name="weights")
-    w = np.where(w < ZERO_WEIGHT, 0.0, w)
-    total = float(w.sum())
-    if total <= 0.0:
-        raise ValueError("degenerate weights: all entries are zero")
     if n_draws < 1:
         raise ValueError(f"n_draws must be >= 1, got {n_draws}")
-    cumulative = np.cumsum(w)
-    u = rng.random(n_draws) * total
-    return np.minimum(np.searchsorted(cumulative, u, side="right"), w.size - 1)
+    return inverse_cdf(w, rng.random(n_draws))
 
 
 def sample_outcome_counts(weights, n_draws: int, rng: np.random.Generator) -> np.ndarray:
@@ -179,7 +173,7 @@ def measure(psi, basis, rng: np.random.Generator) -> tuple[CollapseOutcome, np.n
     v = as_state_vector(psi)
     b = as_measurement_basis(basis)
     weights = _born_weights(v, b)
-    index = inverse_cdf(weights, rng.random())
+    index = int(inverse_cdf(weights, rng.random()))
     post_state = b[:, index].copy()
     outcome = CollapseOutcome(
         index=index,

@@ -87,18 +87,37 @@ def test_run_missing_seed_exit_two(tmp_path, capsys):
          "gas-equilibrium.n_samples: must be >= 1"),
         ("[run]\nscenario = gas-equilibrium\nseed = 1\n[gas-equilibrium]\nn_samples = -1\n",
          "gas-equilibrium.n_samples: must be >= 1"),
+        ("[run]\nscenario = born-statistics\nseed = 1\n[born-statistics]\n"
+         "n_draws = 1000000000000\n",
+         "born-statistics.n_draws: must be <= 1000000, got 1000000000000"),
+        ("[run]\nscenario = two-state-relaxation\nseed = 1\n[two-state-relaxation]\n"
+         "n_points = 1000000000000\n",
+         "two-state-relaxation.n_points: must be <= 1000000, got 1000000000000"),
+        ("[run]\nscenario = gas-equilibrium\nseed = 1\n[gas-equilibrium]\n"
+         "n_samples = 1000000000000\n",
+         "gas-equilibrium.n_samples: must be <= 1000000, got 1000000000000"),
+        ("[run]\nscenario = gas-equilibrium\nseed = 1\n[gas-equilibrium]\n"
+         "n_molecules = 1000000000000\nn_excited = 2\n",
+         "gas-equilibrium.n_molecules: must be <= 4000"),
+        ("[run]\nscenario = gas-equilibrium\nseed = 1\n[gas-equilibrium]\n"
+         "n_seeds = 1000000\nn_samples = 1000000\n",
+         "gas-equilibrium: n_seeds * (n_samples + len(check_times)) = 1000003000000 k samples, "
+         "above the limit of 1e+07"),
     ],
     ids=["repeated-key", "repeated-section", "key-before-section", "nan-weight",
          "weights-off-one", "one-nonzero-weight", "no-grid-points", "negative-rate-to-1",
          "negative-rate-to-2", "both-rates-zero", "one-rate-zero", "p1-above-one",
-         "p1-below-zero", "negative-t-max", "no-gas-samples", "negative-gas-samples"],
+         "p1-below-zero", "negative-t-max", "no-gas-samples", "negative-gas-samples",
+         "born-draws-past-cap", "two-state-points-past-cap", "gas-samples-past-cap",
+         "gas-molecules-past-cap", "gas-sample-table-past-cap"],
 )
 def test_unusable_config_exits_two(tmp_path, capsys, text, message):
     # these used to exit 3 (DuplicateOptionError, DuplicateSectionError,
     # MissingSectionHeaderError, the born weights' sum check, the two-state
-    # rates, p1_initial and t_max, a negative gas n_samples) or to report a
-    # NaN p-value as a failed check (exit 1) or two checks passed on an
-    # empty grid (exit 0) or blame equilibration_time (gas n_samples = 0)
+    # rates, p1_initial and t_max, a negative gas n_samples, and a MemoryError
+    # for each size past its cap) or to report a NaN p-value as a failed
+    # check (exit 1) or two checks passed on an empty grid (exit 0) or blame
+    # equilibration_time (gas n_samples = 0)
     config = write_config(tmp_path, text)
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err

@@ -138,3 +138,29 @@ def test_non_finite_floats_rejected_with_path(tmp_path, scenario, key, value):
     )
     with pytest.raises(ConfigError, match=rf"^{scenario}\.{key}: must be finite"):
         load_scenario_config(path)
+
+
+@pytest.mark.parametrize(
+    "scenario, key",
+    [
+        ("two-state-relaxation", "n_points"),
+        ("unitary-vs-collapse", "n_unitary_steps"),
+        ("unitary-vs-collapse", "n_seeds"),
+        ("unitary-vs-collapse", "n_samples"),
+        ("born-statistics", "n_draws"),
+        ("gas-equilibrium", "n_seeds"),
+        ("gas-equilibrium", "n_samples"),
+    ],
+)
+def test_count_keys_accept_one_up_to_a_million(tmp_path, scenario, key):
+    def load(value):
+        return load_scenario_config(write_config(
+            tmp_path, f"[run]\nscenario = {scenario}\nseed = 7\n[{scenario}]\n{key} = {value}\n"
+        ))
+
+    assert load(1).params[key] == 1
+    assert load(10**6).params[key] == 10**6
+    with pytest.raises(ConfigError, match=rf"^{scenario}\.{key}: must be >= 1$"):
+        load(0)
+    with pytest.raises(ConfigError, match=rf"^{scenario}\.{key}: must be <= 1000000, got 1000001$"):
+        load(10**6 + 1)

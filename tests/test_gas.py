@@ -296,40 +296,6 @@ def test_conservation_is_exact_on_trajectory():
     assert set(excited_after) == {7}
 
 
-def test_run_consumes_three_uniforms_per_event_plus_the_horizon_draw():
-    # the event that would cross t_max draws only its waiting time; an empty or
-    # saturated gas forms no event and draws nothing
-    table = np.random.default_rng(9).random((12, 12))
-    np.fill_diagonal(table, 0.0)
-    cases = [
-        (make_config(n_molecules=25, n_excited=9, t_max=15.0, seed=5), True),
-        (make_config(n_molecules=12, n_excited=6, t_max=15.0, seed=6, coupling=table), True),
-        (make_config(n_molecules=100, n_excited=50, t_max=20.0, seed=9), True),
-        (make_config(n_molecules=6, n_excited=0, seed=7), False),
-        (make_config(n_molecules=6, n_excited=6, seed=8), False),
-    ]
-    for config, forms_events in cases:
-        rng = np.random.default_rng(config.seed)
-        _bounds, ledger = run(config, rng)
-        assert (len(ledger) > 0) == forms_events
-        reference = np.random.default_rng(config.seed)
-        for _ in range(3 * len(ledger) + 1 if forms_events else 0):
-            reference.random()
-        assert rng.random() == reference.random()
-
-
-def test_zero_coupling_error_leaves_generator_after_two_draws():
-    # the failing event drew its waiting time and its emitter, not a winner
-    config = make_config(n_molecules=4, n_excited=2, t_max=1e9, seed=3, coupling=np.zeros((4, 4)))
-    rng = np.random.default_rng(3)
-    with pytest.raises(ValueError, match="all zero"):
-        run(config, rng)
-    reference = np.random.default_rng(3)
-    reference.random()
-    reference.random()
-    assert rng.random() == reference.random()
-
-
 def test_long_runs_match_stepwise_composition():
     # runs of several hundred events draw their uniforms over several blocks
     table = np.random.default_rng(10).random((40, 40))
@@ -507,7 +473,7 @@ def test_unvisited_labels_are_flagged_not_fabricated():
 def test_empty_ledger_rejected():
     config = make_config(n_molecules=4, n_excited=0)
     with pytest.raises(ValueError, match="empty ledger"):
-        empirical_rates(config, [])
+        empirical_rates(config, run(config)[1])
 
 
 def replayed_rates(config, events):

@@ -14,6 +14,7 @@ from stosszahl.measurement import (
     born_weights,
     collapse_sample,
     decohere,
+    inverse_cdf,
     measure,
     process1,
     sample_outcome_counts,
@@ -222,6 +223,35 @@ def test_vectorized_sampling_matches_single_draws():
     loop = np.array([collapse_sample(weights, rng2) for _ in range(3000)])
     assert np.array_equal(vector, loop)
     assert vector[0] == single
+
+
+@given(
+    m=st.integers(min_value=1, max_value=300),
+    kind=st.sampled_from(["uniform", "dense", "sparse"]),
+    shape=st.sampled_from([(7,), (3, 5)]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_inverse_cdf_of_an_array_equals_its_scalar_calls(m, kind, shape, seed):
+    # sample_outcomes and the gas kernel's uniform-coupling winners pass arrays
+    # of uniforms, one or two dimensional; each pick must be the scalar one,
+    # including the ZERO_WEIGHT clamp and the clip to the last index (u near 1)
+    rng = np.random.default_rng(seed)
+    if kind == "uniform":
+        weights = np.full(m, 1.0 / m)
+    else:
+        weights = rng.uniform(0.5, 1.5, size=m)
+        if kind == "sparse":
+            weights[rng.random(m) < 0.4] = 0.0
+            weights[rng.random(m) < 0.1] = 1e-17
+        weights[-1] = 1.0
+        weights /= weights.sum()
+    u = rng.random(shape)
+    u.flat[0] = np.nextafter(1.0, 0.0)
+    picks = inverse_cdf(weights, u)
+    assert picks.shape == shape
+    for pick, one in zip(picks.ravel().tolist(), u.ravel().tolist()):
+        assert pick == inverse_cdf(weights, one)
+    assert type(collapse_sample(weights, np.random.default_rng(seed))) is int
 
 
 def test_golden_outcome_sequence_byte_match():
