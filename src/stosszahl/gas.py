@@ -36,13 +36,13 @@ leaves them is not part of the contract.
 
 Block stepping: :func:`run` steps a batch of members in lockstep, along one
 path for uniform coupling and for a coupling table. Each member draws its
-uniforms in blocks from its own generator; the waiting times (with
-``math.log1p``, not ``np.log1p``, whose vectorized loops may round
-differently), the emission and absorption times, the horizon, the emitter
-picks and the uniform-coupling winner ranks are computed for a whole block
-of every member at once. Event j of every member is then resolved together
-on the sorted excited and ground ids of all members; only a coupling table
-computes its winner ranks there, from one (members, N - n) weight array.
+uniforms from its own generator in blocks sized to its expected event count.
+The waiting times (with ``math.log1p``, not ``np.log1p``, whose vectorized
+loops may round differently), the emission and absorption times, the horizon,
+the emitter picks and the uniform-coupling winner ranks are computed for a
+whole block of every member at once. Event j of every member is then resolved
+together on the sorted excited and ground ids of all members; only a coupling
+table computes its winner ranks there, from one (members, N - n) weight array.
 The result equals composing scalar draws event by event, one member at a
 time, bit for bit.
 
@@ -323,9 +323,6 @@ def _entropy_table(n_molecules: int, n_excited: int) -> tuple[int, np.ndarray]:
     return k_lo, table
 
 
-# Uniforms the gas kernel draws at a time: 256 (wait, pick, winner) triples.
-_UNIFORM_BLOCK = 768
-_TRIPLES = _UNIFORM_BLOCK // 3
 # Ensemble members that :func:`iter_ensemble` steps together in one call of run.
 _MEMBERS_PER_RUN = 256
 
@@ -349,13 +346,12 @@ def run(config: GasConfig, rng=None):
     The kernel is Gillespie's direct method. Quanta are conserved, so the
     total emission rate n * decay_rate and the confirmation-set size N - n
     are constants of the run, and the members of a batch step in lockstep.
-    Each member draws 768 uniforms at a time from its own generator
-    (``Generator.random(k)`` fills the same doubles as k scalar draws), read
-    as 256 (wait, pick, winner) triples. For every member's block at once:
+    Each member draws a block of (wait, pick, winner) triples (:func:`_block_triples`)
+    into a row of one array (``Generator.random(k)`` fills the same doubles as k
+    scalar draws). For every member's block at once:
 
-    - waiting times ``log1p(-u) / -(n * decay_rate)`` with ``math.log1p``:
-      ``np.log1p`` may differ from it in the last bit (its SIMD loops do on
-      AVX-512 machines);
+    - waiting times ``log1p(-u) / -(n * decay_rate)``, one ``math.log1p`` pass
+      over the batch: ``np.log1p`` may differ from it in the last bit;
     - emission and absorption times from a row-wise ``cumsum`` over
       ``[t, w1, delay, w2, delay, ...]``, a sequential sum, so it repeats the
       scalar recurrence ``t_emit = t + w; t = t_emit + delay`` exactly;
@@ -365,19 +361,20 @@ def run(config: GasConfig, rng=None):
       :func:`~stosszahl.measurement.inverse_cdf` of
       ``np.full(N - n, 1 / (N - n))``, whose every weight is 1 / (N - n).
 
-    Every member keeps its excited and ground ids as sorted rows of two
+    Every member keeps its excited and ground ids as sorted int32 rows of two
     arrays, and event j of every member that has one is resolved together:
     the emitter is taken at its rank, the winner at its rank among the
-    ground ids, and the two ids swap rows, each row sorted again. With a
-    coupling table the winner rank depends on the state: the
+    ground ids, and the two ids swap rows, each row sorted again (its ids
+    are distinct, so every sort kind gives the same row). With a coupling
+    table the winner rank depends on the state: the
     confirmation-set weights are gathered into one (members, N - n) array
     and normalized by their row sums, and the winner is taken as
     :func:`~stosszahl.measurement.inverse_cdf` takes it, row by row: the
-    ``ZERO_WEIGHT`` clamp, then the count of cumulative weights at or below
-    ``u * total`` clipped to N - n - 1, which is
-    ``searchsorted(side="right")`` on a nondecreasing row. Row-wise
-    ``np.add.reduce`` and ``cumsum`` of a C-contiguous array repeat the
-    one-dimensional ones bit for bit.
+    ``ZERO_WEIGHT`` clamp (skipped when no weight is below it), then the
+    count of cumulative weights at or below ``u * total`` clipped to
+    N - n - 1, which is ``searchsorted(side="right")`` on a nondecreasing
+    row. Row-wise ``np.add.reduce`` and ``cumsum`` of a C-contiguous array
+    repeat the one-dimensional ones bit for bit.
 
     The ledger equals the per-event composition of scalar draws bit for bit
     (covered by equivalence and property tests). The generators are
@@ -407,6 +404,16 @@ def _column(blocks, field: int, dtype) -> np.ndarray:
     return np.concatenate(parts, dtype=dtype) if parts else np.empty(0, dtype=dtype)
 
 
+def _block_triples(config: GasConfig) -> int:
+    """The (wait, pick, winner) triples each member draws at a time, at most 256.
+
+    Room for lam + 4 sqrt(lam) events plus the horizon's triple, where lam =
+    n * decay_rate * t_max is a member's mean event count: most need one block.
+    """
+    lam = config.n_excited * config.decay_rate * config.t_max
+    return math.ceil(min(lam + 4.0 * math.sqrt(lam), 255.0)) + 1
+
+
 def _step_members(config: GasConfig, rngs: list) -> list[list[tuple]]:
     """Per member, the (t_e, emitters, absorbers, weights) of each block it stepped.
 
@@ -429,27 +436,25 @@ def _step_members(config: GasConfig, rngs: list) -> list[list[tuple]]:
         flat_coupling = coupling.ravel()
     # Members still stepping; row i of excited, ground and t belongs to active[i].
     active = np.arange(len(rngs))
-    excited = np.tile(np.arange(n_quanta), (len(rngs), 1))
-    ground = np.tile(np.arange(n_quanta, n), (len(rngs), 1))
+    excited = np.tile(np.arange(n_quanta, dtype=np.int32), (len(rngs), 1))
+    ground = np.tile(np.arange(n_quanta, n, dtype=np.int32), (len(rngs), 1))
     t = np.zeros(len(rngs))
     # member -> message of its zero-coupling error
     failures: dict[int, str] = {}
 
+    triples = _block_triples(config)
     while active.size:
         rows = active.size
+        u = np.empty((rows, 3 * triples))
+        for row, member in enumerate(active.tolist()):
+            u[row] = rngs[member].random(3 * triples)
         # chain = [t, w1, delay, w2, delay, ...]; its cumsum interleaves t_e and t_a.
-        chain = np.empty((rows, 2 * _TRIPLES + 1))
+        chain = np.empty((rows, 2 * triples + 1))
         chain[:, 0] = t
         chain[:, 2::2] = config.delay
-        pick_u = np.empty((rows, _TRIPLES))
-        win_u = np.empty((rows, _TRIPLES))
-        for row, member in enumerate(active.tolist()):
-            u = rngs[member].random(_UNIFORM_BLOCK)
-            chain[row, 1::2] = list(map(log1p, (-u[0::3]).tolist()))
-            pick_u[row] = u[1::3]
-            win_u[row] = u[2::3]
+        waits = np.fromiter(map(log1p, (-u[:, 0::3]).ravel().tolist()), float, rows * triples)
         # Equal to -log1p(-u) / rate bit for bit: division is sign-symmetric.
-        chain[:, 1::2] /= -total_rate
+        chain[:, 1::2] = waits.reshape(rows, triples) / -total_rate
         times = chain.cumsum(axis=1, out=chain)
         # Events whose absorption is at or before t_max; the next one is the horizon.
         counts = np.count_nonzero(times[:, 2::2] <= t_max, axis=1)
@@ -457,9 +462,10 @@ def _step_members(config: GasConfig, rngs: list) -> list[list[tuple]]:
         # with an event j are a prefix of the rows.
         order = np.argsort(-counts, kind="stable")
         active, counts, times = active[order], counts[order], times[order]
-        excited, ground, win_u = excited[order], ground[order], win_u[order]
-        picks = np.minimum((pick_u[order] * n_quanta).astype(np.int64), n_quanta - 1)
+        excited, ground = excited[order], ground[order]
         width = int(counts[0])
+        picks = np.minimum((u[order, 1 : 3 * width : 3] * n_quanta).astype(np.int64), n_quanta - 1)
+        win_u = u[order, 2 : 3 * width : 3]
         emitted = np.empty((rows, width), dtype=np.int64)
         absorbed = np.empty((rows, width), dtype=np.int64)
         if coupling is None:
@@ -492,21 +498,19 @@ def _step_members(config: GasConfig, rngs: list) -> list[list[tuple]]:
                     # A failed member steps on harmlessly; its events are dropped.
                     raw_total[zero] = 1.0
                 raw /= raw_total[:, None]
-                clamped = np.where(raw < ZERO_WEIGHT, 0.0, raw)
+                clamped = raw if raw.min() >= ZERO_WEIGHT else np.where(raw < ZERO_WEIGHT, 0.0, raw)
                 thresholds = win_u[:live, j] * add_reduce(clamped, axis=1)
-                winner = np.count_nonzero(
-                    clamped.cumsum(axis=1) <= thresholds[:, None], axis=1
-                )
+                winner = (clamped.cumsum(axis=1) <= thresholds[:, None]).sum(axis=1)
                 np.minimum(winner, m - 1, out=winner)
                 weights[:live, j] = raw[r, winner]
             absorber = g[r, winner]
             emitted[:live, j] = e
             absorbed[:live, j] = absorber
             x[r, pick] = absorber
-            x.sort(axis=1, kind="stable")
+            x.sort(axis=1)
             g[r, winner] = e
-            g.sort(axis=1, kind="stable")
-        carry_on = counts == _TRIPLES
+            g.sort(axis=1)
+        carry_on = counts == triples
         for row, (member, count) in enumerate(zip(active.tolist(), counts.tolist())):
             if member in failures:
                 carry_on[row] = False

@@ -1,7 +1,9 @@
 """Property tests of the gas event kernel.
 
 ``gas.run`` steps the gas in blocks of (wait, pick, winner) triples, for one
-member or for a batch of members in lockstep; the per-event composition of
+member or for a batch of members in lockstep, sized from the config; the
+kernel's ledger must not depend on that size, so the tests also force sizes
+of 1, 2, 7 and 256 triples. The per-event composition of
 ``next_event`` and ``apply_event`` (``gas_oracle``) is its reference for one
 member, and a lone run on each generator is the reference for a batch. Over
 random gases, coupling tables (uniform, dense, sparse with tiny weights, so
@@ -18,17 +20,20 @@ member row bounds, the audit, the rate tallies and the k lookups must equal
 the calls on each member's rows alone, bit for bit.
 """
 
+import contextlib
 import copy
 import dataclasses
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gas_oracle import apply_event, init_gas, next_event
+from stosszahl import gas
 from stosszahl.gas import (
     GasConfig,
     Trajectory,
@@ -41,7 +46,15 @@ from stosszahl.gas import (
 from stosszahl.measurement import ZERO_WEIGHT, inverse_cdf
 
 LEDGER_FIELDS = ("t_e", "t_a", "emitter", "absorber", "winner_weight", "confirmation_set_size")
-TRIPLES_PER_BLOCK = 256
+# Triples per block forced on the kernel; None keeps the size it derives from the config.
+BLOCK_SIZES = [None, 1, 2, 7, 256]
+
+
+def block_size(triples):
+    """A context in which the kernel draws ``triples`` triples per block."""
+    if triples is None:
+        return contextlib.nullcontext()
+    return mock.patch.object(gas, "_block_triples", lambda config: triples)
 
 
 def make_table(kind, n, seed):
@@ -128,9 +141,10 @@ def column_bytes(events):
 
 
 @settings(max_examples=60)
-@given(gas_configs())
-def test_kernel_equals_the_stepwise_composition(config):
-    fast = outcome(kernel_events, config)
+@given(gas_configs(), st.sampled_from(BLOCK_SIZES))
+def test_kernel_equals_the_stepwise_composition(config, triples):
+    with block_size(triples):
+        fast = outcome(kernel_events, config)
     slow = outcome(stepwise, config)
     if isinstance(slow, str):
         assert fast == slow
@@ -140,20 +154,25 @@ def test_kernel_equals_the_stepwise_composition(config):
 
 @pytest.mark.parametrize("kind", ["uniform", "dense", "sparse"])
 def test_kernel_equals_the_composition_across_blocks_and_at_a_block_edge(kind):
-    # t_max at the absorption of event 255 puts the horizon on the first
-    # triple of the second block; the long run crosses several blocks
+    # t_max at the absorption of the last event of the first block puts the
+    # horizon on the first triple of the second block; the long run needs more
+    # than three blocks. At the config-derived size both configs draw 256.
     long_config = GasConfig(
         n_molecules=40, n_excited=20, decay_rate=1.0, t_max=60.0, seed=17,
         delay=1e-6, coupling=make_table(kind, 40, 3),
     )
     _bounds, ledger = run(long_config)
-    assert len(ledger) > 3 * TRIPLES_PER_BLOCK
-    edge = dataclasses.replace(long_config, t_max=float(ledger.t_a[TRIPLES_PER_BLOCK - 1]))
-    for config in (long_config, edge):
-        assert column_bytes(outcome(kernel_events, config)) == column_bytes(
-            outcome(stepwise, config)
-        )
-    assert len(outcome(kernel_events, edge)) == TRIPLES_PER_BLOCK
+    slow = column_bytes(outcome(stepwise, long_config))
+    for triples in BLOCK_SIZES:
+        with block_size(triples):
+            size = gas._block_triples(long_config)
+            assert len(ledger) > 3 * size
+            edge = dataclasses.replace(long_config, t_max=float(ledger.t_a[size - 1]))
+            assert gas._block_triples(edge) == size
+            assert column_bytes(outcome(kernel_events, long_config)) == slow
+            fast = outcome(kernel_events, edge)
+        assert column_bytes(fast) == column_bytes(outcome(stepwise, edge))
+        assert len(fast) == size
 
 
 def lone_runs(config, children):
@@ -168,24 +187,43 @@ def lone_runs(config, children):
     return outcomes
 
 
+def one_tiny_weight():
+    """4-molecule coupling with emitter 0's weight to molecule 3 below ZERO_WEIGHT."""
+    table = np.ones((4, 4))
+    np.fill_diagonal(table, 0.0)
+    table[0, 3] = 1e-17
+    return table
+
+
 @settings(max_examples=40)
-@given(gas_configs(), st.integers(1, 9))
-def test_batch_equals_lone_runs_member_by_member(config, n_members):
+@given(gas_configs(), st.integers(1, 9), st.sampled_from(BLOCK_SIZES))
+# three steps of this batch clamp with one of two or three live rows below
+# ZERO_WEIGHT, four steps skip the clamp; alone, a member clamps only its own
+@example(
+    GasConfig(
+        n_molecules=4, n_excited=2, decay_rate=1.0, t_max=3.0, seed=1, delay=0.01,
+        coupling=one_tiny_weight(),
+    ),
+    3,
+    None,
+)
+def test_batch_equals_lone_runs_member_by_member(config, n_members, triples):
     children = np.random.SeedSequence(config.seed).spawn(n_members)
-    lone = lone_runs(config, children)
-    rngs = [np.random.default_rng(child) for child in children]
-    errors = [result for result in lone if isinstance(result, str)]
-    if errors:
-        # the error of the lowest failing member, raised after every member ran
-        with pytest.raises(ZeroCouplingError) as info:
-            run(config, rngs)
-        assert str(info.value) == errors[0]
-    else:
+    with block_size(triples):
+        lone = lone_runs(config, children)
+        rngs = [np.random.default_rng(child) for child in children]
+        errors = [result for result in lone if isinstance(result, str)]
+        if errors:
+            # the error of the lowest failing member, raised after every member ran
+            with pytest.raises(ZeroCouplingError) as info:
+                run(config, rngs)
+            assert str(info.value) == errors[0]
+            return
         bounds, ledger = run(config, rngs)
-        assert bounds.size == n_members + 1
-        for start, stop, result in zip(bounds[:-1], bounds[1:], lone):
-            assert [[0, stop - start]] + column_bytes(ledger[start:stop]) == result
-        assert bounds[0] == 0 and bounds[-1] == len(ledger)
+    assert bounds.size == n_members + 1
+    for start, stop, result in zip(bounds[:-1], bounds[1:], lone):
+        assert [[0, stop - start]] + column_bytes(ledger[start:stop]) == result
+    assert bounds[0] == 0 and bounds[-1] == len(ledger)
 
 
 def test_batch_error_names_the_lowest_failing_member():
@@ -469,3 +507,22 @@ def test_batch_tally_holds_no_per_member_tally():
         tracemalloc.stop()
     assert pooled.transition_counts.shape == (51, 51)
     assert peak < 256 * 51 * 51 * 8
+
+
+def test_coupled_batch_run_peaks_below_the_recorded_bound():
+    # 6,461,212 bytes is this run's tracemalloc peak when each member drew its
+    # 768 uniforms into an array of its own; one (members, 3 * triples) array
+    # of uniforms per batch may add at most its own size to that
+    config = GasConfig(
+        n_molecules=100, n_excited=50, decay_rate=1.0, t_max=3.0, seed=3, delay=1e-12,
+        coupling=make_table("dense", 100, 3),
+    )
+    rngs = [np.random.default_rng(child) for child in np.random.SeedSequence(3).spawn(256)]
+    tracemalloc.start()
+    try:
+        _bounds, ledger = run(config, rngs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ledger) > 30_000
+    assert peak < 6_461_212 + 256 * 3 * gas._block_triples(config) * 8

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.stats import chisquare
@@ -12,6 +13,7 @@ from stosszahl.gas import GasConfig, Ledger, read_ledger_raw, run, write_ledger_
 from stosszahl.scenarios import (
     SCENARIO_CHECKS,
     SCHEMA_VERSION,
+    _chi_square_tail,
     list_scenarios,
     run_scenario,
 )
@@ -216,8 +218,21 @@ def test_born_chi_square_matches_scipy_stats(tmp_path, weights, n_draws, seed):
         observed = [int(line.split(",")[2]) for line in handle.readlines()[1:]]
     statistic, p_value = chisquare(observed, np.asarray(weights) * n_draws)
     check = report.checks[0]
-    assert check.measured == float(p_value)
+    # the closed-form tail and scipy's chdtrc may round differently in the last bits
+    assert check.measured == pytest.approx(float(p_value), rel=1e-12, abs=0.0)
     assert f"(statistic {statistic:.6g}, " in check.requirement
+
+
+@pytest.mark.parametrize("dof", range(1, 64))
+def test_chi_square_tail_equals_the_regularized_upper_gamma(dof):
+    # Q(dof / 2, x / 2) at 40 digits; near the mean, in the far tail, where e^-x/2
+    # alone underflows, and at tiny x, where the a = 0 term alone matters
+    xs = [0.0, 1e-300, 1e-12, 0.01, 0.5, 1.0, 3.0, dof / 2, dof - 0.5, dof, dof + 0.7,
+          1.5 * dof, 2 * dof + 3, 4 * dof + 20, 10 * dof + 50, 200.0, 700.0, 1400.0, 1600.0]
+    with mpmath.workdps(40):
+        for x in xs:
+            exact = float(mpmath.gammainc(mpmath.mpf(dof) / 2, mpmath.mpf(x) / 2, regularized=True))
+            assert math.isclose(_chi_square_tail(dof, x), exact, rel_tol=1e-12, abs_tol=1e-300), x
 
 
 def test_gas_coupling_table_rows_are_emitters(tmp_path):
