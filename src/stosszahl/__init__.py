@@ -12,14 +12,12 @@ from .fock import fock_annihilate, fock_create
 from .gas import (
     GasConfig,
     Ledger,
-    TransactionEvent,
-    Trajectory,
     audit_ledger,
     empirical_rates,
     macrostate_entropy,
     run,
 )
-from .linalg import Spectrum, eig_hermitian, matrix_from_json, matrix_to_json
+from .linalg import Spectrum, eig_hermitian
 from .master import (
     build_master_operator,
     equilibrium,
@@ -53,8 +51,6 @@ __all__ = [
     "Ledger",
     "Propagator",
     "Spectrum",
-    "Trajectory",
-    "TransactionEvent",
     "audit_ledger",
     "born_weights",
     "build_master_operator",
@@ -71,8 +67,6 @@ __all__ = [
     "fock_annihilate",
     "fock_create",
     "macrostate_entropy",
-    "matrix_from_json",
-    "matrix_to_json",
     "measure",
     "mix_states",
     "process1",

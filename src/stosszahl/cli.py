@@ -17,7 +17,7 @@ import os
 import sys
 
 from .config import ConfigError, load_scenario_config
-from .gas import audit_ledger, read_ledger_raw
+from .gas import audit_ledger, read_audit_rows
 from .scenarios import list_scenarios, run_scenario
 
 OUT_ENV_VAR = "STOSSZAHL_OUT"
@@ -67,7 +67,7 @@ def _dispatch(args) -> int:
 
     if args.command == "audit":
         try:
-            rows = read_ledger_raw(args.ledger)
+            rows = read_audit_rows(args.ledger, args.n_molecules)
         except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

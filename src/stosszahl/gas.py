@@ -12,11 +12,9 @@ seed.
 Ledger: :func:`run` returns ``(bounds, ledger)``: the events as a
 :class:`Ledger`, one numpy column per field (``t_e, t_a, emitter, absorber,
 winner_weight, confirmation_set_size``) and one row per event, members one
-after another, and the member row bounds. The audit, the rate estimator
-and the CSV writer read these columns; :meth:`Trajectory.from_ledger`
-builds the coarse-grained trajectory of one member's rows when it is
-wanted. Indexing or iterating a ledger yields :class:`TransactionEvent`
-objects for callers that walk events.
+after another, and the member row bounds. The columns are the only record
+of the events: the audit, the rate estimator, the k lookup and the CSV
+writers read them, and a slice copies one member's rows out.
 
 Horizon: a run records every event whose absorption time t_a is at or before
 t_max and stops at the first event whose t_a would pass it. Every recorded
@@ -46,7 +44,7 @@ table computes its winner ranks there, from one (members, N - n) weight array.
 The result equals composing scalar draws event by event, one member at a
 time, bit for bit.
 
-Batches: :func:`iter_ensemble` yields one ``(ledger, bounds)`` batch per
+Batches: :func:`iter_ensemble` yields one ``(bounds, ledger)`` batch per
 call of :func:`run`, its ledger holding the members' events member after
 member. :func:`audit_ledger` and :func:`batch_left_counts` take such a
 ledger with its bounds and treat every member as if alone, bit for bit;
@@ -137,72 +135,14 @@ class GasConfig:
             object.__setattr__(self, "coupling", table)
 
 
-@dataclass(frozen=True)
-class TransactionEvent:
-    """One audited quantum transfer from an emitter to a winning absorber."""
-
-    emitter: int
-    absorber: int
-    t_emit: float
-    t_absorb: float
-    winner_weight: float
-    confirmation_size: int
-
-    def __post_init__(self):
-        if self.emitter == self.absorber:
-            raise ValueError(f"emitter and absorber coincide: {self.emitter}")
-        if not self.t_emit < self.t_absorb:
-            raise ValueError(
-                f"emission must strictly precede absorption: t_emit={self.t_emit!r}, "
-                f"t_absorb={self.t_absorb!r}"
-            )
-        if not 0.0 < self.winner_weight <= 1.0:
-            raise ValueError(f"winner weight {self.winner_weight!r} outside (0, 1]")
-        if self.confirmation_size < 1:
-            raise ValueError("confirmation set was empty; no transaction can form")
-
-
-@dataclass(eq=False)
-class Trajectory:
-    """Coarse-grained record of one run, sampled at t = 0 and every absorption.
-
-    ``n_excited`` is the number of quanta, which every event conserves.
-    """
-
-    times: np.ndarray
-    left_counts: np.ndarray
-    macro_entropies: np.ndarray
-    n_excited: int
-
-    def left_counts_at(self, query_times) -> np.ndarray:
-        """Step-function lookup of k at arbitrary times >= 0."""
-        q = np.asarray(query_times, dtype=float)
-        idx = np.searchsorted(self.times, q, side="right") - 1
-        if np.any(idx < 0):
-            raise ValueError("query times must be >= the trajectory start")
-        return self.left_counts[idx]
-
-    @classmethod
-    def from_ledger(cls, config: GasConfig, ledger: Ledger) -> Trajectory:
-        """Trajectory of one member's ledger, sampled at t = 0 and at every absorption."""
-        left = _left_counts(config, ledger.emitter, ledger.absorber)
-        return cls(
-            times=np.concatenate(([0.0], ledger.t_a)),
-            left_counts=left,
-            macro_entropies=_macro_entropies(config, left),
-            n_excited=config.n_excited,
-        )
-
-
 @dataclass(eq=False)
 class Ledger:
     """Struct-of-arrays event ledger: one numpy column per field, one row per event.
 
     Columns follow the CSV schema without its index: ``t_e`` and ``t_a``
     (float), ``emitter`` and ``absorber`` (int64), ``winner_weight`` (float)
-    and ``confirmation_set_size`` (int64). ``len``, integer indexing and
-    iteration give the events as :class:`TransactionEvent` objects; a slice
-    gives a Ledger of copies of those rows.
+    and ``confirmation_set_size`` (int64). A slice gives a Ledger of copies
+    of those rows; a ledger is not indexed by event.
     """
 
     t_e: np.ndarray
@@ -215,30 +155,10 @@ class Ledger:
     def __len__(self) -> int:
         return self.t_e.shape[0]
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return Ledger(
-                *(column[index].copy() for column in (
-                    self.t_e, self.t_a, self.emitter, self.absorber,
-                    self.winner_weight, self.confirmation_set_size,
-                ))
-            )
-        return TransactionEvent(
-            emitter=int(self.emitter[index]),
-            absorber=int(self.absorber[index]),
-            t_emit=float(self.t_e[index]),
-            t_absorb=float(self.t_a[index]),
-            winner_weight=float(self.winner_weight[index]),
-            confirmation_size=int(self.confirmation_set_size[index]),
-        )
-
-    def __iter__(self):
-        columns = (
-            self.emitter, self.absorber, self.t_e, self.t_a,
-            self.winner_weight, self.confirmation_set_size,
-        )
-        for fields in zip(*(column.tolist() for column in columns)):
-            yield TransactionEvent(*fields)
+    def __getitem__(self, rows: slice) -> Ledger:
+        if not isinstance(rows, slice):
+            raise TypeError(f"a Ledger takes a slice of rows, not {type(rows).__name__}")
+        return Ledger(*(column[rows].copy() for column in vars(self).values()))
 
 
 def _indexed_ledger(rows) -> tuple:
@@ -337,11 +257,9 @@ def run(config: GasConfig, rng=None):
     so one generator gives ``bounds == [0, len(ledger)]``. Each member's
     rows are those of a lone run on its generator; the audit,
     :func:`batch_left_counts` and the pooled rate tally read the batch
-    ledger whole, given the bounds, and :meth:`Trajectory.from_ledger`
-    builds one member's trajectory from its rows. If members meet a
-    confirmation set of zero total weight, every member still runs to its
-    end and the :class:`ZeroCouplingError` of the lowest such member is
-    raised.
+    ledger whole, given the bounds. If members meet a confirmation set of
+    zero total weight, every member still runs to its end and the
+    :class:`ZeroCouplingError` of the lowest such member is raised.
 
     The kernel is Gillespie's direct method. Quanta are conserved, so the
     total emission rate n * decay_rate and the confirmation-set size N - n
@@ -553,7 +471,7 @@ def _macro_entropies(config: GasConfig, left_counts: np.ndarray) -> np.ndarray:
 
 
 def iter_ensemble(config: GasConfig, n_members: int):
-    """Yield (ledger, bounds) for n_members independent runs, one batch at a time.
+    """Yield (bounds, ledger) for n_members independent runs, one batch at a time.
 
     Member generators come from spawning ``numpy.random.SeedSequence(seed)``,
     so the whole ensemble is reproducible from the single config seed and
@@ -572,7 +490,7 @@ def iter_ensemble(config: GasConfig, n_members: int):
     for first in range(0, n_members, _MEMBERS_PER_RUN):
         rngs = [np.random.default_rng(child) for child in children[first : first + _MEMBERS_PER_RUN]]
         bounds, ledger = run(config, rngs)
-        yield ledger, bounds
+        yield bounds, ledger
         # Free this batch before the next one is stepped.
         del ledger
 
@@ -580,9 +498,9 @@ def iter_ensemble(config: GasConfig, n_members: int):
 def batch_left_counts(config: GasConfig, ledger: Ledger, bounds, query_times) -> np.ndarray:
     """k of every member of a batch ledger at each query time, one row per member.
 
-    Row i equals ``Trajectory.from_ledger(config, member).left_counts_at(query_times)``
-    for the rows ``member`` of member i. Query times are one
-    dimensional and nonnegative. Each row's absorption time is located once
+    Row i holds, at each query time, member i's k after its last absorption
+    at or before that time (its initial k before its first). Query times are
+    one dimensional and nonnegative. Each row's absorption time is located once
     among the sorted queries, and one ``bincount`` over (member, first query
     at or after it) counts every member's absorptions up to every query.
     """
@@ -607,31 +525,27 @@ def batch_left_counts(config: GasConfig, ledger: Ledger, bounds, query_times) ->
 class EnsembleSeries:
     """Ensemble statistics of k on a fixed sample-time grid.
 
-    ``left_counts`` has one row per member; ``k_entropy`` is the Shannon
-    entropy of the empirical k distribution across members at each time and
-    ``mean_macro_entropy`` the ensemble mean of the macrostate entropy.
+    ``k_entropy`` is the Shannon entropy of the empirical k distribution
+    across members at each time and ``mean_macro_entropy`` the ensemble mean
+    of the macrostate entropy.
     """
 
-    times: np.ndarray
-    left_counts: np.ndarray
     k_entropy: np.ndarray
     mean_macro_entropy: np.ndarray
     mean_left_count: np.ndarray
 
 
-def summarize_ensemble(config: GasConfig, times: np.ndarray, counts: np.ndarray) -> EnsembleSeries:
-    """Build an :class:`EnsembleSeries` from sampled per-member k values."""
-    n_seeds = counts.shape[0]
+def summarize_ensemble(config: GasConfig, counts: np.ndarray) -> EnsembleSeries:
+    """Build an :class:`EnsembleSeries` from k sampled per member (rows) and time (columns)."""
+    n_seeds, n_times = counts.shape
     max_k = (config.n_molecules + 1) // 2
-    k_entropy = np.empty(times.size)
-    mean_macro = np.empty(times.size)
-    for col in range(times.size):
+    k_entropy = np.empty(n_times)
+    mean_macro = np.empty(n_times)
+    for col in range(n_times):
         histogram = np.bincount(counts[:, col], minlength=max_k + 1)
         k_entropy[col] = shannon_entropy(histogram / n_seeds)
         mean_macro[col] = float(np.mean(_macro_entropies(config, counts[:, col])))
     return EnsembleSeries(
-        times=times,
-        left_counts=counts,
         k_entropy=k_entropy,
         mean_macro_entropy=mean_macro,
         mean_left_count=counts.mean(axis=0),
@@ -789,15 +703,38 @@ def read_ledger_raw(path) -> list[tuple]:
     return rows
 
 
-def write_trajectory_csv(path, trajectory: Trajectory, header_comment: str | None = None) -> None:
-    """Write a :class:`Trajectory` with 17-digit floats; ``n`` is the conserved quanta count."""
-    n = trajectory.n_excited
+def read_audit_rows(path, n_molecules: int | None = None) -> list[tuple]:
+    """The :func:`read_ledger_raw` rows of a ledger CSV that :func:`audit_ledger` can check.
+
+    Raises ValueError for a molecule count below 1, which puts every id out
+    of range, and for a ledger without events, whose audit would compare
+    nothing.
+    """
+    if n_molecules is not None and n_molecules < 1:
+        raise ValueError(f"n_molecules must be >= 1, got {n_molecules}")
+    rows = read_ledger_raw(path)
+    if not rows:
+        raise ValueError(f"{path}: the ledger holds no events to audit")
+    return rows
+
+
+def write_trajectory_csv(
+    path, config: GasConfig, ledger: Ledger, header_comment: str | None = None
+) -> None:
+    """Write one member's k trajectory, at t = 0 and at every absorption, with 17-digit floats.
+
+    ``n`` is the conserved quanta count and ``S_macro`` the macrostate
+    entropy of k (NaN for an odd molecule count).
+    """
+    left = _left_counts(config, ledger.emitter, ledger.absorber)
     write_csv(
         path,
         TRAJECTORY_COLUMNS,
         (
-            [fmt(t), n, int(k), fmt(s)]
-            for t, k, s in zip(trajectory.times, trajectory.left_counts, trajectory.macro_entropies)
+            [fmt(t), config.n_excited, k, fmt(s)]
+            for t, k, s in zip(
+                [0.0] + ledger.t_a.tolist(), left.tolist(), _macro_entropies(config, left).tolist()
+            )
         ),
         header_comment,
     )

@@ -83,22 +83,3 @@ def eig_hermitian(matrix, name: str = "matrix") -> Spectrum:
     a = require_hermitian(matrix, name)
     eigenvalues, eigenvectors = np.linalg.eigh(a)
     return Spectrum(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
-
-
-def matrix_to_json(matrix) -> list:
-    """Encode a complex matrix as nested lists of [re, im] pairs."""
-    a = np.asarray(matrix, dtype=complex)
-    if a.ndim != 2:
-        raise ValueError(f"expected a 2-d matrix, got shape {a.shape}")
-    return [[[float(z.real), float(z.imag)] for z in row] for row in a]
-
-
-def matrix_from_json(data) -> np.ndarray:
-    """Decode the [re, im] nested-list encoding produced by :func:`matrix_to_json`."""
-    rows = []
-    for row in data:
-        rows.append([complex(re, im) for re, im in row])
-    a = np.array(rows, dtype=complex)
-    if a.ndim != 2:
-        raise ValueError("matrix JSON must decode to a 2-d array")
-    return a

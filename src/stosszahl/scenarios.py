@@ -504,7 +504,7 @@ def _gas_equilibrium(config: ScenarioConfig, stamp: str | None):
 
     batches = gas_mod.iter_ensemble(gas_config, n_seeds)
     try:
-        for ledger, bounds in batches:
+        for bounds, ledger in batches:
             counts[done : done + bounds.size - 1] = gas_mod.batch_left_counts(
                 gas_config, ledger, bounds, queries
             )
@@ -533,7 +533,7 @@ def _gas_equilibrium(config: ScenarioConfig, stamp: str | None):
         )
     counts_grid, counts_check = counts[:, : grid.size], counts[:, grid.size :]
 
-    series = gas_mod.summarize_ensemble(gas_config, grid, counts_grid)
+    series = gas_mod.summarize_ensemble(gas_config, counts_grid)
 
     # Equilibrium band checks on the late-time samples.
     late = grid >= p["equilibration_time"]
@@ -564,16 +564,14 @@ def _gas_equilibrium(config: ScenarioConfig, stamp: str | None):
     series_file = config.out_dir / "gas_ensemble_series.csv"
     rates_file = config.out_dir / "gas_empirical_rates.csv"
     gas_mod.write_ledger_csv(ledger_file, events0, header_comment=stamp)
-    gas_mod.write_trajectory_csv(
-        trajectory_file, gas_mod.Trajectory.from_ledger(gas_config, events0), header_comment=stamp
-    )
+    gas_mod.write_trajectory_csv(trajectory_file, gas_config, events0, header_comment=stamp)
     write_csv(
         series_file,
         ["t", "k_distribution_entropy", "mean_macrostate_entropy", "mean_k"],
         [
             [fmt(t), fmt(s), fmt(sm), fmt(mk)]
             for t, s, sm, mk in zip(
-                series.times, series.k_entropy, series.mean_macro_entropy, series.mean_left_count
+                grid, series.k_entropy, series.mean_macro_entropy, series.mean_left_count
             )
         ],
         stamp,
@@ -621,11 +619,11 @@ def _gas_equilibrium(config: ScenarioConfig, stamp: str | None):
 def _ledger_audit(config: ScenarioConfig, stamp: str | None):
     p = config.params
     try:
-        rows = gas_mod.read_ledger_raw(p["ledger"])
+        rows = gas_mod.read_audit_rows(p["ledger"], p["n_molecules"])
     except OSError as exc:
         raise ConfigError(f"ledger-audit.ledger: cannot read ({exc})") from exc
     except ValueError as exc:
-        raise ConfigError(f"ledger-audit.ledger: {exc}") from exc
+        raise ConfigError(f"ledger-audit: {exc}") from exc
     audit = gas_mod.audit_ledger(rows, n_molecules=p["n_molecules"])
     detail = "; ".join(audit.violations[:5])
     checks = [

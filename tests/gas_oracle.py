@@ -1,22 +1,56 @@
 """Per-event reference of the gas kernel, for tests only.
 
 ``next_event`` draws one transaction from a :class:`GasState` with scalar
-draws and ``apply_event`` applies it; composed until the horizon they define
-what :func:`stosszahl.gas.run` must produce bit for bit, one member at a time
-or in a batch. Nothing in ``src/`` calls them.
+draws and ``apply_event`` applies it; composed until the horizon
+(``stepwise``) they define what :func:`stosszahl.gas.run` must produce bit
+for bit, one member at a time or in a batch. The reference keeps its own
+per-event record, :class:`Event`, whose fields are named after the ledger
+columns, and ``column_bytes`` compares the two field by field. Nothing in
+``src/`` calls these.
 """
 
+import copy
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from stosszahl.gas import GasConfig, TransactionEvent, ZeroCouplingError
+from stosszahl.gas import GasConfig, Ledger, ZeroCouplingError
 from stosszahl.measurement import collapse_sample
 
 
 class TransactionError(RuntimeError):
     """A transaction violated its preconditions; the conservation audit failed."""
+
+
+class Event(NamedTuple):
+    """One transaction, with the fields of a ledger row in ledger column order."""
+
+    t_e: float
+    t_a: float
+    emitter: int
+    absorber: int
+    winner_weight: float
+    confirmation_set_size: int
+
+
+def ledger_events(ledger: Ledger) -> list[Event]:
+    """The rows of a ledger as events."""
+    return [Event(*row) for row in zip(*(getattr(ledger, f).tolist() for f in Event._fields))]
+
+
+def column_bytes(record) -> list[bytes]:
+    """Each field of a Ledger, or of a list of events, as float64 bytes.
+
+    Bytes tell -0.0 from 0.0 and compare NaN with NaN, so equal lists mean
+    equal records bit for bit.
+    """
+    if isinstance(record, Ledger):
+        columns = [getattr(record, field) for field in Event._fields]
+    else:
+        columns = np.array(record, dtype=float).reshape(-1, len(Event._fields)).T
+    return [np.asarray(column, dtype=float).tobytes() for column in columns]
 
 
 @dataclass(eq=False)
@@ -45,7 +79,7 @@ def left_half_count(state: GasState) -> int:
     return int(np.count_nonzero(state.levels[: (n + 1) // 2]))
 
 
-def next_event(state: GasState, config: GasConfig, rng: np.random.Generator) -> TransactionEvent | None:
+def next_event(state: GasState, config: GasConfig, rng: np.random.Generator) -> Event | None:
     """Draw the next transaction, or None if no emitter/absorber pair can form.
 
     The total emission rate is (number of excited) * decay_rate; by the
@@ -79,17 +113,17 @@ def next_event(state: GasState, config: GasConfig, rng: np.random.Generator) -> 
         weights = raw / total
     winner = collapse_sample(weights, rng)
 
-    return TransactionEvent(
+    return Event(
+        t_e=t_emit,
+        t_a=t_emit + config.delay,
         emitter=emitter,
         absorber=int(ground[winner]),
-        t_emit=t_emit,
-        t_absorb=t_emit + config.delay,
         winner_weight=float(weights[winner]),
-        confirmation_size=int(ground.size),
+        confirmation_set_size=int(ground.size),
     )
 
 
-def apply_event(state: GasState, event: TransactionEvent) -> GasState:
+def apply_event(state: GasState, event: Event) -> GasState:
     """Transfer the quantum: emitter to ground, absorber to excited.
 
     Preconditions are hard: applying an event whose emitter is not excited or
@@ -109,4 +143,29 @@ def apply_event(state: GasState, event: TransactionEvent) -> GasState:
     new_levels = levels.copy()
     new_levels[event.emitter] = 0
     new_levels[event.absorber] = 1
-    return GasState(levels=new_levels, time=event.t_absorb)
+    return GasState(levels=new_levels, time=event.t_a)
+
+
+def stepwise(config: GasConfig, rng) -> list[Event]:
+    """Events of the next_event/apply_event composition up to the horizon.
+
+    The event that would cross the horizon is never resolved, so a
+    zero-weight confirmation set is an error only for an event that absorbs
+    inside the window: its waiting time is redrawn from a copy of the
+    generator taken before the event.
+    """
+    state = init_gas(config)
+    events = []
+    while True:
+        before = copy.deepcopy(rng)
+        try:
+            event = next_event(state, config, rng)
+        except ZeroCouplingError:
+            waiting = -math.log1p(-before.random()) / (state.quanta * config.decay_rate)
+            if state.time + waiting + config.delay > config.t_max:
+                return events
+            raise
+        if event is None or event.t_a > config.t_max:
+            return events
+        state = apply_event(state, event)
+        events.append(event)

@@ -216,7 +216,7 @@ def gas_ensemble():
     pooled = None
     started = time.perf_counter()
     done = 0
-    for ledger, bounds in iter_ensemble(config, n_seeds):
+    for bounds, ledger in iter_ensemble(config, n_seeds):
         rows = slice(done, done + bounds.size - 1)
         done += bounds.size - 1
         counts_grid[rows] = batch_left_counts(config, ledger, bounds, grid)

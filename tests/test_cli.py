@@ -192,6 +192,38 @@ def test_audit_missing_file_exit_two(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("entry", ["audit", "ledger-audit"])
+@pytest.mark.parametrize(
+    ("n_molecules", "n_excited", "message"),
+    [
+        # every id out of range: one violation per id, exit 1, before the check
+        ("0", 4, "n_molecules must be >= 1, got 0"),
+        ("-5", 4, "n_molecules must be >= 1, got -5"),
+        ("-3", 4, "n_molecules must be >= 1, got -3"),
+        # a header-only ledger audited PASS over 0 events
+        (None, 0, "the ledger holds no events to audit"),
+    ],
+    ids=["n-molecules-0", "n-molecules-minus-5", "n-molecules-minus-3", "header-only-ledger"],
+)
+def test_audit_input_that_checks_nothing_exits_two(tmp_path, capsys, entry, n_molecules, n_excited, message):
+    gas_config = GasConfig(n_molecules=8, n_excited=n_excited, decay_rate=1.0, t_max=10.0, seed=6)
+    path = tmp_path / "ledger.csv"
+    write_ledger_csv(path, run(gas_config)[1])
+    if entry == "audit":
+        argv = ["audit", "--ledger", str(path)]
+        if n_molecules is not None:
+            argv += ["--n-molecules", n_molecules]
+    else:
+        text = f"[run]\nscenario = ledger-audit\nseed = 1\n[ledger-audit]\nledger = {path}\n"
+        if n_molecules is not None:
+            text += f"n_molecules = {n_molecules}\n"
+        argv = ["run", "--config", str(write_config(tmp_path, text)), "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:" if entry == "ledger-audit" else "error:")
+    assert message in err
+
+
 def test_identical_seeds_identical_outputs(tmp_path):
     config = write_config(
         tmp_path,

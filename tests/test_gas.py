@@ -6,12 +6,16 @@ import numpy as np
 import pytest
 
 from gas_oracle import (
+    Event,
     GasState,
     TransactionError,
     apply_event,
+    column_bytes,
     init_gas,
+    ledger_events,
     left_half_count,
     next_event,
+    stepwise,
 )
 from stosszahl import gas
 from stosszahl.config import SCENARIO_SCHEMAS, ConfigError, ScenarioConfig
@@ -19,8 +23,7 @@ from stosszahl.csvio import read_csv
 from stosszahl.gas import (
     EmpiricalRates,
     GasConfig,
-    TransactionEvent,
-    Trajectory,
+    Ledger,
     audit_ledger,
     batch_left_counts,
     empirical_rates,
@@ -127,7 +130,7 @@ def test_forced_pair_is_selected():
     rng = np.random.default_rng(0)
     event = next_event(init_gas(config), config, rng)
     assert event.emitter == 0 and event.absorber == 1
-    assert event.winner_weight == 1.0 and event.confirmation_size == 1
+    assert event.winner_weight == 1.0 and event.confirmation_set_size == 1
 
 
 def test_no_event_when_all_excited():
@@ -179,19 +182,10 @@ def test_zero_coupling_row_rejected():
         next_event(init_gas(config), config, np.random.default_rng(0))
 
 
-def test_event_invariants_enforced_at_construction():
-    with pytest.raises(ValueError, match="strictly precede"):
-        TransactionEvent(0, 1, 1.0, 1.0, 0.5, 2)
-    with pytest.raises(ValueError, match="coincide"):
-        TransactionEvent(1, 1, 0.0, 1.0, 0.5, 2)
-    with pytest.raises(ValueError, match="weight"):
-        TransactionEvent(0, 1, 0.0, 1.0, 1.5, 2)
-
-
 def test_apply_event_swaps_levels_and_conserves():
     config = make_config(n_molecules=3, n_excited=1)
     state = init_gas(config)
-    event = TransactionEvent(0, 2, 0.5, 0.6, 1.0, 2)
+    event = Event(t_e=0.5, t_a=0.6, emitter=0, absorber=2, winner_weight=1.0, confirmation_set_size=2)
     after = apply_event(state, event)
     assert after.levels.tolist() == [0, 0, 1]
     assert after.quanta == state.quanta == 1
@@ -200,7 +194,7 @@ def test_apply_event_swaps_levels_and_conserves():
 
 def test_reapplying_event_is_rejected():
     config = make_config(n_molecules=3, n_excited=1)
-    event = TransactionEvent(0, 2, 0.5, 0.6, 1.0, 2)
+    event = Event(t_e=0.5, t_a=0.6, emitter=0, absorber=2, winner_weight=1.0, confirmation_set_size=2)
     after = apply_event(init_gas(config), event)
     with pytest.raises(TransactionError, match="not excited"):
         apply_event(after, event)
@@ -208,7 +202,7 @@ def test_reapplying_event_is_rejected():
 
 def test_apply_event_requires_ground_absorber():
     config = make_config(n_molecules=3, n_excited=2)
-    event = TransactionEvent(0, 1, 0.5, 0.6, 1.0, 1)
+    event = Event(t_e=0.5, t_a=0.6, emitter=0, absorber=1, winner_weight=1.0, confirmation_set_size=1)
     with pytest.raises(TransactionError, match="ground"):
         apply_event(init_gas(config), event)
 
@@ -218,37 +212,42 @@ def test_apply_event_requires_ground_absorber():
 def test_empty_gas_gives_empty_ledger():
     config = make_config(n_molecules=6, n_excited=0)
     bounds, events = run(config)
-    assert list(events) == []
+    assert len(events) == 0
     assert bounds.tolist() == [0, 0]
-    assert Trajectory.from_ledger(config, events).times.tolist() == [0.0]
+
+
+def test_ledger_slices_copy_rows_and_is_not_indexed_by_event():
+    _bounds, ledger = run(make_config(t_max=3.0))
+    part = ledger[2:5]
+    assert column_bytes(part) == [column[2:5].astype(float).tobytes() for column in vars(ledger).values()]
+    part.emitter[0] = -1
+    assert ledger.emitter[2] != -1
+    for index in (0, -1, np.int64(1)):
+        with pytest.raises(TypeError, match="slice"):
+            ledger[index]
 
 
 def test_saturated_gas_gives_empty_ledger():
     _bounds, events = run(make_config(n_molecules=6, n_excited=6))
-    assert list(events) == []
+    assert len(events) == 0
 
 
 def test_two_body_exchange_alternates():
     config = make_config(n_molecules=2, n_excited=1, delay=0.01, t_max=50.0)
     _bounds, events = run(config)
     assert len(events) > 10
-    for i, event in enumerate(events):
-        assert event.t_emit < event.t_absorb
-        expected_emitter = i % 2
-        assert event.emitter == expected_emitter
-        assert event.absorber == 1 - expected_emitter
+    assert np.all(events.t_e < events.t_a)
+    alternating = np.arange(len(events)) % 2
+    assert np.array_equal(events.emitter, alternating)
+    assert np.array_equal(events.absorber, 1 - alternating)
 
 
 def test_run_is_deterministic():
     config = make_config(n_molecules=30, n_excited=15, t_max=20.0, seed=77)
     bounds_a, events_a = run(config)
     bounds_b, events_b = run(config)
-    assert list(events_a) == list(events_b)
+    assert column_bytes(events_a) == column_bytes(events_b)
     assert bounds_a.tolist() == bounds_b.tolist() == [0, len(events_a)]
-    trajectory_a = Trajectory.from_ledger(config, events_a)
-    trajectory_b = Trajectory.from_ledger(config, events_b)
-    assert np.array_equal(trajectory_a.times, trajectory_b.times)
-    assert np.array_equal(trajectory_a.left_counts, trajectory_b.left_counts)
 
 
 def test_run_matches_stepwise_composition():
@@ -261,25 +260,15 @@ def test_run_matches_stepwise_composition():
     ]
     for config in configs:
         _bounds, fast = run(config)
-        rng = np.random.default_rng(config.seed)
-        state = init_gas(config)
-        slow = []
-        while True:
-            event = next_event(state, config, rng)
-            if event is None or event.t_absorb > config.t_max:
-                break
-            state = apply_event(state, event)
-            slow.append(event)
-        assert list(fast) == slow
+        assert column_bytes(fast) == column_bytes(stepwise(config, np.random.default_rng(config.seed)))
         assert len(fast) > 50
 
 
 def test_arrow_of_time_holds_on_every_event():
     config = make_config(n_molecules=20, n_excited=10, t_max=30.0, seed=3)
     _bounds, events = run(config)
-    emit_times = [event.t_emit for event in events]
-    assert all(event.t_emit < event.t_absorb for event in events)
-    assert all(b >= a for a, b in zip(emit_times, emit_times[1:]))
+    assert np.all(events.t_e < events.t_a)
+    assert np.all(np.diff(events.t_e) >= 0.0)
 
 
 def test_conservation_is_exact_on_trajectory():
@@ -306,25 +295,18 @@ def test_long_runs_match_stepwise_composition():
     ]
     for config in configs:
         _bounds, fast = run(config)
-        rng = np.random.default_rng(config.seed)
-        state = init_gas(config)
-        slow = []
-        while True:
-            event = next_event(state, config, rng)
-            if event is None or event.t_absorb > config.t_max:
-                break
-            state = apply_event(state, event)
-            slow.append(event)
-        assert list(fast) == slow
+        assert column_bytes(fast) == column_bytes(stepwise(config, np.random.default_rng(config.seed)))
         assert len(fast) > 500
 
 
-def test_run_stops_at_last_absorption_inside_horizon():
+def test_run_stops_at_last_absorption_inside_horizon(tmp_path):
     # a delay of half a lifetime makes emissions before t_max absorb after it
     config = make_config(n_molecules=10, n_excited=5, t_max=10.0, delay=0.5, seed=1)
     _bounds, ledger = run(config)
     assert ledger.t_a[-1] <= config.t_max
-    assert Trajectory.from_ledger(config, ledger).times[-1] == ledger.t_a[-1]
+    path = tmp_path / "trajectory.csv"
+    write_trajectory_csv(path, config, ledger)
+    assert float(read_csv(path)[-1][0]) == ledger.t_a[-1]
     empirical_rates(config, ledger)
 
 
@@ -332,7 +314,7 @@ def test_emitter_and_absorber_anticorrelated_after_event():
     config = make_config(n_molecules=10, n_excited=5, t_max=10.0, seed=9)
     _bounds, events = run(config)
     state = init_gas(config)
-    for event in events:
+    for event in ledger_events(events):
         state = apply_event(state, event)
         assert state.levels[event.emitter] == 0
         assert state.levels[event.absorber] == 1
@@ -341,27 +323,30 @@ def test_emitter_and_absorber_anticorrelated_after_event():
 def test_half_filled_gas_relaxes_to_hypergeometric_mean():
     # oracle: equilibrium mean k = n (N/2) / N = 25
     config = make_config(n_molecules=100, n_excited=50, t_max=50.0, seed=21)
-    trajectory = Trajectory.from_ledger(config, run(config)[1])
-    assert trajectory.left_counts[0] == 50
-    late = trajectory.left_counts[trajectory.times >= 30.0]
-    assert abs(late.mean() - 25.0) < 2.0
+    state = init_gas(config)
+    assert left_half_count(state) == 50
+    late = []
+    for event in ledger_events(run(config)[1]):
+        state = apply_event(state, event)
+        if event.t_a >= 30.0:
+            late.append(left_half_count(state))
+    assert abs(np.mean(late) - 25.0) < 2.0
 
 
 def test_events_keep_occurring_at_equilibrium():
     # ledger density stays near n * decay_rate while any absorber exists
     config = make_config(n_molecules=20, n_excited=10, t_max=100.0, seed=30)
     _bounds, events = run(config)
-    late = [event for event in events if event.t_emit >= 50.0]
-    density = len(late) / 50.0
+    density = np.count_nonzero(events.t_e >= 50.0) / 50.0
     assert abs(density - 10.0) / 10.0 < 0.2
 
 
 def test_left_count_autocorrelation_decays():
     # molecular-chaos imprint: correlation gone after 5 mixing times
     config = make_config(n_molecules=20, n_excited=10, t_max=500.0, seed=31)
-    trajectory = Trajectory.from_ledger(config, run(config)[1])
+    bounds, ledger = run(config)
     sample_times = np.arange(10.0, 500.0, 0.5)
-    k = trajectory.left_counts_at(sample_times).astype(float)
+    k = batch_left_counts(config, ledger, bounds, sample_times)[0].astype(float)
     k -= k.mean()
     lag = 5  # 5 * (1 / 2 lambda) / 0.5 sample spacing
     autocorr = np.dot(k[:-lag], k[lag:]) / np.dot(k, k)
@@ -417,16 +402,22 @@ def test_macrostate_entropy_rejects_bad_inputs():
         macrostate_entropy(1, heavy)  # 4 quanta cannot fit in 3 right slots
 
 
-def test_trajectory_step_lookup():
-    trajectory = Trajectory(
-        times=np.array([0.0, 1.0, 2.0]),
-        left_counts=np.array([3, 2, 1]),
-        macro_entropies=np.zeros(3),
-        n_excited=3,
+def test_batch_left_counts_step_lookup():
+    # 6 molecules, 3 quanta: k = 3 from t = 0, 2 from t = 1 and 1 from t = 2;
+    # a member without events keeps k = 3, and queries need not be sorted
+    config = make_config(n_molecules=6, n_excited=3, t_max=5.0)
+    ledger = Ledger(
+        t_e=np.array([0.9, 1.9]), t_a=np.array([1.0, 2.0]),
+        emitter=np.array([0, 1]), absorber=np.array([3, 4]),
+        winner_weight=np.full(2, 1 / 3), confirmation_set_size=np.array([3, 3]),
     )
-    assert trajectory.left_counts_at([0.0, 0.5, 1.0, 5.0]).tolist() == [3, 3, 2, 1]
+    queries = [0.0, 0.5, 1.0, 5.0, 1.5]
+    assert batch_left_counts(config, ledger, None, queries).tolist() == [[3, 3, 2, 1, 2]]
+    assert batch_left_counts(config, ledger, [0, 0, 2], queries).tolist() == [
+        [3, 3, 3, 3, 3], [3, 3, 2, 1, 2],
+    ]
     with pytest.raises(ValueError, match="trajectory start"):
-        trajectory.left_counts_at([-0.1])
+        batch_left_counts(config, ledger, None, [1.0, -0.1])
 
 
 # --- empirical rates -------------------------------------------------------------------
@@ -484,9 +475,9 @@ def replayed_rates(config, events):
     state = init_gas(config)
     label = left_half_count(state)
     t_prev = 0.0
-    for event in events:
-        dwell[label] += event.t_absorb - t_prev
-        t_prev = event.t_absorb
+    for event in ledger_events(events):
+        dwell[label] += event.t_a - t_prev
+        t_prev = event.t_a
         state = apply_event(state, event)
         new_label = left_half_count(state)
         if new_label != label:
@@ -519,7 +510,7 @@ def test_pooled_rates_count_the_dwell_of_members_without_events():
     config = make_config(n_molecules=10, n_excited=5, t_max=0.1, seed=7)
     pooled = None
     empty = 0
-    for ledger, bounds in iter_ensemble(config, 2000):
+    for bounds, ledger in iter_ensemble(config, 2000):
         empty += int(np.count_nonzero(np.diff(bounds) == 0))
         pooled = empirical_rates(config, ledger, bounds, pooled)
     assert empty == 1181
@@ -542,7 +533,7 @@ def test_combined_rates_pool_counts_and_dwell(tmp_path):
     config = make_config(n_molecules=10, n_excited=5, t_max=5.0, seed=43)
     parts = [
         empirical_rates(config, ledger[start:stop])
-        for ledger, bounds in iter_ensemble(config, 100)
+        for bounds, ledger in iter_ensemble(config, 100)
         for start, stop in zip(bounds[:-1], bounds[1:])
         if stop > start
     ]
@@ -561,10 +552,10 @@ def test_ensemble_series_statistics():
     counts = np.vstack(
         [
             batch_left_counts(config, ledger, bounds, times)
-            for ledger, bounds in iter_ensemble(config, 100)
+            for bounds, ledger in iter_ensemble(config, 100)
         ]
     )
-    series = summarize_ensemble(config, times, counts)
+    series = summarize_ensemble(config, counts)
     # all members share the initial macrostate
     assert series.k_entropy[0] == 0.0
     assert series.mean_macro_entropy[0] == 0.0
@@ -574,7 +565,6 @@ def test_ensemble_series_statistics():
     # macrostate entropy rises from 0 toward the scan maximum
     s_max = max(macrostate_entropy(k, config) for k in range(11))
     assert series.mean_macro_entropy[-1] > 0.9 * s_max
-    assert series.left_counts.shape == (100, len(times))
 
 
 def test_ensemble_requires_hundred_seeds(tmp_path):
@@ -591,8 +581,8 @@ def test_ensemble_members_are_reproducible():
     config = make_config(n_molecules=10, n_excited=5, t_max=5.0, seed=60)
     first, second = (
         [
-            list(ledger[start:stop])
-            for ledger, bounds in iter_ensemble(config, 3)
+            column_bytes(ledger[start:stop])
+            for bounds, ledger in iter_ensemble(config, 3)
             for start, stop in zip(bounds[:-1], bounds[1:])
         ]
         for _ in range(2)
@@ -622,7 +612,7 @@ def test_ensemble_steps_its_members_through_gas_run(monkeypatch):
     assert len(batches) == len(calls)
     ledgers = []
     for (size, (bounds, ledger)), batch in zip(calls, batches):
-        assert batch[0] is ledger and batch[1] is bounds
+        assert batch[0] is bounds and batch[1] is ledger
         assert bounds.size == size + 1
         assert bounds[0] == 0 and bounds[-1] == len(ledger)
         ledgers += [ledger[start:stop] for start, stop in zip(bounds[:-1], bounds[1:])]
@@ -631,7 +621,7 @@ def test_ensemble_steps_its_members_through_gas_run(monkeypatch):
     children = np.random.SeedSequence(config.seed).spawn(n_members)
     for child, ledger in zip(children, ledgers):
         _bounds, lone = real_run(config, np.random.default_rng(child))
-        assert list(ledger) == list(lone)
+        assert column_bytes(ledger) == column_bytes(lone)
 
 
 # --- ledger files and audit --------------------------------------------------------------
@@ -644,8 +634,7 @@ def test_ledger_csv_round_trip(tmp_path):
     assert path.read_text().startswith("# demo run\n")
     raw = read_ledger_raw(path)
     assert [row[0] for row in raw] == list(range(len(events)))
-    replayed = [TransactionEvent(e, a, t_e, t_a, w, size) for _i, t_e, t_a, e, a, w, size in raw]
-    assert replayed == list(events)
+    assert column_bytes([row[1:] for row in raw]) == column_bytes(events)
 
 
 def test_ledger_csv_header_required(tmp_path):
@@ -666,13 +655,29 @@ def test_ledger_csv_rejects_ids_beyond_int64(tmp_path):
 
 
 def test_trajectory_csv(tmp_path):
+    # a row at t = 0 and one after every absorption; k and S_macro replayed
     config = make_config(n_molecules=4, n_excited=2, t_max=5.0, seed=71)
-    trajectory = Trajectory.from_ledger(config, run(config)[1])
+    _bounds, ledger = run(config)
     path = tmp_path / "trajectory.csv"
-    write_trajectory_csv(path, trajectory)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "t,n,k,S_macro"
-    assert len(lines) == trajectory.times.size + 1
+    write_trajectory_csv(path, config, ledger)
+    lines = read_csv(path)
+    assert lines[0] == ["t", "n", "k", "S_macro"]
+    state = init_gas(config)
+    k = left_half_count(state)
+    expected = [[0.0, 2, k, macrostate_entropy(k, config)]]
+    for event in ledger_events(ledger):
+        state = apply_event(state, event)
+        k = left_half_count(state)
+        expected.append([event.t_a, 2, k, macrostate_entropy(k, config)])
+    assert [[float(t), int(n), int(k), float(s)] for t, n, k, s in lines[1:]] == expected
+    assert len(expected) > 5
+
+
+def test_trajectory_csv_of_an_empty_ledger_has_the_initial_row(tmp_path):
+    config = make_config(n_molecules=5, n_excited=0)
+    path = tmp_path / "trajectory.csv"
+    write_trajectory_csv(path, config, run(config)[1])
+    assert read_csv(path)[1:] == [["0", "0", "0", "nan"]]
 
 
 def test_audit_accepts_clean_run():
@@ -792,11 +797,7 @@ def test_column_audit_matches_the_row_loop_on_corrupted_ledgers():
     for trial in range(150):
         config = make_config(n_molecules=10, n_excited=5, t_max=3.0, seed=100 + trial)
         _bounds, ledger = run(config)
-        rows = [
-            [index, event.t_emit, event.t_absorb, event.emitter, event.absorber,
-             event.winner_weight, event.confirmation_size]
-            for index, event in enumerate(ledger)
-        ]
+        rows = [[index, *event] for index, event in enumerate(ledger_events(ledger))]
         for _ in range(picker.integers(0, 4)):
             row, column = picker.integers(len(rows)), picker.integers(7)
             options = replacements[kinds[column]]

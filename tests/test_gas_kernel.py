@@ -16,12 +16,13 @@ array being bit-equal to the one-dimensional ones, which is checked on its
 own. Every ledger the kernel
 produces must pass the audit, and every single-field edit of one row to a
 value the invariants exclude must fail it. For a batch ledger with its
-member row bounds, the audit, the rate tallies and the k lookups must equal
-the calls on each member's rows alone, bit for bit.
+member row bounds, the audit and the rate tallies must equal the calls on
+each member's rows alone, bit for bit, and the k lookups must equal a
+replay of each member's rows on the reference state.
 """
 
+import bisect
 import contextlib
-import copy
 import dataclasses
 import math
 import tracemalloc
@@ -32,11 +33,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gas_oracle import apply_event, init_gas, next_event
+from gas_oracle import (
+    Event,
+    apply_event,
+    column_bytes,
+    init_gas,
+    ledger_events,
+    left_half_count,
+    stepwise,
+)
 from stosszahl import gas
 from stosszahl.gas import (
     GasConfig,
-    Trajectory,
     ZeroCouplingError,
     audit_ledger,
     batch_left_counts,
@@ -45,7 +53,7 @@ from stosszahl.gas import (
 )
 from stosszahl.measurement import ZERO_WEIGHT, inverse_cdf
 
-LEDGER_FIELDS = ("t_e", "t_a", "emitter", "absorber", "winner_weight", "confirmation_set_size")
+LEDGER_FIELDS = Event._fields
 # Triples per block forced on the kernel; None keeps the size it derives from the config.
 BLOCK_SIZES = [None, 1, 2, 7, 256]
 
@@ -93,51 +101,16 @@ def gas_configs(draw):
     )
 
 
-def stepwise(config, rng):
-    """Events of the next_event/apply_event composition up to the horizon.
-
-    The event that would cross the horizon is never resolved, so a
-    zero-weight confirmation set is an error only for an event that absorbs
-    inside the window: its waiting time is redrawn from a copy of the
-    generator taken before the event.
-    """
-    state = init_gas(config)
-    events = []
-    while True:
-        before = copy.deepcopy(rng)
-        try:
-            event = next_event(state, config, rng)
-        except ZeroCouplingError:
-            waiting = -math.log1p(-before.random()) / (state.quanta * config.decay_rate)
-            if state.time + waiting + config.delay > config.t_max:
-                return events
-            raise
-        if event is None or event.t_absorb > config.t_max:
-            return events
-        state = apply_event(state, event)
-        events.append(event)
-
-
 def outcome(step, config):
-    """The events, or the error message, of one run from the config seed."""
+    """The ledger or events, or the error message, of one run from the config seed."""
     try:
-        return list(step(config, np.random.default_rng(config.seed)))
+        return step(config, np.random.default_rng(config.seed))
     except ZeroCouplingError as exc:
         return str(exc)
 
 
 def kernel_events(config, rng):
     return run(config, rng)[1]
-
-
-def column_bytes(events):
-    """The ledger columns as bytes, so that -0.0 and 0.0 differ too."""
-    columns = [
-        [e.t_emit for e in events], [e.t_absorb for e in events],
-        [e.emitter for e in events], [e.absorber for e in events],
-        [e.winner_weight for e in events], [e.confirmation_size for e in events],
-    ]
-    return [np.array(column, dtype=float).tobytes() for column in columns]
 
 
 @settings(max_examples=60)
@@ -423,8 +396,7 @@ def test_batch_audit_rates_and_lookups_equal_the_member_calls(config, n_members,
             pooled_lone[0] += alone.transition_counts
             pooled_lone[1] += alone.dwell_times
         else:
-            initial = Trajectory.from_ledger(config, member).left_counts_at(np.array([0.0]))[0]
-            pooled_lone[1][initial] += config.t_max
+            pooled_lone[1][left_half_count(init_gas(config))] += config.t_max
     cut = data.draw(st.integers(0, n_members - 1))
     head = empirical_rates(config, ledger[: bounds[cut]], bounds[: cut + 1]) if cut else None
     tail_bounds = bounds[cut:] - bounds[cut]
@@ -440,10 +412,19 @@ def test_batch_audit_rates_and_lookups_equal_the_member_calls(config, n_members,
         data.draw(st.lists(st.floats(0.0, config.t_max), max_size=12))
         + [0.0, config.t_max] + ledger.t_a[:3].tolist()
     )
-    expected = np.array(
-        [Trajectory.from_ledger(config, member).left_counts_at(queries) for member in members]
-    )
-    assert np.array_equal(batch_left_counts(config, ledger, bounds, queries), expected)
+    expected = [replayed_left_counts(config, member, queries.tolist()) for member in members]
+    assert batch_left_counts(config, ledger, bounds, queries).tolist() == expected
+
+
+def replayed_left_counts(config, member, queries):
+    """k of one member's rows at each query time, replayed on the reference state."""
+    state = init_gas(config)
+    times, counts = [0.0], [left_half_count(state)]
+    for event in ledger_events(member):
+        state = apply_event(state, event)
+        times.append(event.t_a)
+        counts.append(left_half_count(state))
+    return [counts[bisect.bisect_right(times, q) - 1] for q in queries]
 
 
 def test_batch_audit_names_the_member():

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -8,8 +6,6 @@ from stosszahl.linalg import (
     Spectrum,
     eig_hermitian,
     hermiticity_defect,
-    matrix_from_json,
-    matrix_to_json,
     require_hermitian,
 )
 
@@ -71,17 +67,3 @@ def test_spectrum_is_frozen():
     with pytest.raises(AttributeError):
         spectrum.eigenvalues = np.zeros(2)
 
-
-def test_json_round_trip():
-    rng = np.random.default_rng(7)
-    a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    encoded = matrix_to_json(a)
-    # must be plain JSON, not numpy scalars
-    text = json.dumps(encoded)
-    decoded = matrix_from_json(json.loads(text))
-    assert np.array_equal(decoded, a)
-
-
-def test_json_shape_is_re_im_pairs():
-    encoded = matrix_to_json(np.array([[1 + 2j]]))
-    assert encoded == [[[1.0, 2.0]]]
