@@ -17,7 +17,7 @@ import os
 import sys
 
 from .config import ConfigError, load_scenario_config
-from .gas import audit_ledger, read_audit_rows
+from .gas import audit_ledger_file
 from .scenarios import list_scenarios, run_scenario
 
 OUT_ENV_VAR = "STOSSZAHL_OUT"
@@ -43,7 +43,12 @@ def _build_parser() -> argparse.ArgumentParser:
     audit_parser = sub.add_parser("audit", help="replay a ledger CSV against its invariants")
     audit_parser.add_argument("--ledger", required=True, help="path to a ledger CSV")
     audit_parser.add_argument(
-        "--n-molecules", type=int, default=None, help="molecule count for id range checks"
+        "--n-molecules",
+        type=int,
+        default=None,
+        help="molecule count N: enables the id range check and, with n = N minus the first "
+        "row's confirmation set size, requires every set size to be N - n and each "
+        "molecule's first role to fit a run's initial layout, molecules 0..n-1 excited",
     )
 
     sub.add_parser("list-scenarios", help="print the registered scenario names")
@@ -67,11 +72,10 @@ def _dispatch(args) -> int:
 
     if args.command == "audit":
         try:
-            rows = read_audit_rows(args.ledger, args.n_molecules)
+            audit = audit_ledger_file(args.ledger, args.n_molecules)
         except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        audit = audit_ledger(rows, n_molecules=args.n_molecules)
         print(f"events: {audit.n_events}")
         for violation in audit.violations:
             print(f"violation: {violation}")

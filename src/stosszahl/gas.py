@@ -16,6 +16,12 @@ after another, and the member row bounds. The columns are the only record
 of the events: the audit, the rate estimator, the k lookup and the CSV
 writers read them, and a slice copies one member's rows out.
 
+Ledger files: :func:`write_ledger_csv` numbers the rows in an ``event_index``
+column and :func:`read_ledger` reads them back into a Ledger, so the audit
+takes one format from a run or a file. :func:`audit_ledger_file`, behind
+``stosszahl audit`` and the ``ledger-audit`` scenario, audits a file against
+the initial layout of :func:`run`, with n taken from its confirmation set size.
+
 Horizon: a run records every event whose absorption time t_a is at or before
 t_max and stops at the first event whose t_a would pass it. Every recorded
 transaction therefore completes inside the window, and the dwell in the last
@@ -159,27 +165,6 @@ class Ledger:
         if not isinstance(rows, slice):
             raise TypeError(f"a Ledger takes a slice of rows, not {type(rows).__name__}")
         return Ledger(*(column[rows].copy() for column in vars(self).values()))
-
-
-def _indexed_ledger(rows) -> tuple:
-    """(event indices, Ledger) of the rows :func:`audit_ledger` takes.
-
-    Raw :func:`read_ledger_raw` rows enter the package only through the
-    audit. They are tuples in ``LEDGER_COLUMNS`` order and keep their own
-    event_index; a Ledger is indexed by position, and its indices are None.
-    """
-    if isinstance(rows, Ledger):
-        return None, rows
-    columns = list(zip(*rows)) or [()] * len(LEDGER_COLUMNS)
-    ledger = Ledger(
-        t_e=np.array(columns[1], dtype=float),
-        t_a=np.array(columns[2], dtype=float),
-        emitter=np.array(columns[3], dtype=np.int64),
-        absorber=np.array(columns[4], dtype=np.int64),
-        winner_weight=np.array(columns[5], dtype=float),
-        confirmation_set_size=np.array(columns[6], dtype=np.int64),
-    )
-    return columns[0], ledger
 
 
 def _member_rows(bounds, n_events: int) -> tuple[np.ndarray, np.ndarray]:
@@ -678,44 +663,38 @@ def write_ledger_csv(path, ledger: Ledger, header_comment: str | None = None) ->
     )
 
 
-def read_ledger_raw(path) -> list[tuple]:
-    """Read ledger rows without enforcing event invariants (for auditing)."""
+def read_ledger(path) -> Ledger:
+    """Read a ledger CSV into a :class:`Ledger`, checking its format but not its events.
+
+    Raises ValueError for a wrong header, a row without one field per
+    column, an integer outside the int64 range of its column, and an
+    ``event_index`` that does not number the rows 0, 1, 2, ...: the audit
+    names every event by its row. A header without rows gives an empty
+    Ledger. The event invariants are :func:`audit_ledger`'s to check.
+    """
     lines = read_csv(path)
     if not lines or tuple(h.strip() for h in lines[0]) != LEDGER_COLUMNS:
         raise ValueError(f"{path}: missing or wrong ledger header")
-    rows = []
-    for row in lines[1:]:
+    kinds = (int, float, float, int, int, float, int)
+    events = []
+    for number, row in enumerate(lines[1:]):
         if len(row) != len(LEDGER_COLUMNS):
             raise ValueError(f"{path}: ragged ledger row {row!r}")
-        parsed = (
-            int(row[0]),
-            float(row[1]),
-            float(row[2]),
-            int(row[3]),
-            int(row[4]),
-            float(row[5]),
-            int(row[6]),
-        )
-        # The audit holds these fields in int64 columns.
-        if not all(_INT64.min <= parsed[i] <= _INT64.max for i in (3, 4, 6)):
+        index, *event = (kind(field) for kind, field in zip(kinds, row))
+        if index != number:
+            raise ValueError(
+                f"{path}: row {number} has event_index {index}; "
+                "event_index must number the rows from 0"
+            )
+        # The Ledger holds these fields in int64 columns.
+        if not all(_INT64.min <= event[i] <= _INT64.max for i in (2, 3, 5)):
             raise ValueError(f"{path}: integer outside the int64 range in row {row!r}")
-        rows.append(parsed)
-    return rows
-
-
-def read_audit_rows(path, n_molecules: int | None = None) -> list[tuple]:
-    """The :func:`read_ledger_raw` rows of a ledger CSV that :func:`audit_ledger` can check.
-
-    Raises ValueError for a molecule count below 1, which puts every id out
-    of range, and for a ledger without events, whose audit would compare
-    nothing.
-    """
-    if n_molecules is not None and n_molecules < 1:
-        raise ValueError(f"n_molecules must be >= 1, got {n_molecules}")
-    rows = read_ledger_raw(path)
-    if not rows:
-        raise ValueError(f"{path}: the ledger holds no events to audit")
-    return rows
+        events.append(event)
+    columns = list(zip(*events)) or [()] * (len(kinds) - 1)
+    return Ledger(*(
+        np.array(column, dtype=np.int64 if kind is int else float)
+        for column, kind in zip(columns, kinds[1:])
+    ))
 
 
 def write_trajectory_csv(
@@ -764,43 +743,36 @@ def _chain_keys(molecules: np.ndarray, member: np.ndarray, n_members: int) -> np
 
 @dataclass(frozen=True)
 class LedgerAudit:
-    """Outcome of replaying a ledger against the transaction invariants.
-
-    For a batch ledger ``inferred_initial_excited`` holds one tuple per
-    member.
-    """
+    """Outcome of replaying a ledger against the transaction invariants."""
 
     passed: bool
     n_events: int
     violations: tuple[str, ...]
-    inferred_initial_excited: tuple
 
 
 def audit_ledger(
-    rows, n_molecules: int | None = None, initial_excited=None, bounds=None
+    ledger: Ledger, n_molecules: int | None = None, n_excited: int | None = None, bounds=None
 ) -> LedgerAudit:
     """Check ledger invariants: ordering, weights, and the precondition chain.
 
-    ``rows`` may be a :class:`Ledger` or raw tuples from
-    :func:`read_ledger_raw` (whose event_index names the event in
-    messages); both are checked as columns. The precondition chain
-    (each emitter excited, each absorber ground at its event) is equivalent
-    to per-molecule role alternation, so it can be audited without the
-    initial state; the initial level of every participating molecule is
-    inferred from its first role and checked against ``initial_excited``
-    when that is supplied. With both ``initial_excited`` and ``n_molecules``
-    every confirmation set must hold exactly the N - n ground molecules.
+    Messages name each event by its row, counted from 0. The precondition
+    chain (each emitter excited, each absorber ground at its event) is
+    equivalent to per-molecule role alternation, so it can be audited
+    without the initial state. Given ``n_excited``, the initial layout is
+    the one :func:`run` starts from, molecules 0..n_excited - 1 excited:
+    every participating molecule's first role must match it (emit if it
+    started excited, absorb if not), and with ``n_molecules`` too every
+    confirmation set must hold exactly the N - n ground molecules.
     Conservation holds exactly whenever the chain is consistent, since every
     event moves exactly one quantum.
 
     With member row bounds (as :func:`iter_ensemble` yields them) every
     member of a batch ledger is audited as if alone, from the same initial
     state: role chains are keyed by (member, molecule), the emission order
-    restarts at each member, and each member's messages are those of its
-    lone audit, in member order, prefixed ``member <m> `` with m the
-    member's position in the batch (so ``member 2 event 5: ...``).
+    and the event rows restart at each member, and each member's messages
+    are those of its lone audit, in member order, prefixed ``member <m> ``
+    with m the member's position in the batch (so ``member 2 event 5: ...``).
     """
-    index, ledger = _indexed_ledger(rows)
     t_e, t_a = ledger.t_e, ledger.t_a
     emitter, absorber = ledger.emitter, ledger.absorber
     weight, size = ledger.winner_weight, ledger.confirmation_set_size
@@ -838,9 +810,8 @@ def audit_ledger(
     first_absorbs = roles[first]
 
     id_limit = math.inf if n_molecules is None else n_molecules
-    declared = None if initial_excited is None else {int(m) for m in initial_excited}
-    if declared is not None and n_molecules is not None:
-        expected_size = n_molecules - len(declared)
+    if n_excited is not None and n_molecules is not None:
+        expected_size = n_molecules - n_excited
         size_mismatch = size != expected_size
     else:
         size_mismatch = np.zeros(n_events, dtype=bool)
@@ -873,14 +844,9 @@ def audit_ledger(
         for i in np.flatnonzero(flags).tolist()
     )
     # (member, message) pairs: each member's event messages, then its molecule messages.
-    found = [
-        (member[i], f"event {position[i] if index is None else index[i]}: {checks[rank][1](i)}")
-        for i, rank in flagged
-    ]
-    if declared is not None:
-        # Ids beyond int64 can match no molecule of a ledger.
-        ids = np.array([m for m in declared if _INT64.min <= m <= _INT64.max], dtype=np.int64)
-        wrong = first_absorbs == np.isin(first_molecules, ids)
+    found = [(member[i], f"event {position[i]}: {checks[rank][1](i)}") for i, rank in flagged]
+    if n_excited is not None:
+        wrong = first_absorbs == ((0 <= first_molecules) & (first_molecules < n_excited))
         for slot in np.flatnonzero(wrong).tolist():
             mol = first_molecules[slot]
             found.append((first_owners[slot], (
@@ -892,19 +858,24 @@ def audit_ledger(
         violations = tuple(f"member {m} {message}" for m, message in found)
     else:
         violations = tuple(message for _m, message in found)
+    return LedgerAudit(passed=not violations, n_events=n_events, violations=violations)
 
-    emits_first = ~first_absorbs
-    inferred = first_molecules[emits_first].tolist()
-    if batch:
-        starts = first_owners[emits_first].searchsorted(np.arange(n_members)).tolist()
-        inferred = tuple(
-            tuple(inferred[a:b]) for a, b in zip(starts, starts[1:] + [len(inferred)])
-        )
-    else:
-        inferred = tuple(inferred)
-    return LedgerAudit(
-        passed=not violations,
-        n_events=n_events,
-        violations=violations,
-        inferred_initial_excited=inferred,
-    )
+
+def audit_ledger_file(path, n_molecules: int | None = None) -> LedgerAudit:
+    """Audit the ledger CSV at ``path`` (:func:`read_ledger`, then :func:`audit_ledger`).
+
+    The file does not record the initial layout, so given ``n_molecules``
+    the audit takes the one :func:`run` starts from, with n = N minus the
+    first row's confirmation set size: every row must then give the same
+    size, and every molecule's first role must match molecules 0..n - 1
+    excited. Raises ValueError for a molecule count below 1, which puts
+    every id out of range, for a ledger without events, whose audit would
+    compare nothing, and for every file :func:`read_ledger` rejects.
+    """
+    if n_molecules is not None and n_molecules < 1:
+        raise ValueError(f"n_molecules must be >= 1, got {n_molecules}")
+    ledger = read_ledger(path)
+    if not len(ledger):
+        raise ValueError(f"{path}: the ledger holds no events to audit")
+    n_excited = None if n_molecules is None else n_molecules - int(ledger.confirmation_set_size[0])
+    return audit_ledger(ledger, n_molecules, n_excited)

@@ -15,7 +15,6 @@ import json
 import math
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
-from pathlib import Path
 
 import numpy as np
 
@@ -113,19 +112,11 @@ class RunReport:
             "schema_version": self.schema_version,
             "seed": self.seed,
             "passed": self.passed,
-            "parameters": {k: _jsonable(v) for k, v in self.parameters.items()},
+            "parameters": self.parameters,
             "checks": [asdict(check) for check in self.checks],
             "outputs": self.outputs,
         }
         return json.dumps(payload, indent=2)
-
-
-def _jsonable(value):
-    if isinstance(value, (tuple, list)):
-        return list(value)
-    if isinstance(value, Path):
-        return str(value)
-    return value
 
 
 def run_scenario(config: ScenarioConfig) -> RunReport:
@@ -512,7 +503,7 @@ def _gas_equilibrium(config: ScenarioConfig, stamp: str | None):
             audit = gas_mod.audit_ledger(
                 ledger,
                 n_molecules=gas_config.n_molecules,
-                initial_excited=range(gas_config.n_excited),
+                n_excited=gas_config.n_excited,
                 bounds=bounds,
             )
             violation_count += len(audit.violations)
@@ -619,12 +610,11 @@ def _gas_equilibrium(config: ScenarioConfig, stamp: str | None):
 def _ledger_audit(config: ScenarioConfig, stamp: str | None):
     p = config.params
     try:
-        rows = gas_mod.read_audit_rows(p["ledger"], p["n_molecules"])
+        audit = gas_mod.audit_ledger_file(p["ledger"], p["n_molecules"])
     except OSError as exc:
         raise ConfigError(f"ledger-audit.ledger: cannot read ({exc})") from exc
     except ValueError as exc:
         raise ConfigError(f"ledger-audit: {exc}") from exc
-    audit = gas_mod.audit_ledger(rows, n_molecules=p["n_molecules"])
     detail = "; ".join(audit.violations[:5])
     checks = [
         CheckResult(
@@ -632,7 +622,9 @@ def _ledger_audit(config: ScenarioConfig, stamp: str | None):
             audit.passed,
             f"{len(audit.violations)} violations in {audit.n_events} events"
             + (f": {detail}" if detail else ""),
-            "conservation chain, t_e < t_a, ordered emissions, valid weights",
+            "conservation chain, t_e < t_a, ordered emissions, valid weights; with n_molecules, "
+            "ids in range, every confirmation set size N - n and first roles matching "
+            "molecules 0..n - 1 excited",
         ),
     ]
     return checks, []

@@ -40,6 +40,13 @@ def ledger_events(ledger: Ledger) -> list[Event]:
     return [Event(*row) for row in zip(*(getattr(ledger, f).tolist() for f in Event._fields))]
 
 
+def ledger_of(events) -> Ledger:
+    """The Ledger whose rows are ``events``, six-field tuples in ledger column order."""
+    columns = list(zip(*events)) or [()] * len(Event._fields)
+    dtypes = (float, float, np.int64, np.int64, float, np.int64)
+    return Ledger(*(np.array(column, dtype=dtype) for column, dtype in zip(columns, dtypes)))
+
+
 def column_bytes(record) -> list[bytes]:
     """Each field of a Ledger, or of a list of events, as float64 bytes.
 

@@ -224,7 +224,7 @@ def gas_ensemble():
         for start, stop in zip(bounds[:-1], bounds[1:]):
             if any(count != 50 for count in excited_counts(ledger[start:stop], 100, 50)):
                 conservation_breaks += 1
-        audit = audit_ledger(ledger, n_molecules=100, initial_excited=range(50), bounds=bounds)
+        audit = audit_ledger(ledger, n_molecules=100, n_excited=50, bounds=bounds)
         violations += len(audit.violations)
         pooled = empirical_rates(config, ledger, bounds, pooled)
     assert done == n_seeds

@@ -11,10 +11,12 @@ import pytest
 
 from stosszahl import cli, scenarios
 from stosszahl.cli import main
+from stosszahl.csvio import read_csv, write_csv
 from stosszahl.gas import GasConfig, Ledger, run, write_ledger_csv
 from stosszahl.scenarios import SCENARIO_CHECKS
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -192,6 +194,19 @@ def test_audit_missing_file_exit_two(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def audit_argv(tmp_path, entry, path, n_molecules=None):
+    """argv of ``stosszahl audit`` or of a ``ledger-audit`` run writing to tmp_path/out."""
+    if entry == "audit":
+        argv = ["audit", "--ledger", str(path)]
+        if n_molecules is not None:
+            argv += ["--n-molecules", n_molecules]
+        return argv
+    text = f"[run]\nscenario = ledger-audit\nseed = 1\n[ledger-audit]\nledger = {path}\n"
+    if n_molecules is not None:
+        text += f"n_molecules = {n_molecules}\n"
+    return ["run", "--config", str(write_config(tmp_path, text)), "--out", str(tmp_path / "out")]
+
+
 @pytest.mark.parametrize("entry", ["audit", "ledger-audit"])
 @pytest.mark.parametrize(
     ("n_molecules", "n_excited", "message"),
@@ -209,19 +224,79 @@ def test_audit_input_that_checks_nothing_exits_two(tmp_path, capsys, entry, n_mo
     gas_config = GasConfig(n_molecules=8, n_excited=n_excited, decay_rate=1.0, t_max=10.0, seed=6)
     path = tmp_path / "ledger.csv"
     write_ledger_csv(path, run(gas_config)[1])
-    if entry == "audit":
-        argv = ["audit", "--ledger", str(path)]
-        if n_molecules is not None:
-            argv += ["--n-molecules", n_molecules]
-    else:
-        text = f"[run]\nscenario = ledger-audit\nseed = 1\n[ledger-audit]\nledger = {path}\n"
-        if n_molecules is not None:
-            text += f"n_molecules = {n_molecules}\n"
-        argv = ["run", "--config", str(write_config(tmp_path, text)), "--out", str(tmp_path / "out")]
-    assert main(argv) == 2
+    assert main(audit_argv(tmp_path, entry, path, n_molecules)) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:" if entry == "ledger-audit" else "error:")
     assert message in err
+
+
+@pytest.fixture(scope="module")
+def committed_member0_rows(tmp_path_factory):
+    """Header and rows of the member-0 ledger that configs/gas_equilibrium.cfg writes."""
+    out = tmp_path_factory.mktemp("committed")
+    config = str(CONFIGS / "gas_equilibrium.cfg")
+    assert main(["run", "--config", config, "--out", str(out), "--no-header-timestamp"]) == 0
+    return read_csv(out / "gas_ledger_member0.csv")
+
+
+def with_size(rows, row, size):
+    """Ledger data rows with the confirmation set size of one row replaced."""
+    edited = [list(line) for line in rows]
+    edited[row][6] = str(size)
+    return edited
+
+
+def with_ids_swapped(rows, a, b):
+    """Ledger data rows with molecule ids a and b swapped on every row."""
+    swap = {str(a): str(b), str(b): str(a)}
+    return [line[:3] + [swap.get(m, m) for m in line[3:5]] + line[5:] for line in rows]
+
+
+@pytest.mark.parametrize("entry", ["audit", "ledger-audit"])
+@pytest.mark.parametrize(
+    ("edit", "n_molecules", "code", "violation"),
+    [
+        (lambda rows: rows, "100", 0, None),
+        # edits of the committed ledger that the run audit would flag
+        (lambda rows: with_size(rows, 10, 7), "100", 1,
+         "event 10: confirmation set size 7 != 50 ground molecules"),
+        (lambda rows: with_ids_swapped(rows, 0, 99), "100", 1,
+         "molecule 99 emits first but was not initially excited"),
+        # a wrong molecule count moves the layout n = N - 50
+        (lambda rows: rows, "99", 1, "molecule 49 emits first but was not initially excited"),
+        (lambda rows: rows, "101", 1, "molecule 50 absorbs first but was initially excited"),
+    ],
+    ids=["committed", "one-size-50-to-7", "ids-0-and-99-swapped", "n-molecules-99", "n-molecules-101"],
+)
+def test_file_audit_checks_sizes_and_the_initial_layout(
+    tmp_path, capsys, committed_member0_rows, entry, edit, n_molecules, code, violation
+):
+    path = tmp_path / "ledger.csv"
+    write_csv(path, committed_member0_rows[0], edit(committed_member0_rows[1:]))
+    assert main(audit_argv(tmp_path, entry, path, n_molecules)) == code
+    out = capsys.readouterr().out
+    if entry == "audit":
+        assert ("audit: PASS" if code == 0 else f"violation: {violation}\n") in out
+    else:
+        assert json.loads((tmp_path / "out" / "report.json").read_text())["passed"] == (code == 0)
+
+
+@pytest.mark.parametrize("entry", ["audit", "ledger-audit"])
+@pytest.mark.parametrize(
+    "edit",
+    [lambda rows: rows[:10] + rows[11:], lambda rows: rows[:10] + [rows[11], rows[10]] + rows[12:]],
+    ids=["row-10-deleted", "rows-10-and-11-swapped"],
+)
+def test_file_audit_rejects_an_event_index_that_does_not_number_the_rows(
+    tmp_path, capsys, committed_member0_rows, entry, edit
+):
+    # a format check on outside input: exit 2, as for an unreadable file
+    path = tmp_path / "ledger.csv"
+    write_csv(path, committed_member0_rows[0], edit(committed_member0_rows[1:]))
+    assert main(audit_argv(tmp_path, entry, path, "100")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:" if entry == "ledger-audit" else "error:")
+    assert "row 10 has event_index 11; event_index must number the rows from 0" in err
 
 
 def test_identical_seeds_identical_outputs(tmp_path):

@@ -13,6 +13,7 @@ from gas_oracle import (
     column_bytes,
     init_gas,
     ledger_events,
+    ledger_of,
     left_half_count,
     next_event,
     stepwise,
@@ -29,7 +30,7 @@ from stosszahl.gas import (
     empirical_rates,
     iter_ensemble,
     macrostate_entropy,
-    read_ledger_raw,
+    read_ledger,
     run,
     summarize_ensemble,
     write_ledger_csv,
@@ -94,7 +95,7 @@ def test_smallest_accepted_delay_keeps_emission_before_absorption(delay):
     _bounds, ledger = run(config)
     assert ledger.t_e[-1] > 2048.0
     assert np.all(ledger.t_e < ledger.t_a)
-    assert audit_ledger(ledger, 4, range(2)).passed
+    assert audit_ledger(ledger, 4, 2).passed
 
 
 def test_config_delay_defaults_to_fraction_of_lifetime():
@@ -632,16 +633,19 @@ def test_ledger_csv_round_trip(tmp_path):
     path = tmp_path / "ledger.csv"
     write_ledger_csv(path, events, header_comment="demo run")
     assert path.read_text().startswith("# demo run\n")
-    raw = read_ledger_raw(path)
-    assert [row[0] for row in raw] == list(range(len(events)))
-    assert column_bytes([row[1:] for row in raw]) == column_bytes(events)
+    assert [row[0] for row in read_csv(path)[1:]] == [str(i) for i in range(len(events))]
+    ledger = read_ledger(path)
+    assert column_bytes(ledger) == column_bytes(events)
+    assert [column.dtype for column in vars(ledger).values()] == [
+        column.dtype for column in vars(events).values()
+    ]
 
 
 def test_ledger_csv_header_required(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b\n1,2\n")
     with pytest.raises(ValueError, match="header"):
-        read_ledger_raw(path)
+        read_ledger(path)
 
 
 def test_ledger_csv_rejects_ids_beyond_int64(tmp_path):
@@ -651,7 +655,22 @@ def test_ledger_csv_rejects_ids_beyond_int64(tmp_path):
         "0,0.5,0.6,0,99999999999999999999,1.0,1\n"
     )
     with pytest.raises(ValueError, match="int64"):
-        read_ledger_raw(path)
+        read_ledger(path)
+
+
+@pytest.mark.parametrize(
+    ("indices", "row"), [((1, 2), 0), ((0, 1, 1), 2)], ids=["not-from-zero", "repeated"]
+)
+def test_ledger_csv_event_index_must_number_the_rows(tmp_path, indices, row):
+    # the audit names events by row, so the file's own numbering must agree;
+    # a deleted and a swapped row are tested through both audit entry points
+    path = tmp_path / "ledger.csv"
+    path.write_text(
+        ",".join(gas.LEDGER_COLUMNS) + "\n"
+        + "".join(f"{index},{index}.5,{index}.6,{index},{index + 1},1.0,1\n" for index in indices)
+    )
+    with pytest.raises(ValueError, match=f"row {row} has event_index {indices[row]};"):
+        read_ledger(path)
 
 
 def test_trajectory_csv(tmp_path):
@@ -683,35 +702,30 @@ def test_trajectory_csv_of_an_empty_ledger_has_the_initial_row(tmp_path):
 def test_audit_accepts_clean_run():
     config = make_config(n_molecules=10, n_excited=5, t_max=10.0, seed=72)
     _bounds, events = run(config)
-    audit = audit_ledger(events, n_molecules=10, initial_excited=range(5))
+    audit = audit_ledger(events, n_molecules=10, n_excited=5)
     assert audit.passed
     assert audit.n_events == len(events)
-    assert set(audit.inferred_initial_excited) <= set(range(5))
 
 
 def test_audit_flags_reversed_timestamps():
-    rows = [(0, 1.0, 0.5, 0, 1, 1.0, 1)]
-    audit = audit_ledger(rows)
+    audit = audit_ledger(ledger_of([(1.0, 0.5, 0, 1, 1.0, 1)]))
     assert not audit.passed
     assert any("strictly before" in v for v in audit.violations)
 
 
 def test_audit_flags_decreasing_emission_times():
-    rows = [(0, 1.0, 1.1, 0, 1, 1.0, 1), (1, 0.5, 0.6, 1, 0, 1.0, 1)]
-    audit = audit_ledger(rows)
+    audit = audit_ledger(ledger_of([(1.0, 1.1, 0, 1, 1.0, 1), (0.5, 0.6, 1, 0, 1.0, 1)]))
     assert any("decreased" in v for v in audit.violations)
 
 
 def test_audit_flags_broken_precondition_chain():
     # molecule 0 emits twice without re-absorbing
-    rows = [(0, 0.5, 0.6, 0, 1, 1.0, 1), (1, 1.0, 1.1, 0, 2, 1.0, 1)]
-    audit = audit_ledger(rows)
+    audit = audit_ledger(ledger_of([(0.5, 0.6, 0, 1, 1.0, 1), (1.0, 1.1, 0, 2, 1.0, 1)]))
     assert any("emit while ground" in v for v in audit.violations)
 
 
 def test_audit_flags_bad_weight_and_self_transfer():
-    rows = [(0, 0.5, 0.6, 2, 2, 1.5, 0)]
-    audit = audit_ledger(rows)
+    audit = audit_ledger(ledger_of([(0.5, 0.6, 2, 2, 1.5, 0)]))
     joined = " ".join(audit.violations)
     assert "emitter equals absorber" in joined
     assert "weight" in joined
@@ -719,11 +733,24 @@ def test_audit_flags_bad_weight_and_self_transfer():
 
 
 def test_audit_checks_declared_initial_state():
-    rows = [(0, 0.5, 0.6, 0, 1, 1.0, 1)]
-    audit = audit_ledger(rows, initial_excited=[1])
-    joined = " ".join(audit.violations)
-    assert "emits first" in joined
-    assert "absorbs first" in joined
+    # molecules 0..n_excited - 1 start excited: 1 emits first, 0 absorbs first
+    ledger = ledger_of([(0.5, 0.6, 1, 0, 1.0, 1)])
+    assert audit_ledger(ledger, n_excited=2).violations == (
+        "molecule 0 absorbs first but was initially excited",
+    )
+    assert audit_ledger(ledger, n_excited=1).violations == (
+        "molecule 0 absorbs first but was initially excited",
+        "molecule 1 emits first but was not initially excited",
+    )
+    assert audit_ledger(ledger, n_excited=0).violations == (
+        "molecule 1 emits first but was not initially excited",
+    )
+    # a negative id is never in the layout
+    assert audit_ledger(ledger_of([(0.5, 0.6, -1, 0, 1.0, 1)]), n_excited=1).violations == (
+        "event 0: molecule id -1 out of range",
+        "molecule -1 emits first but was not initially excited",
+        "molecule 0 absorbs first but was initially excited",
+    )
 
 
 def test_audit_flags_confirmation_set_size_mismatch():
@@ -732,22 +759,22 @@ def test_audit_flags_confirmation_set_size_mismatch():
     sizes = ledger.confirmation_set_size.copy()
     sizes[3] += 1
     tampered = dataclasses.replace(ledger, confirmation_set_size=sizes)
-    audit = audit_ledger(tampered, n_molecules=10, initial_excited=range(5))
+    audit = audit_ledger(tampered, n_molecules=10, n_excited=5)
     assert not audit.passed
     assert audit.violations == ("event 3: confirmation set size 6 != 5 ground molecules",)
 
 
-def row_by_row_audit(rows, n_molecules=None, initial_excited=None):
-    """(violations, inferred initial excited) by the per-row loop audit_ledger replaced."""
-    declared = None if initial_excited is None else set(initial_excited)
+def row_by_row_audit(events, n_molecules=None, n_excited=None):
+    """The violations found by the per-row loop audit_ledger replaced."""
+    declared = None if n_excited is None else set(range(n_excited))
     expected_size = None
     if declared is not None and n_molecules is not None:
-        expected_size = n_molecules - len(declared)
+        expected_size = n_molecules - n_excited
     violations = []
     previous_emit = -math.inf
     expected_role = {}
     first_role = {}
-    for index, t_emit, t_absorb, emitter, absorber, weight, size in rows:
+    for index, (t_emit, t_absorb, emitter, absorber, weight, size) in enumerate(events):
         where = f"event {index}"
         if not t_emit < t_absorb:
             violations.append(f"{where}: t_e {t_emit!r} not strictly before t_a {t_absorb!r}")
@@ -782,8 +809,7 @@ def row_by_row_audit(rows, n_molecules=None, initial_excited=None):
                 violations.append(f"molecule {mol} emits first but was not initially excited")
             if role == "absorb" and mol in declared:
                 violations.append(f"molecule {mol} absorbs first but was initially excited")
-    inferred = tuple(sorted(mol for mol, role in first_role.items() if role == "emit"))
-    return tuple(violations), inferred
+    return tuple(violations)
 
 
 def test_column_audit_matches_the_row_loop_on_corrupted_ledgers():
@@ -793,51 +819,46 @@ def test_column_audit_matches_the_row_loop_on_corrupted_ledgers():
         "float": [math.nan, -1.0, 0.0, 1.5, math.inf, 0.25],
         "int": [-1, 0, 1, 9, 99],
     }
-    kinds = ["int", "float", "float", "int", "int", "float", "int"]
+    kinds = ["float", "float", "int", "int", "float", "int"]
     for trial in range(150):
         config = make_config(n_molecules=10, n_excited=5, t_max=3.0, seed=100 + trial)
         _bounds, ledger = run(config)
-        rows = [[index, *event] for index, event in enumerate(ledger_events(ledger))]
+        rows = [list(event) for event in ledger_events(ledger)]
         for _ in range(picker.integers(0, 4)):
-            row, column = picker.integers(len(rows)), picker.integers(7)
+            row, column = picker.integers(len(rows)), picker.integers(len(kinds))
             options = replacements[kinds[column]]
             rows[row][column] = options[picker.integers(len(options))]
         if picker.random() < 0.3:
             rows.append(list(rows[picker.integers(len(rows))]))
         if picker.random() < 0.2:
             picker.shuffle(rows)
-        rows = [tuple(row) for row in rows]
+        corrupted = ledger_of(rows)
         for n_molecules in (None, 10, 6):
-            for initial_excited in (None, range(5), (0, 1)):
-                audit = audit_ledger(rows, n_molecules=n_molecules, initial_excited=initial_excited)
-                expected = row_by_row_audit(rows, n_molecules, initial_excited)
-                assert (audit.violations, audit.inferred_initial_excited) == expected
-                assert audit.passed == (not expected[0])
+            for n_excited in (None, 5, 2):
+                audit = audit_ledger(corrupted, n_molecules=n_molecules, n_excited=n_excited)
+                expected = row_by_row_audit(rows, n_molecules, n_excited)
+                assert audit.violations == expected
+                assert audit.passed == (not expected)
 
 
 def test_column_audit_matches_the_row_loop_on_ids_at_the_int64_limits():
     # ids too far apart to pack beside the member index are ranked first
     big = np.iinfo(np.int64)
     rows = [
-        (0, 0.5, 0.6, big.max, big.min, 0.5, 1),
-        (1, 0.7, 0.8, big.min, big.max, 0.5, 1),
-        (2, 0.9, 1.0, big.max, 3, 0.5, 1),
-        (3, 1.1, 1.2, 3, big.min, 0.5, 1),
+        (0.5, 0.6, big.max, big.min, 0.5, 1),
+        (0.7, 0.8, big.min, big.max, 0.5, 1),
+        (0.9, 1.0, big.max, 3, 0.5, 1),
+        (1.1, 1.2, 3, big.min, 0.5, 1),
     ]
-    for initial_excited in (None, [big.max, 3]):
-        audit = audit_ledger(rows, n_molecules=4, initial_excited=initial_excited)
-        assert (audit.violations, audit.inferred_initial_excited) == row_by_row_audit(
-            rows, 4, initial_excited
-        )
-        batch = audit_ledger(rows, n_molecules=4, initial_excited=initial_excited, bounds=[0, 1, 4])
-        lone = [audit_ledger(part, 4, initial_excited) for part in (rows[:1], rows[1:])]
-        assert batch.violations == tuple(
-            f"member {m} {message}" for m, audit in enumerate(lone) for message in audit.violations
-        )
-        assert batch.inferred_initial_excited == tuple(a.inferred_initial_excited for a in lone)
+    ledger = ledger_of(rows)
+    assert audit_ledger(ledger, n_molecules=4).violations == row_by_row_audit(rows, 4)
+    batch = audit_ledger(ledger, n_molecules=4, bounds=[0, 1, 4])
+    lone = [audit_ledger(part, 4) for part in (ledger[:1], ledger[1:])]
+    assert batch.violations == tuple(
+        f"member {m} {message}" for m, audit in enumerate(lone) for message in audit.violations
+    )
 
 
 def test_audit_respects_molecule_range():
-    rows = [(0, 0.5, 0.6, 0, 7, 1.0, 1)]
-    audit = audit_ledger(rows, n_molecules=4)
+    audit = audit_ledger(ledger_of([(0.5, 0.6, 0, 7, 1.0, 1)]), n_molecules=4)
     assert any("out of range" in v for v in audit.violations)

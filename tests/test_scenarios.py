@@ -9,7 +9,7 @@ from scipy.stats import chisquare
 
 from stosszahl import gas
 from stosszahl.config import SCENARIO_SCHEMAS, ConfigError, ScenarioConfig
-from stosszahl.gas import GasConfig, Ledger, read_ledger_raw, run, write_ledger_csv
+from stosszahl.gas import GasConfig, Ledger, read_ledger, run, write_ledger_csv
 from stosszahl.scenarios import (
     SCENARIO_CHECKS,
     SCHEMA_VERSION,
@@ -258,9 +258,11 @@ def test_gas_coupling_table_rows_are_emitters(tmp_path):
         coupling_table=str(table),
     )
     run_scenario(config)
-    rows = read_ledger_raw(tmp_path / "gas_ledger_member0.csv")
-    assert len(rows) > 5
-    for _index, _t_e, _t_a, emitter, absorber, weight, _size in rows:
+    ledger = read_ledger(tmp_path / "gas_ledger_member0.csv")
+    assert len(ledger) > 5
+    for emitter, absorber, weight in zip(
+        ledger.emitter.tolist(), ledger.absorber.tolist(), ledger.winner_weight.tolist()
+    ):
         # one quantum: every molecule but the emitter is in the ground state
         assert weight == pytest.approx(w[absorber] / (sum(w) - w[emitter]), rel=1e-12)
 
