@@ -866,7 +866,8 @@ def audit_ledger_file(path, n_molecules: int | None = None) -> LedgerAudit:
 
     The file does not record the initial layout, so given ``n_molecules``
     the audit takes the one :func:`run` starts from, with n = N minus the
-    first row's confirmation set size: every row must then give the same
+    confirmation set size that most rows give (the smaller on a tie), so an
+    edit of one row is blamed on that row: every row must then give the same
     size, and every molecule's first role must match molecules 0..n - 1
     excited. Raises ValueError for a molecule count below 1, which puts
     every id out of range, for a ledger without events, whose audit would
@@ -877,5 +878,7 @@ def audit_ledger_file(path, n_molecules: int | None = None) -> LedgerAudit:
     ledger = read_ledger(path)
     if not len(ledger):
         raise ValueError(f"{path}: the ledger holds no events to audit")
-    n_excited = None if n_molecules is None else n_molecules - int(ledger.confirmation_set_size[0])
+    # np.unique, not bincount: the column is outside input and may hold any int64.
+    sizes, counts = np.unique(ledger.confirmation_set_size, return_counts=True)
+    n_excited = None if n_molecules is None else n_molecules - int(sizes[np.argmax(counts)])
     return audit_ledger(ledger, n_molecules, n_excited)

@@ -12,6 +12,10 @@ distribution is non-increasing for every generator with a unique
 equilibrium, while the Shannon entropy itself is guaranteed non-decreasing
 only for symmetric (doubly stochastic) generators.
 
+:func:`evolve_probabilities` takes one time or a 1-D grid of times, validated
+once; it holds the module's only loop over :func:`_propagate`, so no caller
+steps through scalar calls.
+
 scipy is imported on first use, not with the module: :func:`expm` imports
 ``scipy.linalg.expm`` on its first call and :func:`equilibrium` imports
 ``null_space`` when it runs, so a process that solves no master equation
@@ -117,28 +121,30 @@ def _require_master(matrix) -> np.ndarray:
     return np.asarray(matrix, dtype=float)
 
 
-def evolve_probabilities(matrix, p0, t: float) -> np.ndarray:
+def evolve_probabilities(matrix, p0, t) -> np.ndarray:
     """p(t) = exp(M t) p0 by scaling-and-squaring matrix exponential.
 
-    The generator is irreversible: negative times are rejected rather than
-    run backwards.
+    ``t`` is one time, giving shape ``(n,)``, or a 1-D grid giving one row
+    per time, each bit-equal to its own scalar call. Every time must be
+    finite, and is validated before any exponential; the generator is
+    irreversible, so negative times are rejected rather than run backwards.
     """
     m = _require_master(matrix)
-    p = _require_initial(m, p0)
-    _require_forward(t)
-    return _propagate(m, p, t)
-
-
-def _require_initial(m: np.ndarray, p0) -> np.ndarray:
     p = as_probability_vector(p0, name="p0")
     if p.size != m.shape[0]:
         raise ValueError(f"dimension mismatch: p0 {p.size} vs generator {m.shape[0]}")
-    return p
-
-
-def _require_forward(t: float) -> None:
-    if t < 0.0:
-        raise ValueError(f"t = {t!r}: the master equation is not run backwards")
+    times = np.asarray(t, dtype=float)
+    if times.ndim > 1:
+        raise ValueError(f"t must be one time or a 1-D grid of times, got shape {times.shape}")
+    for s in times.flat:
+        if not np.isfinite(s):
+            raise ValueError(f"t = {float(s)!r} is not a finite time")
+        if s < 0.0:
+            raise ValueError(f"t = {float(s)!r}: the master equation is not run backwards")
+    out = np.empty(times.shape + p.shape)
+    for i, s in np.ndenumerate(times):
+        out[i] = _propagate(m, p, float(s))
+    return out
 
 
 # scipy.linalg.expm, bound by the first call of expm.
@@ -168,8 +174,8 @@ def _propagate(m: np.ndarray, p: np.ndarray, t: float) -> np.ndarray:
     return as_probability_vector(np.where(out < 0.0, 0.0, out), name="p(t)")
 
 
-def two_state_closed_form(rate_to_1: float, rate_to_2: float, p0, t: float) -> np.ndarray:
-    """Analytic two-state solution.
+def two_state_closed_form(rate_to_1: float, rate_to_2: float, p0, t) -> np.ndarray:
+    """Analytic two-state solution at one time, or one row per time of a grid.
 
     ``rate_to_1`` is the 2 -> 1 rate and ``rate_to_2`` the 1 -> 2 rate (the
     same convention as ``rates[i][j]``). The occupation of state 1 relaxes as
@@ -186,8 +192,8 @@ def two_state_closed_form(rate_to_1: float, rate_to_2: float, p0, t: float) -> n
     if p.size != 2:
         raise ValueError(f"p0 must have 2 entries, got {p.size}")
     p1_eq = rate_to_1 / total
-    p1 = p1_eq + (p[0] - p1_eq) * np.exp(-total * t)
-    return np.array([p1, 1.0 - p1])
+    p1 = p1_eq + (p[0] - p1_eq) * np.exp(-total * np.asarray(t, dtype=float))
+    return np.stack([p1, 1.0 - p1], axis=-1)
 
 
 def equilibrium(matrix) -> np.ndarray:
@@ -242,21 +248,12 @@ def entropy_series(matrix, p0, times) -> list[tuple[float, float, float]]:
 
     Along any time grid the relative-entropy column is non-increasing for
     every valid generator with a unique equilibrium; the Shannon column is
-    non-decreasing when the generator is symmetric. The generator, ``p0``
-    and the times are validated once; each point then costs one matrix
-    exponential and the checks on its result.
+    non-decreasing when the generator is symmetric. The points come from one
+    grid call of :func:`evolve_probabilities`.
     """
-    m = _require_master(matrix)
-    p_eq = equilibrium(m)
-    p = _require_initial(m, p0)
-    grid = [float(t) for t in times]
-    for t in grid:
-        _require_forward(t)
-    records = []
-    for t in grid:
-        p_t = _propagate(m, p, t)
-        records.append((t, neg_sum_x_ln_x(p_t), _divergence(p_t, p_eq)))
-    return records
+    p_eq = equilibrium(matrix)
+    rows = evolve_probabilities(matrix, p0, times)
+    return [(float(t), neg_sum_x_ln_x(p_t), _divergence(p_t, p_eq)) for t, p_t in zip(times, rows)]
 
 
 def rate_matrix_from_csv(path) -> tuple[list[str], np.ndarray]:

@@ -254,31 +254,51 @@ def with_ids_swapped(rows, a, b):
 
 @pytest.mark.parametrize("entry", ["audit", "ledger-audit"])
 @pytest.mark.parametrize(
-    ("edit", "n_molecules", "code", "violation"),
+    ("edit", "n_molecules", "code", "count", "violation"),
     [
-        (lambda rows: rows, "100", 0, None),
+        (lambda rows: rows, "100", 0, 0, None),
         # edits of the committed ledger that the run audit would flag
-        (lambda rows: with_size(rows, 10, 7), "100", 1,
+        (lambda rows: with_size(rows, 10, 7), "100", 1, 1,
          "event 10: confirmation set size 7 != 50 ground molecules"),
-        (lambda rows: with_ids_swapped(rows, 0, 99), "100", 1,
+        # the layout comes from the size most rows give, so row 0 is blamed alone
+        (lambda rows: with_size(rows, 0, 7), "100", 1, 1,
+         "event 0: confirmation set size 7 != 50 ground molecules"),
+        # two rows that give two sizes once each: the smaller size sets the layout
+        (lambda rows: with_size(rows[:2], 0, 51), "100", 1, 1,
+         "event 0: confirmation set size 51 != 50 ground molecules"),
+        (lambda rows: with_ids_swapped(rows, 0, 99), "100", 1, 2,
          "molecule 99 emits first but was not initially excited"),
         # a wrong molecule count moves the layout n = N - 50
-        (lambda rows: rows, "99", 1, "molecule 49 emits first but was not initially excited"),
-        (lambda rows: rows, "101", 1, "molecule 50 absorbs first but was initially excited"),
+        (lambda rows: rows, "99", 1, 58, "molecule 49 emits first but was not initially excited"),
+        (lambda rows: rows, "101", 1, 1, "molecule 50 absorbs first but was initially excited"),
     ],
-    ids=["committed", "one-size-50-to-7", "ids-0-and-99-swapped", "n-molecules-99", "n-molecules-101"],
+    ids=[
+        "committed",
+        "one-size-50-to-7",
+        "row-0-size-50-to-7",
+        "size-tie-51-and-50",
+        "ids-0-and-99-swapped",
+        "n-molecules-99",
+        "n-molecules-101",
+    ],
 )
 def test_file_audit_checks_sizes_and_the_initial_layout(
-    tmp_path, capsys, committed_member0_rows, entry, edit, n_molecules, code, violation
+    tmp_path, capsys, committed_member0_rows, entry, edit, n_molecules, code, count, violation
 ):
     path = tmp_path / "ledger.csv"
     write_csv(path, committed_member0_rows[0], edit(committed_member0_rows[1:]))
     assert main(audit_argv(tmp_path, entry, path, n_molecules)) == code
     out = capsys.readouterr().out
     if entry == "audit":
+        assert out.count("violation: ") == count
         assert ("audit: PASS" if code == 0 else f"violation: {violation}\n") in out
     else:
-        assert json.loads((tmp_path / "out" / "report.json").read_text())["passed"] == (code == 0)
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["passed"] == (code == 0)
+        measured = report["checks"][0]["measured"]
+        assert measured.startswith(f"{count} violations in ")
+        if count == 1:
+            assert measured.endswith(f": {violation}")
 
 
 @pytest.mark.parametrize("entry", ["audit", "ledger-audit"])

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given
+from hypothesis import strategies as st
 
 from stosszahl import master
 from stosszahl.master import (
@@ -147,6 +149,92 @@ def test_negative_time_rejected():
 def test_invalid_generator_rejected():
     with pytest.raises(ValueError, match="invalid master operator"):
         evolve_probabilities(np.array([[-1.0, 0.0], [0.5, 0.0]]), [1.0, 0.0], 1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_times_rejected_before_any_exponential(monkeypatch, bad):
+    # the message names the time, not the non-finite p(t) it would give
+    monkeypatch.setattr(master, "expm", lambda a: pytest.fail("expm reached"))
+    m = build_master_operator([[0.0, 1.0], [1.0, 0.0]])
+    message = f"t = {bad!r} is not a finite time"
+    with pytest.raises(ValueError, match=message):
+        evolve_probabilities(m, [1.0, 0.0], bad)
+    with pytest.raises(ValueError, match=message):
+        evolve_probabilities(m, [1.0, 0.0], [0.0, 1.0, bad])
+    with pytest.raises(ValueError, match=message):
+        entropy_series(m, [1.0, 0.0], [0.0, bad])
+
+
+def test_a_two_dimensional_grid_is_rejected():
+    m = build_master_operator([[0.0, 1.0], [1.0, 0.0]])
+    grid = [[0.0, 1.0], [2.0, 3.0]]
+    with pytest.raises(ValueError, match=r"1-D grid of times, got shape \(2, 2\)"):
+        evolve_probabilities(m, [1.0, 0.0], grid)
+    with pytest.raises(ValueError, match=r"1-D grid of times, got shape \(2, 2\)"):
+        entropy_series(m, [1.0, 0.0], grid)
+
+
+# --- the grid path ---------------------------------------------------------------------
+
+@st.composite
+def generators(draw):
+    """A generator of 2..51 states with rates spread over 1e-8..1e8, some zero."""
+    n = draw(st.integers(min_value=2, max_value=51))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    low = draw(st.floats(min_value=-8.0, max_value=8.0))
+    high = draw(st.floats(min_value=low, max_value=8.0))
+    rates = 10.0 ** rng.uniform(low, high, size=(n, n))
+    rates[rng.random((n, n)) < draw(st.floats(min_value=0.0, max_value=0.9))] = 0.0
+    np.fill_diagonal(rates, 0.0)
+    p0 = rng.random(n) * (rng.random(n) < 0.7)
+    p0[rng.integers(n)] += 1.0
+    return build_master_operator(rates), p0 / p0.sum()
+
+
+def grids():
+    """Unsorted grids that may repeat times or be empty."""
+    times = st.floats(min_value=0.0, max_value=50.0)
+    return st.lists(times, max_size=4).flatmap(
+        lambda seen: st.lists(st.sampled_from(seen) | times if seen else times, max_size=8)
+    )
+
+
+@given(generators(), grids())
+def test_grid_rows_equal_their_scalar_calls(system, grid):
+    # Stiff generators, whose roundoff breaks the unit sum of p(t), are drawn
+    # too: both paths must then raise the same ValueError. Rates near 1e8 can
+    # break the column-sum check of the built generator; the call at t = 0
+    # makes that check, which the grid call makes even when the grid is empty.
+    m, p0 = system
+    try:
+        rows = evolve_probabilities(m, p0, grid)
+    except ValueError as exc:
+        rows = str(exc)
+    try:
+        evolve_probabilities(m, p0, 0.0)
+        expected = np.array([evolve_probabilities(m, p0, t) for t in grid])
+        expected = expected.reshape(len(grid), p0.size)
+    except ValueError as exc:
+        expected = str(exc)
+    if isinstance(expected, str):
+        assert rows == expected
+    else:
+        assert rows.shape == expected.shape
+        assert rows.tobytes() == expected.tobytes()
+
+
+@given(
+    st.floats(min_value=1e-8, max_value=1e8),
+    st.floats(min_value=1e-8, max_value=1e8),
+    st.floats(min_value=0.0, max_value=1.0),
+    grids(),
+)
+def test_closed_form_grid_rows_equal_their_scalar_calls(rate_to_1, rate_to_2, p1, grid):
+    p0 = [p1, 1.0 - p1]
+    rows = two_state_closed_form(rate_to_1, rate_to_2, p0, grid)
+    expected = np.array([two_state_closed_form(rate_to_1, rate_to_2, p0, t) for t in grid])
+    assert rows.shape == (len(grid), 2)
+    assert rows.tobytes() == expected.reshape(len(grid), 2).tobytes()
 
 
 # --- closed form -----------------------------------------------------------------------
