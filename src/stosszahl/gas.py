@@ -28,7 +28,8 @@ transaction therefore completes inside the window, and the dwell in the last
 state ends at t_max.
 
 Randomness contract: every member of an ensemble draws from its own
-generator, and event j of a member uses uniforms 3j, 3j + 1 and 3j + 2 of
+generator, a child of ``SeedSequence(seed)`` (see :func:`iter_ensemble`),
+and event j of a member uses uniforms 3j, 3j + 1 and 3j + 2 of
 its stream, in order: (1) the exponential waiting time by inverse CDF, (2)
 the uniform emitter pick among excited molecules, and (3) the winner
 selection over the confirmation set in ascending id order, by the
@@ -45,8 +46,9 @@ The waiting times (with ``math.log1p``, not ``np.log1p``, whose vectorized
 loops may round differently), the emission and absorption times, the horizon,
 the emitter picks and the uniform-coupling winner ranks are computed for a
 whole block of every member at once. Event j of every member is then resolved
-together on the sorted excited and ground ids of all members; only a coupling
-table computes its winner ranks there, from one (members, N - n) weight array.
+together on the sorted excited and ground ids of all members, read and written
+at flat indices; only a coupling table computes its winner ranks there, from
+one (members, N - n) weight array.
 The result equals composing scalar draws event by event, one member at a
 time, bit for bit.
 
@@ -75,7 +77,7 @@ import numpy as np
 
 from .csvio import fmt, read_csv, write_csv
 # perfbench/spans.py counts calls to ``collapse_sample`` looked up in this module.
-from .measurement import ZERO_WEIGHT, collapse_sample, inverse_cdf  # noqa: F401
+from .measurement import ZERO_WEIGHT, collapse_sample, inverse_cdf, spawn_generators  # noqa: F401
 from .states import shannon_entropy
 
 
@@ -262,13 +264,14 @@ def run(config: GasConfig, rng=None):
     - emitter ranks ``min(int(u * n), n - 1)`` among the excited molecules
       in ascending id order and, for uniform coupling, winner ranks by
       :func:`~stosszahl.measurement.inverse_cdf` of
-      ``np.full(N - n, 1 / (N - n))``, whose every weight is 1 / (N - n).
+      ``np.full(N - n, 1 / (N - n))``, equal weights it ranks without a search.
 
     Every member keeps its excited and ground ids as sorted int32 rows of two
-    arrays, and event j of every member that has one is resolved together:
-    the emitter is taken at its rank, the winner at its rank among the
-    ground ids, and the two ids swap rows, each row sorted again (its ids
-    are distinct, so every sort kind gives the same row). With a coupling
+    C-contiguous arrays, and event j of every member that has one is
+    resolved together: the emitter is taken at its rank, the winner at its
+    rank among the ground ids, each by a flat ``take``, and the two ids swap
+    rows by flat ``put``, each row sorted again (its ids are distinct, so
+    every sort kind gives the same row). With a coupling
     table the winner rank depends on the state: the
     confirmation-set weights are gathered into one (members, N - n) array
     and normalized by their row sums, and the winner is taken as
@@ -367,27 +370,29 @@ def _step_members(config: GasConfig, rngs: list) -> list[list[tuple]]:
         active, counts, times = active[order], counts[order], times[order]
         excited, ground = excited[order], ground[order]
         width = int(counts[0])
+        # Ranks become flat indices into the C-contiguous id rows: row * row length + rank.
+        ground_rows = np.arange(0, rows * m, m)
         picks = np.minimum((u[order, 1 : 3 * width : 3] * n_quanta).astype(np.int64), n_quanta - 1)
+        picks += np.arange(0, rows * n_quanta, n_quanta)[:, None]
         win_u = u[order, 2 : 3 * width : 3]
         emitted = np.empty((rows, width), dtype=np.int64)
         absorbed = np.empty((rows, width), dtype=np.int64)
         if coupling is None:
             winners = inverse_cdf(uniform, win_u)
+            winners += ground_rows[:, None]
             weights = np.full((rows, width), 1.0 / m)
         else:
             weights = np.empty((rows, width))
-        index = np.arange(rows)
         live = rows
         for j in range(width):
             while counts[live - 1] <= j:
                 live -= 1
-            r = index[:live]
             x = excited[:live]
             g = ground[:live]
-            pick = picks[:live, j]
-            e = x[r, pick]
+            at_pick = picks[:live, j]
+            e = x.take(at_pick)
             if coupling is None:
-                winner = winners[:live, j]
+                at_winner = winners[:live, j]
             else:
                 raw = flat_coupling.take((e * n)[:, None] + g)
                 raw_total = add_reduce(raw, axis=1)
@@ -405,13 +410,15 @@ def _step_members(config: GasConfig, rngs: list) -> list[list[tuple]]:
                 thresholds = win_u[:live, j] * add_reduce(clamped, axis=1)
                 winner = (clamped.cumsum(axis=1) <= thresholds[:, None]).sum(axis=1)
                 np.minimum(winner, m - 1, out=winner)
-                weights[:live, j] = raw[r, winner]
-            absorber = g[r, winner]
+                # raw has the (live, N - n) layout of g, so one flat index serves both.
+                at_winner = ground_rows[:live] + winner
+                weights[:live, j] = raw.take(at_winner)
+            absorber = g.take(at_winner)
             emitted[:live, j] = e
             absorbed[:live, j] = absorber
-            x[r, pick] = absorber
+            x.put(at_pick, absorber)
             x.sort(axis=1)
-            g[r, winner] = e
+            g.put(at_winner, e)
             g.sort(axis=1)
         carry_on = counts == triples
         for row, (member, count) in enumerate(zip(active.tolist(), counts.tolist())):
@@ -459,6 +466,7 @@ def iter_ensemble(config: GasConfig, n_members: int):
     """Yield (bounds, ledger) for n_members independent runs, one batch at a time.
 
     Member generators come from spawning ``numpy.random.SeedSequence(seed)``,
+    a batch at a time by :func:`~stosszahl.measurement.spawn_generators`,
     so the whole ensemble is reproducible from the single config seed and
     members are statistically independent. Members are stepped in batches
     of up to ``_MEMBERS_PER_RUN``, one call of :func:`run` per batch, and
@@ -471,9 +479,8 @@ def iter_ensemble(config: GasConfig, n_members: int):
     """
     if n_members < 1:
         raise ValueError(f"n_members must be >= 1, got {n_members}")
-    children = np.random.SeedSequence(config.seed).spawn(n_members)
     for first in range(0, n_members, _MEMBERS_PER_RUN):
-        rngs = [np.random.default_rng(child) for child in children[first : first + _MEMBERS_PER_RUN]]
+        rngs = spawn_generators(config.seed, first, min(first + _MEMBERS_PER_RUN, n_members))
         bounds, ledger = run(config, rngs)
         yield bounds, ledger
         # Free this batch before the next one is stepped.

@@ -81,14 +81,17 @@ class MasterValidation:
 def validate_master(matrix) -> MasterValidation:
     """Report column-sum residuals and negative off-diagonal entries.
 
-    Passes iff every column sums to zero within ``COLUMN_SUM_TOL`` and no
-    off-diagonal entry is below ``-OFF_DIAGONAL_TOL``.
+    Passes iff every column sums to zero within ``COLUMN_SUM_TOL`` times its
+    scale max(1, max |entry|), as the roundoff of its largest entries does,
+    and no off-diagonal entry is below ``-OFF_DIAGONAL_TOL``. The report
+    names the column worst relative to its scale and the |sum| of it.
     """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"master operator must be square, got shape {m.shape}")
     column_sums = m.sum(axis=0)
-    worst_column = int(np.argmax(np.abs(column_sums)))
+    scales = np.maximum(1.0, np.abs(m).max(axis=0))
+    worst_column = int(np.argmax(np.abs(column_sums) / scales))
     max_residual = float(np.abs(column_sums[worst_column]))
 
     off = m.copy()
@@ -97,7 +100,7 @@ def validate_master(matrix) -> MasterValidation:
     min_off_diagonal = float(off[worst_entry]) if m.shape[0] > 1 else 0.0
 
     messages = []
-    if max_residual > COLUMN_SUM_TOL:
+    if max_residual > COLUMN_SUM_TOL * scales[worst_column]:
         messages.append(
             f"column {worst_column} sums to {column_sums[worst_column]:.3e}"
         )

@@ -18,7 +18,9 @@ one uniform double from ``Generator.random()`` and selects by inverse CDF
 over ascending index order, so a given seed reproduces the same outcome
 sequence bit-for-bit; a golden-sequence test pins this across platforms.
 Weights below ``ZERO_WEIGHT`` are treated as exactly zero and can never be
-selected.
+selected. With equal weights :func:`inverse_cdf` corrects a ``floor(u * m)``
+guess instead of searching. Ensemble members draw from the children of
+``SeedSequence(seed).spawn``, built in one pass by :func:`spawn_generators`.
 """
 
 from __future__ import annotations
@@ -35,6 +37,12 @@ BASIS_TOL = 1e-10
 
 # Weights below this are pure roundoff and are never selected.
 ZERO_WEIGHT = 1e-15
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): its pool of
+# four 32-bit words, xor shift, and hashmix, state-word and mix constants.
+_POOL_SIZE, _XSHIFT, _MASK32 = 4, 16, 0xFFFFFFFF
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 
 def as_measurement_basis(basis, name: str = "basis") -> np.ndarray:
@@ -132,6 +140,9 @@ def inverse_cdf(weights: np.ndarray, u):
     :func:`sample_outcomes` and the uniform-coupling winners of the gas
     kernel (:func:`stosszahl.gas.run`) call it with arrays; a coupling table
     takes the same step along the rows of a batch of weight vectors.
+
+    With m equal weights, a ``floor(u * m)`` guess corrected against the
+    cumulative sums until none moves gives the search's index without it.
     """
     weights = np.where(weights < ZERO_WEIGHT, 0.0, weights)
     # ndarray methods and np.add.reduce skip the Python-level wrappers of
@@ -139,7 +150,18 @@ def inverse_cdf(weights: np.ndarray, u):
     total = float(np.add.reduce(weights))
     if total <= 0.0:
         raise ValueError("degenerate weights: all entries are zero")
-    return np.minimum(weights.cumsum().searchsorted(u * total, side="right"), weights.size - 1)
+    m, x = weights.size, u * total
+    if weights.min() < weights.max():
+        return np.minimum(weights.cumsum().searchsorted(x, side="right"), m - 1)
+    # A count r is right when bounded[r] <= x < bounded[r + 1]. The sums never
+    # decrease, so no guess steps both ways; u < 1 keeps the first one <= m.
+    bounded = np.concatenate(([-np.inf], weights.cumsum(), [np.inf]))
+    rank = (np.asarray(u) * m).astype(np.intp)
+    while True:
+        down, up = bounded.take(rank) > x, bounded[1:].take(rank) <= x
+        if not (down.any() or up.any()):
+            return np.minimum(rank, m - 1)
+        rank = rank - down + up
 
 
 def sample_outcomes(weights, n_draws: int, rng: np.random.Generator) -> np.ndarray:
@@ -181,3 +203,57 @@ def measure(psi, basis, rng: np.random.Generator) -> tuple[CollapseOutcome, np.n
         weight=float(weights[index]),
     )
     return outcome, post_state
+
+
+def _hash(value, const: int, mult: int):
+    """SeedSequence's hashmix (``_MULT_A``) or state-word hash (``_MULT_B``) of uint32s.
+
+    Returns the hashed words and the next constant, modulo 2**32.
+    """
+    next_const = const * mult & _MASK32
+    value = (value ^ const) * next_const & _MASK32
+    return value ^ value >> _XSHIFT, next_const
+
+
+def spawn_generators(seed: int, start: int, stop: int) -> list:
+    """``[default_rng(c) for c in SeedSequence(seed).spawn(stop)[start:stop]]``, in one pass.
+
+    Same PCG64 states: a child's entropy is its parent's, zero-padded to the
+    pool, then its spawn key, so each child mixes its key into the parent's
+    pool; all children's keys and state words are hashed as uint32 arrays, and
+    reach ``PCG64`` through numpy's ``ISeedSequence``. Keys of 2**32 or more
+    would hash as two words and are rejected. Imports ``numpy.random``.
+    """
+    from numpy.random import PCG64, Generator, SeedSequence
+    from numpy.random.bit_generator import ISeedSequence
+
+    class ChildState(ISeedSequence):
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if (n_words, dtype) != (4, np.uint64):  # all that PCG64 asks for
+                raise ValueError(f"holds 4 uint64 state words, not {n_words} of {dtype}")
+            return self.words
+
+    if not 0 <= start <= stop <= 2**32:
+        raise ValueError(f"spawn keys {start}..{stop - 1} must lie in 0..2**32 - 1")
+    parent = SeedSequence(seed)  # rejects a seed that is not an integer >= 0
+    # The parent's pool took 4 ** 2 hashmix steps (4 words in, then 12 pair mixes)
+    # and 4 more per seed word past the pool; the constant advances once per step.
+    n_words = max(1, (int(seed).bit_length() + 31) // 32)
+    steps = _POOL_SIZE**2 + _POOL_SIZE * max(0, n_words - _POOL_SIZE)
+    const = _INIT_A * pow(_MULT_A, steps, 2**32) & _MASK32
+    count = stop - start
+    pool = [np.full(count, word, dtype=np.uint32) for word in parent.pool.tolist()]
+    keys = np.arange(start, stop, dtype=np.uint32)
+    for dst in range(_POOL_SIZE):  # SeedSequence's mix of each pool word with hashmix(key)
+        hashed, const = _hash(keys, const, _MULT_A)
+        mixed = (_MIX_MULT_L * pool[dst] - _MIX_MULT_R * hashed) & _MASK32
+        pool[dst] = mixed ^ mixed >> _XSHIFT
+    const, state = _INIT_B, np.empty((count, 2 * _POOL_SIZE), dtype=np.uint32)
+    for i in range(2 * _POOL_SIZE):
+        state[:, i], const = _hash(pool[i % _POOL_SIZE], const, _MULT_B)
+    # generate_state reads the words as little-endian uint64 pairs.
+    seeds = state.astype("<u4").view("<u8").astype(np.uint64)
+    return [Generator(PCG64(ChildState(row))) for row in seeds]

@@ -29,12 +29,12 @@ from .csvio import fmt, write_csv
 # collapse, one member's state per call, even though it stacks the evolution
 # and the entropies of the members.
 from .evolution import Propagator, apply_unitary, evolve_unitary  # noqa: F401
-from .measurement import as_measurement_basis, decohere, sample_outcome_counts
+from .measurement import as_measurement_basis, decohere, sample_outcome_counts, spawn_generators
 from .states import (
     as_density_matrix,
     as_probability_vector,
     density_from_pure,
-    shannon_entropy,
+    neg_sum_x_ln_x,
     suspect_density_matrices,
     vn_entropy,
 )
@@ -177,8 +177,9 @@ def _two_state_relaxation(config: ScenarioConfig, stamp: str | None):
     p_solver = master_mod.evolve_probabilities(m, p0, grid)
     p_closed = master_mod.two_state_closed_form(p["rate_to_1"], p["rate_to_2"], p0, grid)
     worst = float(np.max(np.abs(p_solver - p_closed), initial=0.0))
+    # The solver rows and p_eq are validated probability vectors already.
     rows = [
-        [fmt(x) for x in (t, *p_t, shannon_entropy(p_t), master_mod.relative_entropy(p_t, p_eq))]
+        [fmt(x) for x in (t, *p_t, neg_sum_x_ln_x(p_t), master_mod._divergence(p_t, p_eq))]
         for t, p_t in zip(grid, p_solver)
     ]
 
@@ -254,9 +255,8 @@ def _unitary_vs_collapse(config: ScenarioConfig, stamp: str | None):
     # Branch B: same Hamiltonian, interrupted by Poisson-clocked collapses.
     grid = np.linspace(0.0, t_max, p["n_samples"])
     mean_entropy = np.zeros(grid.size)
-    children = np.random.SeedSequence(config.seed).spawn(p["n_seeds"])
     for first in range(0, p["n_seeds"], _STACK):
-        block = children[first : first + _STACK]
+        block = spawn_generators(config.seed, first, min(first + _STACK, p["n_seeds"]))
         clock, entropies, states = _collapse_members(
             unitary, basis, rho0, entropy_0, rate, t_max, block
         )
@@ -302,8 +302,8 @@ def _unitary_vs_collapse(config: ScenarioConfig, stamp: str | None):
     return checks, [out_file.name]
 
 
-def _collapse_members(unitary, basis, rho0, entropy_0, rate, t_max, children):
-    """Run one collapse member per seed sequence in ``children``, in lockstep.
+def _collapse_members(unitary, basis, rho0, entropy_0, rate, t_max, rngs):
+    """Run one collapse member per generator in ``rngs``, in lockstep.
 
     Each member draws its Poisson collapse times from its own generator
     first. The members are then ordered by descending collapse count, so
@@ -314,7 +314,7 @@ def _collapse_members(unitary, basis, rho0, entropy_0, rate, t_max, children):
     member order, its times (0.0, its collapse times, then inf), the entropy
     after each of its collapses (after entropy_0), and its final state.
     """
-    times = [_collapse_times(np.random.default_rng(child), rate, t_max) for child in children]
+    times = [_collapse_times(rng, rate, t_max) for rng in rngs]
     order = np.argsort([-len(member) for member in times], kind="stable")
     steps = np.array([len(times[member]) for member in order])
     clock = np.full((order.size, steps[0] + 1), np.inf)

@@ -393,6 +393,18 @@ def test_import_loads_no_scipy():
     assert run_probe(probe) == ["False", "False"]
 
 
+def test_cli_import_leaves_numpy_random_and_scipy_out():
+    # the start-up a CLI user pays: numpy.random costs ~17 ms to load and is
+    # imported by the first call that builds a generator, scipy by the first
+    # master-equation solve
+    probe = (
+        "import sys, stosszahl.cli\n"
+        "print(any(name.split('.')[:2] == ['numpy', 'random'] for name in sys.modules))\n"
+        "print(any(name.split('.')[0] == 'scipy' for name in sys.modules))\n"
+    )
+    assert run_probe(probe) == ["False", "False"]
+
+
 @pytest.mark.parametrize(
     "config, loads_linalg",
     [

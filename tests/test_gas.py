@@ -625,6 +625,24 @@ def test_ensemble_steps_its_members_through_gas_run(monkeypatch):
         assert column_bytes(ledger) == column_bytes(lone)
 
 
+@pytest.mark.parametrize("n_members", [255, 256, 257, 513])
+def test_ensemble_members_equal_lone_runs_on_their_spawned_generators(n_members):
+    # iter_ensemble builds each batch's generators in one pass; member i must
+    # be the lone run on default_rng of child i of SeedSequence(seed), also
+    # at and across the 256-member batch edges
+    config = make_config(n_molecules=8, n_excited=3, t_max=2.0, seed=2**70 + 11)
+    members = [
+        ledger[start:stop]
+        for bounds, ledger in iter_ensemble(config, n_members)
+        for start, stop in zip(bounds[:-1].tolist(), bounds[1:].tolist())
+    ]
+    children = np.random.SeedSequence(config.seed).spawn(n_members)
+    assert len(members) == n_members
+    for child, member in zip(children, members):
+        _bounds, lone = run(config, np.random.default_rng(child))
+        assert column_bytes(member) == column_bytes(lone)
+
+
 # --- ledger files and audit --------------------------------------------------------------
 
 def test_ledger_csv_round_trip(tmp_path):

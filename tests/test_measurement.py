@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.stats import chisquare
 
 from stosszahl.measurement import (
+    ZERO_WEIGHT,
     CollapseOutcome,
     as_measurement_basis,
     born_weights,
@@ -19,6 +20,7 @@ from stosszahl.measurement import (
     process1,
     sample_outcome_counts,
     sample_outcomes,
+    spawn_generators,
 )
 from stosszahl.states import density_from_pure, purity, vn_entropy
 
@@ -252,6 +254,89 @@ def test_inverse_cdf_of_an_array_equals_its_scalar_calls(m, kind, shape, seed):
     for pick, one in zip(picks.ravel().tolist(), u.ravel().tolist()):
         assert pick == inverse_cdf(weights, one)
     assert type(collapse_sample(weights, np.random.default_rng(seed))) is int
+
+
+def searched_pick(weights, u):
+    """The inverse-CDF index by searchsorted of the cumulative weights: the reference."""
+    clamped = np.where(weights < ZERO_WEIGHT, 0.0, weights)
+    total = float(np.add.reduce(clamped))
+    return np.minimum(clamped.cumsum().searchsorted(u * total, side="right"), weights.size - 1)
+
+
+def edge_uniforms(weights):
+    """u at 0, at 1 - ulp, and just below, at and just above every c_k / total."""
+    edges = weights.cumsum() / float(np.add.reduce(weights))
+    u = np.concatenate((
+        [0.0, np.nextafter(1.0, 0.0)], np.nextafter(edges, 0.0), edges, np.nextafter(edges, 1.0)
+    ))
+    return u[u < 1.0]
+
+
+def test_equal_weight_inverse_cdf_equals_the_search_at_every_edge():
+    # equal weights take floor(u * m) corrected against the cumulative sums,
+    # not a search; the index must be the search's wherever a rank changes
+    for m in range(1, 201):
+        weights = np.full(m, 1.0 / m)
+        u = edge_uniforms(weights)
+        assert np.array_equal(inverse_cdf(weights, u), searched_pick(weights, u))
+
+
+@given(
+    m=st.integers(min_value=1, max_value=3999),
+    weight=st.floats(min_value=1e-12, max_value=1e6),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_equal_weight_inverse_cdf_equals_the_search(m, weight, seed):
+    weights = np.full(m, weight)
+    u = np.concatenate((edge_uniforms(weights), np.random.default_rng(seed).random(64)))
+    picks = inverse_cdf(weights, u)
+    assert np.array_equal(picks, searched_pick(weights, u))
+    for one, pick in zip(u[:8].tolist(), picks[:8].tolist()):
+        assert inverse_cdf(weights, one) == pick
+
+
+def spawned_states(seed, start, stop):
+    """PCG64 states of default_rng(child) for children start..stop - 1 of SeedSequence(seed)."""
+    children = np.random.SeedSequence(seed).spawn(stop)[start:stop]
+    return [np.random.default_rng(child).bit_generator.state for child in children]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 99])
+@pytest.mark.parametrize("start, stop", [(0, 3), (0, 256), (250, 262), (256, 300)])
+def test_spawn_generators_equal_default_rng_of_the_spawned_children(seed, start, stop):
+    # seeds of one to five 32-bit words, ranges from 0 and 256 and across 256
+    generators = spawn_generators(seed, start, stop)
+    assert [g.bit_generator.state for g in generators] == spawned_states(seed, start, stop)
+    expected = np.random.default_rng(np.random.SeedSequence(seed).spawn(stop)[-1])
+    assert generators[-1].random(5).tolist() == expected.random(5).tolist()
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**200),
+    start=st.integers(min_value=0, max_value=600),
+    count=st.integers(min_value=0, max_value=40),
+)
+def test_spawn_generators_equal_the_spawned_children_for_drawn_seeds(seed, start, count):
+    generators = spawn_generators(seed, start, start + count)
+    assert [g.bit_generator.state for g in generators] == spawned_states(seed, start, start + count)
+
+
+def test_spawn_generators_take_keys_below_2_to_the_32_and_reject_the_rest():
+    # a key of 2**32 or more hashes as two words: it must be refused, never
+    # hashed as one
+    keys = (2**32 - 2, 2**32 - 1)
+    expected = [
+        np.random.default_rng(np.random.SeedSequence(9, spawn_key=(key,))).bit_generator.state
+        for key in keys
+    ]
+    assert [g.bit_generator.state for g in spawn_generators(9, 2**32 - 2, 2**32)] == expected
+    with pytest.raises(ValueError, match="spawn keys"):
+        spawn_generators(9, 2**32 - 1, 2**32 + 1)
+    with pytest.raises(ValueError, match="spawn keys"):
+        spawn_generators(9, 5, 4)
+    with pytest.raises(ValueError, match="non-negative"):
+        spawn_generators(-1, 0, 1)
+    assert spawn_generators(9, 7, 7) == []
 
 
 def test_golden_outcome_sequence_byte_match():
