@@ -17,7 +17,6 @@ from .gas import (
     macrostate_entropy,
     run,
 )
-from .linalg import Spectrum, eig_hermitian
 from .master import (
     build_master_operator,
     equilibrium,
@@ -50,14 +49,12 @@ __all__ = [
     "GasConfig",
     "Ledger",
     "Propagator",
-    "Spectrum",
     "audit_ledger",
     "born_weights",
     "build_master_operator",
     "collapse_sample",
     "decohere",
     "density_from_pure",
-    "eig_hermitian",
     "empirical_rates",
     "entropy_series",
     "equilibrium",

@@ -46,9 +46,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--n-molecules",
         type=int,
         default=None,
-        help="molecule count N: enables the id range check and, with n = N minus the first "
-        "row's confirmation set size, requires every set size to be N - n and each "
-        "molecule's first role to fit a run's initial layout, molecules 0..n-1 excited",
+        help="molecule count N: enables the id range check and, with n = N minus the "
+        "confirmation set size that most rows give (the smaller on a tie), requires every "
+        "set size to be N - n, each differing row a violation, and each molecule's first "
+        "role to fit a run's initial layout, molecules 0..n-1 excited",
     )
 
     sub.add_parser("list-scenarios", help="print the registered scenario names")

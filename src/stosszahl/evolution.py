@@ -1,7 +1,8 @@
 """Unitary (entropy-conserving) dynamics in natural units (hbar = 1).
 
 The propagator U = exp(-iHt) is built by spectral decomposition of the
-Hamiltonian: exact on Hermitian input, unitary by construction, and with no
+Hamiltonian (``numpy.linalg.eigh``, ascending eigenvalues and unitary
+eigenvectors): exact on Hermitian input, unitary by construction, and with no
 series-truncation error. States evolve as U rho U^dag; observables evolve
 with the opposite sign, U^dag O U, so that Tr(rho(t) O) = Tr(rho O(t)).
 
@@ -17,25 +18,25 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import eig_hermitian, require_hermitian
+from .linalg import require_hermitian
 from .states import as_density_matrix
 
 
 class Propagator:
     """exp(-iHt) for one Hamiltonian, from a spectrum computed once.
 
-    The constructor checks that the Hamiltonian is square, Hermitian and
-    within the dimension cap, and eigendecomposes it. :meth:`unitary` and
+    The constructor checks that the Hamiltonian is square, finite, Hermitian
+    and within the dimension cap, and eigendecomposes it. :meth:`unitary` and
     :meth:`evolve` then only form phases and multiply: they do not check
     their arguments, so a loop that steps one state many times pays the
     validation and the decomposition once.
     """
 
     def __init__(self, hamiltonian):
-        spectrum = eig_hermitian(hamiltonian, name="hamiltonian")
-        self.eigenvalues = spectrum.eigenvalues
-        self.eigenvectors = spectrum.eigenvectors
-        self._eigenvectors_dag = spectrum.eigenvectors.conj().T
+        self.eigenvalues, self.eigenvectors = np.linalg.eigh(
+            require_hermitian(hamiltonian, "hamiltonian")
+        )
+        self._eigenvectors_dag = self.eigenvectors.conj().T
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -6,13 +6,14 @@ instant forms the confirmation set, and exactly one of them wins the quantum
 with its normalized coupling weight. The emitter drops to ground, the winner
 rises to excited, and the ledger records the pair with its emission and
 absorption timestamps. Emission strictly precedes absorption in every event,
-total quanta are conserved exactly, and a run is bit-reproducible from its
-seed.
+total quanta are conserved exactly, and a member is bit-reproducible from
+its generator, an ensemble from its config seed.
 
-Ledger: :func:`run` returns ``(bounds, ledger)``: the events as a
-:class:`Ledger`, one numpy column per field (``t_e, t_a, emitter, absorber,
-winner_weight, confirmation_set_size``) and one row per event, members one
-after another, and the member row bounds. The columns are the only record
+Ledger: :func:`run` steps one member per generator it is given and returns
+``(bounds, ledger)``: the events as a :class:`Ledger`, one numpy column per
+field (``t_e, t_a, emitter, absorber, winner_weight,
+confirmation_set_size``) and one row per event, members one after another,
+and the member row bounds. The columns are the only record
 of the events: the audit, the rate estimator, the k lookup and the CSV
 writers read them, and a slice copies one member's rows out.
 
@@ -27,10 +28,11 @@ t_max and stops at the first event whose t_a would pass it. Every recorded
 transaction therefore completes inside the window, and the dwell in the last
 state ends at t_max.
 
-Randomness contract: every member of an ensemble draws from its own
-generator, a child of ``SeedSequence(seed)`` (see :func:`iter_ensemble`),
-and event j of a member uses uniforms 3j, 3j + 1 and 3j + 2 of
-its stream, in order: (1) the exponential waiting time by inverse CDF, (2)
+Randomness contract: :func:`run` steps the generators it is given and no
+other. Member i of an ensemble draws from child i of ``SeedSequence(seed)``
+(see :func:`iter_ensemble`, the one reader of the config seed), and event j
+of a member uses uniforms 3j, 3j + 1 and 3j + 2 of its stream, in order:
+(1) the exponential waiting time by inverse CDF, (2)
 the uniform emitter pick among excited molecules, and (3) the winner
 selection over the confirmation set in ascending id order, by the
 inverse-CDF step of :func:`stosszahl.measurement.inverse_cdf`, which
@@ -56,8 +58,9 @@ Batches: :func:`iter_ensemble` yields one ``(bounds, ledger)`` batch per
 call of :func:`run`, its ledger holding the members' events member after
 member. :func:`audit_ledger` and :func:`batch_left_counts` take such a
 ledger with its bounds and treat every member as if alone, bit for bit;
-:func:`empirical_rates` adds the batch to one pooled tally, equal bit for
-bit to adding the members' lone tallies in member order.
+:func:`empirical_rates` always takes the bounds and adds the batch to one
+pooled tally, equal bit for bit to adding the members' one-member tallies in
+member order.
 
 Coarse graining: the macro-observable is k, the number of excited molecules
 in the left half (ids below N/2). Its Boltzmann entropy is the log
@@ -78,7 +81,7 @@ import numpy as np
 from .csvio import fmt, read_csv, write_csv
 # perfbench/spans.py counts calls to ``collapse_sample`` looked up in this module.
 from .measurement import ZERO_WEIGHT, collapse_sample, inverse_cdf, spawn_generators  # noqa: F401
-from .states import shannon_entropy
+from .states import neg_sum_x_ln_x
 
 
 class ZeroCouplingError(ValueError):
@@ -234,19 +237,20 @@ def _entropy_table(n_molecules: int, n_excited: int) -> tuple[int, np.ndarray]:
 _MEMBERS_PER_RUN = 256
 
 
-def run(config: GasConfig, rng=None):
-    """Run one member, or a batch of members, up to the horizon t_max.
+def run(config: GasConfig, rngs):
+    """Run a batch of members, one per generator of ``rngs``, up to the horizon t_max.
 
-    ``rng`` is one generator (None for ``default_rng(config.seed)``) or a
-    list or tuple of generators, one member each. Either way this returns
-    ``(bounds, ledger)``: one :class:`Ledger` holding the members' events
-    member after member, member i owning rows ``bounds[i]:bounds[i + 1]``,
-    so one generator gives ``bounds == [0, len(ledger)]``. Each member's
-    rows are those of a lone run on its generator; the audit,
-    :func:`batch_left_counts` and the pooled rate tally read the batch
-    ledger whole, given the bounds. If members meet a confirmation set of
-    zero total weight, every member still runs to its end and the
-    :class:`ZeroCouplingError` of the lowest such member is raised.
+    ``rngs`` is a sequence of generators, one member each; ``config.seed``
+    is not read here (it is the ensemble root of :func:`iter_ensemble`).
+    This returns ``(bounds, ledger)``: one :class:`Ledger` holding the
+    members' events member after member, member i owning rows
+    ``bounds[i]:bounds[i + 1]``, so one generator gives ``bounds == [0,
+    len(ledger)]``. Each member's rows are those of a run on its generator
+    alone; the audit, :func:`batch_left_counts` and the pooled rate tally
+    read the batch ledger whole, given the bounds. If members meet a
+    confirmation set of zero total weight, every member still runs to its
+    end and the :class:`ZeroCouplingError` of the lowest such member is
+    raised.
 
     The kernel is Gillespie's direct method. Quanta are conserved, so the
     total emission rate n * decay_rate and the confirmation-set size N - n
@@ -286,9 +290,7 @@ def run(config: GasConfig, rng=None):
     (covered by equivalence and property tests). The generators are
     consumed: each is left wherever its member's last block left it.
     """
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
-    blocks = _step_members(config, list(rng) if isinstance(rng, (list, tuple)) else [rng])
+    blocks = _step_members(config, rngs)
     bounds = np.cumsum([0] + [sum(len(block[0]) for block in member) for member in blocks])
     t_e = _column(blocks, 0, float)
     ledger = Ledger(
@@ -535,7 +537,7 @@ def summarize_ensemble(config: GasConfig, counts: np.ndarray) -> EnsembleSeries:
     mean_macro = np.empty(n_times)
     for col in range(n_times):
         histogram = np.bincount(counts[:, col], minlength=max_k + 1)
-        k_entropy[col] = shannon_entropy(histogram / n_seeds)
+        k_entropy[col] = neg_sum_x_ln_x(histogram / n_seeds)
         mean_macro[col] = float(np.mean(_macro_entropies(config, counts[:, col])))
     return EnsembleSeries(
         k_entropy=k_entropy,
@@ -575,24 +577,23 @@ class EmpiricalRates:
         return rates
 
 
-def empirical_rates(config: GasConfig, ledger: Ledger, bounds=None, pooled=None):
-    """Estimate transition rates between k labels from one ledger, or pool a batch into a tally.
+def empirical_rates(config: GasConfig, ledger: Ledger, bounds, pooled=None):
+    """Pool the transition counts and dwell times of a batch ledger's members into a tally.
 
-    ``ledger`` is assumed to pass :func:`audit_ledger`. Each state is labeled by its left-half excited
-    count k in 0..ceil(N/2), taken from the ledger columns, and the dwell in
-    the last state ends at t_max.
+    ``ledger`` is assumed to pass :func:`audit_ledger`. Each state is
+    labeled by its left-half excited count k in 0..ceil(N/2), taken from the
+    ledger columns, and the dwell in each member's last state ends at t_max.
 
-    With member row bounds (as :func:`iter_ensemble` yields them) this
-    returns a new :class:`EmpiricalRates`, ``pooled`` (None for zero) plus
-    every member's tallies, equal bit for bit to adding each member's lone
-    estimate in member order. A member without events adds a dwell of t_max
-    in the initial label, where it sat for the whole run. The transition
-    counts, integers, come from one ``bincount``. The dwell rows come from a
-    ``bincount`` over ``member * n_labels + label``, in event order, and a
-    ``cumsum`` adds them to ``pooled`` in member order.
+    ``bounds`` are the member row bounds (as :func:`run` and
+    :func:`iter_ensemble` give them; ``[0, len(ledger)]`` for one member).
+    This returns a new :class:`EmpiricalRates`, ``pooled`` (None for zero)
+    plus every member's tallies, equal bit for bit to adding each member's
+    one-member tally in member order. A member without events adds a dwell
+    of t_max in the initial label, where it sat for the whole run. The
+    transition counts, integers, come from one ``bincount``. The dwell rows
+    come from a ``bincount`` over ``member * n_labels + label``, in event
+    order, and a ``cumsum`` adds them to ``pooled`` in member order.
     """
-    if bounds is None and not len(ledger):
-        raise ValueError("cannot estimate rates from an empty ledger")
     bounds, member = _member_rows(bounds, len(ledger))
     sizes = np.diff(bounds)
     n_members = sizes.size

@@ -42,10 +42,12 @@ EQUILIBRIUM_RESIDUAL_TOL = 1e-10
 
 
 def as_rate_matrix(rates, name: str = "rates") -> np.ndarray:
-    """Validate a matrix of nonnegative transition rates with zero diagonal."""
+    """Validate a matrix of finite nonnegative transition rates with zero diagonal."""
     r = np.asarray(rates, dtype=float)
     if r.ndim != 2 or r.shape[0] != r.shape[1]:
         raise ValueError(f"{name} must be square, got shape {r.shape}")
+    if not np.isfinite(r).all():
+        raise ValueError(f"{name} has a non-finite entry")
     if np.any(np.diag(r) != 0.0):
         raise ValueError(f"{name} diagonal must be zero (rates are between distinct states)")
     if np.min(r) < 0.0:
@@ -85,10 +87,25 @@ def validate_master(matrix) -> MasterValidation:
     scale max(1, max |entry|), as the roundoff of its largest entries does,
     and no off-diagonal entry is below ``-OFF_DIAGONAL_TOL``. The report
     names the column worst relative to its scale and the |sum| of it.
+
+    A matrix with a non-finite entry fails on that alone, before any sum:
+    every comparison with NaN is false. Its residual and smallest
+    off-diagonal entry are then NaN, and the worst column and entry name
+    the first non-finite entry in row-major order.
     """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"master operator must be square, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        i, j = np.argwhere(~np.isfinite(m))[0].tolist()
+        return MasterValidation(
+            passed=False,
+            max_column_residual=np.nan,
+            worst_column=j,
+            min_off_diagonal=np.nan,
+            worst_off_diagonal=(i, j),
+            messages=("master operator has a non-finite entry",),
+        )
     column_sums = m.sum(axis=0)
     scales = np.maximum(1.0, np.abs(m).max(axis=0))
     worst_column = int(np.argmax(np.abs(column_sums) / scales))

@@ -33,6 +33,8 @@ def as_state_vector(psi, name: str = "state") -> np.ndarray:
     v = np.asarray(psi, dtype=complex).ravel()
     if v.size < 1:
         raise ValueError(f"{name} must have dimension >= 1")
+    if not np.isfinite(v).all():
+        raise ValueError(f"{name} has a non-finite entry")
     norm_sq = float(np.vdot(v, v).real)
     if abs(norm_sq - 1.0) > NORM_TOL:
         raise ValueError(f"{name} is not normalized: |psi|^2 = {norm_sq!r}")

@@ -3,10 +3,11 @@
 ``next_event`` draws one transaction from a :class:`GasState` with scalar
 draws and ``apply_event`` applies it; composed until the horizon
 (``stepwise``) they define what :func:`stosszahl.gas.run` must produce bit
-for bit, one member at a time or in a batch. The reference keeps its own
-per-event record, :class:`Event`, whose fields are named after the ledger
-columns, and ``column_bytes`` compares the two field by field. Nothing in
-``src/`` calls these.
+for bit, one member at a time or in a batch; ``seeded_run`` runs one member
+on ``default_rng(config.seed)``, the stream the reference is usually given.
+The reference keeps its own per-event record, :class:`Event`, whose fields
+are named after the ledger columns, and ``column_bytes`` compares the two
+field by field. Nothing in ``src/`` calls these.
 """
 
 import copy
@@ -16,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from stosszahl.gas import GasConfig, Ledger, ZeroCouplingError
+from stosszahl.gas import GasConfig, Ledger, ZeroCouplingError, run
 from stosszahl.measurement import collapse_sample
 
 
@@ -33,6 +34,11 @@ class Event(NamedTuple):
     absorber: int
     winner_weight: float
     confirmation_set_size: int
+
+
+def seeded_run(config: GasConfig):
+    """:func:`stosszahl.gas.run` of one member on ``default_rng(config.seed)``."""
+    return run(config, [np.random.default_rng(config.seed)])
 
 
 def ledger_events(ledger: Ledger) -> list[Event]:

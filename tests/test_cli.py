@@ -9,10 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gas_oracle import seeded_run
 from stosszahl import cli, scenarios
 from stosszahl.cli import main
 from stosszahl.csvio import read_csv, write_csv
-from stosszahl.gas import GasConfig, Ledger, run, write_ledger_csv
+from stosszahl.gas import GasConfig, Ledger, write_ledger_csv
 from stosszahl.scenarios import SCENARIO_CHECKS
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -155,7 +156,7 @@ def test_out_flag_beats_env_var(tmp_path, monkeypatch):
 
 def test_audit_clean_ledger_exit_zero(tmp_path, capsys):
     gas_config = GasConfig(n_molecules=8, n_excited=4, decay_rate=1.0, t_max=10.0, seed=6)
-    _bounds, events = run(gas_config)
+    _bounds, events = seeded_run(gas_config)
     path = tmp_path / "ledger.csv"
     write_ledger_csv(path, events)
     assert main(["audit", "--ledger", str(path), "--n-molecules", "8"]) == 0
@@ -164,7 +165,7 @@ def test_audit_clean_ledger_exit_zero(tmp_path, capsys):
 
 def test_audit_tampered_ledger_exit_one(tmp_path, capsys):
     gas_config = GasConfig(n_molecules=8, n_excited=4, decay_rate=1.0, t_max=10.0, seed=6)
-    _bounds, events = run(gas_config)
+    _bounds, events = seeded_run(gas_config)
     path = tmp_path / "ledger.csv"
     # the first event replayed at the end
     write_ledger_csv(path, Ledger(*(np.append(column, column[0]) for column in vars(events).values())))
@@ -223,7 +224,7 @@ def audit_argv(tmp_path, entry, path, n_molecules=None):
 def test_audit_input_that_checks_nothing_exits_two(tmp_path, capsys, entry, n_molecules, n_excited, message):
     gas_config = GasConfig(n_molecules=8, n_excited=n_excited, decay_rate=1.0, t_max=10.0, seed=6)
     path = tmp_path / "ledger.csv"
-    write_ledger_csv(path, run(gas_config)[1])
+    write_ledger_csv(path, seeded_run(gas_config)[1])
     assert main(audit_argv(tmp_path, entry, path, n_molecules)) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:" if entry == "ledger-audit" else "error:")
@@ -551,7 +552,8 @@ def write_coupling_table(path, edit, n=10):
         ({}, (0, 0.0),
          "gas-equilibrium.coupling_table: coupling weights from emitter 0 to the confirmation set "
          "are all zero"),
-        ({}, ((2, 7), math.nan), "gas-equilibrium: coupling weights must be finite"),
+        ({}, ((2, 7), math.nan),
+         "gas-equilibrium.coupling_table: {table} has a non-finite entry"),
         ({"delay": "0.5", "t_max": "0.1", "equilibration_time": "0", "check_times": "0.1"}, None,
          "gas-equilibrium.t_max: no member records an event by t_max"),
         # t_e + 1e-13 rounds back to t_e from t_e ~ 1024 on; this used to run and
@@ -580,5 +582,5 @@ def test_gas_run_rejects_unusable_input_with_exit_two(tmp_path, capsys, params, 
     )
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"config error: {message}")
+    assert err.startswith("config error: " + message.format(table=tmp_path / "coupling.csv"))
     assert "internal error" not in err

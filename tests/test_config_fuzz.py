@@ -14,9 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gas_oracle import seeded_run
 from stosszahl.cli import main
 from stosszahl.config import SCENARIO_SCHEMAS
-from stosszahl.gas import GasConfig, run, write_ledger_csv
+from stosszahl.gas import GasConfig, write_ledger_csv
 
 POOL = ("-1", "0", "1", "2", "100", "0.5", "3", "nan", "inf", "-inf", "1e999", "", "x")
 LIST_KEYS = ("weights", "check_times")
@@ -41,7 +42,7 @@ def workdir(tmp_path_factory):
     """A directory holding a clean ledger for the ledger-audit base config."""
     path = tmp_path_factory.mktemp("fuzz")
     config = GasConfig(n_molecules=4, n_excited=2, decay_rate=1.0, t_max=3.0, seed=1)
-    write_ledger_csv(path / "ledger.csv", run(config)[1])
+    write_ledger_csv(path / "ledger.csv", seeded_run(config)[1])
     return path
 
 

@@ -16,6 +16,7 @@ from gas_oracle import (
     ledger_of,
     left_half_count,
     next_event,
+    seeded_run,
     stepwise,
 )
 from stosszahl import gas
@@ -92,7 +93,7 @@ def test_config_rejects_a_delay_the_clock_cannot_add(fraction):
 def test_smallest_accepted_delay_keeps_emission_before_absorption(delay):
     # ~8000 events per member carry t_e up to t_max, where ulp(t_e) = ulp(t_max)
     config = make_config(n_molecules=4, n_excited=2, t_max=4000.0, delay=delay)
-    _bounds, ledger = run(config)
+    _bounds, ledger = seeded_run(config)
     assert ledger.t_e[-1] > 2048.0
     assert np.all(ledger.t_e < ledger.t_a)
     assert audit_ledger(ledger, 4, 2).passed
@@ -212,13 +213,13 @@ def test_apply_event_requires_ground_absorber():
 
 def test_empty_gas_gives_empty_ledger():
     config = make_config(n_molecules=6, n_excited=0)
-    bounds, events = run(config)
+    bounds, events = seeded_run(config)
     assert len(events) == 0
     assert bounds.tolist() == [0, 0]
 
 
 def test_ledger_slices_copy_rows_and_is_not_indexed_by_event():
-    _bounds, ledger = run(make_config(t_max=3.0))
+    _bounds, ledger = seeded_run(make_config(t_max=3.0))
     part = ledger[2:5]
     assert column_bytes(part) == [column[2:5].astype(float).tobytes() for column in vars(ledger).values()]
     part.emitter[0] = -1
@@ -229,13 +230,13 @@ def test_ledger_slices_copy_rows_and_is_not_indexed_by_event():
 
 
 def test_saturated_gas_gives_empty_ledger():
-    _bounds, events = run(make_config(n_molecules=6, n_excited=6))
+    _bounds, events = seeded_run(make_config(n_molecules=6, n_excited=6))
     assert len(events) == 0
 
 
 def test_two_body_exchange_alternates():
     config = make_config(n_molecules=2, n_excited=1, delay=0.01, t_max=50.0)
-    _bounds, events = run(config)
+    _bounds, events = seeded_run(config)
     assert len(events) > 10
     assert np.all(events.t_e < events.t_a)
     alternating = np.arange(len(events)) % 2
@@ -245,10 +246,22 @@ def test_two_body_exchange_alternates():
 
 def test_run_is_deterministic():
     config = make_config(n_molecules=30, n_excited=15, t_max=20.0, seed=77)
-    bounds_a, events_a = run(config)
-    bounds_b, events_b = run(config)
+    bounds_a, events_a = seeded_run(config)
+    bounds_b, events_b = seeded_run(config)
     assert column_bytes(events_a) == column_bytes(events_b)
     assert bounds_a.tolist() == bounds_b.tolist() == [0, len(events_a)]
+
+
+def test_run_takes_its_generators_and_rates_take_member_bounds():
+    # no default stream: a config seed is only the root of an ensemble, and
+    # a rate tally is always over member row bounds
+    config = make_config()
+    with pytest.raises(TypeError):
+        run(config)
+    bounds, ledger = seeded_run(config)
+    with pytest.raises(TypeError):
+        empirical_rates(config, ledger)
+    empirical_rates(config, ledger, bounds)
 
 
 def test_run_matches_stepwise_composition():
@@ -260,14 +273,14 @@ def test_run_matches_stepwise_composition():
         make_config(n_molecules=12, n_excited=6, t_max=15.0, seed=6, coupling=table),
     ]
     for config in configs:
-        _bounds, fast = run(config)
+        _bounds, fast = seeded_run(config)
         assert column_bytes(fast) == column_bytes(stepwise(config, np.random.default_rng(config.seed)))
         assert len(fast) > 50
 
 
 def test_arrow_of_time_holds_on_every_event():
     config = make_config(n_molecules=20, n_excited=10, t_max=30.0, seed=3)
-    _bounds, events = run(config)
+    _bounds, events = seeded_run(config)
     assert np.all(events.t_e < events.t_a)
     assert np.all(np.diff(events.t_e) >= 0.0)
 
@@ -275,7 +288,7 @@ def test_arrow_of_time_holds_on_every_event():
 def test_conservation_is_exact_on_trajectory():
     # replay the ledger columns: every event leaves exactly n molecules excited
     config = make_config(n_molecules=20, n_excited=7, t_max=30.0, seed=4)
-    _bounds, ledger = run(config)
+    _bounds, ledger = seeded_run(config)
     levels = init_gas(config).levels
     excited_after = []
     for emitter, absorber in zip(ledger.emitter.tolist(), ledger.absorber.tolist()):
@@ -295,7 +308,7 @@ def test_long_runs_match_stepwise_composition():
         make_config(n_molecules=40, n_excited=20, t_max=30.0, seed=12, coupling=table),
     ]
     for config in configs:
-        _bounds, fast = run(config)
+        _bounds, fast = seeded_run(config)
         assert column_bytes(fast) == column_bytes(stepwise(config, np.random.default_rng(config.seed)))
         assert len(fast) > 500
 
@@ -303,17 +316,17 @@ def test_long_runs_match_stepwise_composition():
 def test_run_stops_at_last_absorption_inside_horizon(tmp_path):
     # a delay of half a lifetime makes emissions before t_max absorb after it
     config = make_config(n_molecules=10, n_excited=5, t_max=10.0, delay=0.5, seed=1)
-    _bounds, ledger = run(config)
+    bounds, ledger = seeded_run(config)
     assert ledger.t_a[-1] <= config.t_max
     path = tmp_path / "trajectory.csv"
     write_trajectory_csv(path, config, ledger)
     assert float(read_csv(path)[-1][0]) == ledger.t_a[-1]
-    empirical_rates(config, ledger)
+    empirical_rates(config, ledger, bounds)
 
 
 def test_emitter_and_absorber_anticorrelated_after_event():
     config = make_config(n_molecules=10, n_excited=5, t_max=10.0, seed=9)
-    _bounds, events = run(config)
+    _bounds, events = seeded_run(config)
     state = init_gas(config)
     for event in ledger_events(events):
         state = apply_event(state, event)
@@ -327,7 +340,7 @@ def test_half_filled_gas_relaxes_to_hypergeometric_mean():
     state = init_gas(config)
     assert left_half_count(state) == 50
     late = []
-    for event in ledger_events(run(config)[1]):
+    for event in ledger_events(seeded_run(config)[1]):
         state = apply_event(state, event)
         if event.t_a >= 30.0:
             late.append(left_half_count(state))
@@ -337,7 +350,7 @@ def test_half_filled_gas_relaxes_to_hypergeometric_mean():
 def test_events_keep_occurring_at_equilibrium():
     # ledger density stays near n * decay_rate while any absorber exists
     config = make_config(n_molecules=20, n_excited=10, t_max=100.0, seed=30)
-    _bounds, events = run(config)
+    _bounds, events = seeded_run(config)
     density = np.count_nonzero(events.t_e >= 50.0) / 50.0
     assert abs(density - 10.0) / 10.0 < 0.2
 
@@ -345,7 +358,7 @@ def test_events_keep_occurring_at_equilibrium():
 def test_left_count_autocorrelation_decays():
     # molecular-chaos imprint: correlation gone after 5 mixing times
     config = make_config(n_molecules=20, n_excited=10, t_max=500.0, seed=31)
-    bounds, ledger = run(config)
+    bounds, ledger = seeded_run(config)
     sample_times = np.arange(10.0, 500.0, 0.5)
     k = batch_left_counts(config, ledger, bounds, sample_times)[0].astype(float)
     k -= k.mean()
@@ -427,8 +440,8 @@ def test_two_molecule_rates_recover_decay_rate():
     # exponential-clock oracle: both rates equal decay_rate; with one molecule per
     # half, k = 1 labels "molecule 0 excited" and k = 0 "molecule 1 excited"
     config = make_config(n_molecules=2, n_excited=1, t_max=2000.0, seed=40, decay_rate=1.0)
-    _bounds, events = run(config)
-    estimate = empirical_rates(config, events)
+    bounds, events = seeded_run(config)
+    estimate = empirical_rates(config, events, bounds)
     assert estimate.zero_dwell_labels == ()
     for rate in (estimate.rates[0, 1], estimate.rates[1, 0]):
         assert abs(rate - 1.0) < 0.10
@@ -438,8 +451,8 @@ def test_k_chain_rates_match_birth_death_oracle():
     # analytic rates for the half-filled gas: down = k^2/(N/2), up = (n-k)^2/(N/2);
     # only labels with enough dwell time carry a meaningful estimate
     config = make_config(n_molecules=100, n_excited=50, t_max=1000.0, seed=41)
-    _bounds, events = run(config)
-    estimate = empirical_rates(config, events)
+    bounds, events = seeded_run(config)
+    estimate = empirical_rates(config, events, bounds)
     half = 50
     checked = 0
     for k in range(51):
@@ -455,17 +468,11 @@ def test_k_chain_rates_match_birth_death_oracle():
 
 def test_unvisited_labels_are_flagged_not_fabricated():
     config = make_config(n_molecules=100, n_excited=50, t_max=20.0, seed=42)
-    _bounds, events = run(config)
-    estimate = empirical_rates(config, events)
+    bounds, events = seeded_run(config)
+    estimate = empirical_rates(config, events, bounds)
     assert len(estimate.zero_dwell_labels) > 0
     for label in estimate.zero_dwell_labels:
         assert np.all(estimate.rates[:, label] == 0.0)
-
-
-def test_empty_ledger_rejected():
-    config = make_config(n_molecules=4, n_excited=0)
-    with pytest.raises(ValueError, match="empty ledger"):
-        empirical_rates(config, run(config)[1])
 
 
 def replayed_rates(config, events):
@@ -497,9 +504,9 @@ def test_column_rates_equal_the_replayed_rates():
         make_config(n_molecules=30, n_excited=8, t_max=20.0, seed=14, coupling=table),
     ]
     for config in configs:
-        _bounds, ledger = run(config)
+        bounds, ledger = seeded_run(config)
         counts, dwell = replayed_rates(config, ledger)
-        estimate = empirical_rates(config, ledger)
+        estimate = empirical_rates(config, ledger, bounds)
         assert np.array_equal(estimate.transition_counts, counts)
         assert np.array_equal(estimate.dwell_times, dwell)
 
@@ -533,7 +540,7 @@ def test_combined_rates_pool_counts_and_dwell(tmp_path):
     run_scenario(ScenarioConfig("gas-equilibrium", seed=43, out_dir=tmp_path, params=params))
     config = make_config(n_molecules=10, n_excited=5, t_max=5.0, seed=43)
     parts = [
-        empirical_rates(config, ledger[start:stop])
+        empirical_rates(config, ledger[start:stop], [0, stop - start])
         for bounds, ledger in iter_ensemble(config, 100)
         for start, stop in zip(bounds[:-1], bounds[1:])
         if stop > start
@@ -600,9 +607,9 @@ def test_ensemble_steps_its_members_through_gas_run(monkeypatch):
     real_run = gas.run
     calls = []
 
-    def counted_run(config, rng=None):
-        result = real_run(config, rng)
-        calls.append((len(rng), result))
+    def counted_run(config, rngs):
+        result = real_run(config, rngs)
+        calls.append((len(rngs), result))
         return result
 
     monkeypatch.setattr(gas, "run", counted_run)
@@ -621,7 +628,7 @@ def test_ensemble_steps_its_members_through_gas_run(monkeypatch):
     assert sum(len(result[1]) for _size, result in calls) == sum(len(ledger) for ledger in ledgers)
     children = np.random.SeedSequence(config.seed).spawn(n_members)
     for child, ledger in zip(children, ledgers):
-        _bounds, lone = real_run(config, np.random.default_rng(child))
+        _bounds, lone = real_run(config, [np.random.default_rng(child)])
         assert column_bytes(ledger) == column_bytes(lone)
 
 
@@ -639,7 +646,7 @@ def test_ensemble_members_equal_lone_runs_on_their_spawned_generators(n_members)
     children = np.random.SeedSequence(config.seed).spawn(n_members)
     assert len(members) == n_members
     for child, member in zip(children, members):
-        _bounds, lone = run(config, np.random.default_rng(child))
+        _bounds, lone = run(config, [np.random.default_rng(child)])
         assert column_bytes(member) == column_bytes(lone)
 
 
@@ -647,7 +654,7 @@ def test_ensemble_members_equal_lone_runs_on_their_spawned_generators(n_members)
 
 def test_ledger_csv_round_trip(tmp_path):
     config = make_config(n_molecules=10, n_excited=5, t_max=5.0, seed=70)
-    _bounds, events = run(config)
+    _bounds, events = seeded_run(config)
     path = tmp_path / "ledger.csv"
     write_ledger_csv(path, events, header_comment="demo run")
     assert path.read_text().startswith("# demo run\n")
@@ -694,7 +701,7 @@ def test_ledger_csv_event_index_must_number_the_rows(tmp_path, indices, row):
 def test_trajectory_csv(tmp_path):
     # a row at t = 0 and one after every absorption; k and S_macro replayed
     config = make_config(n_molecules=4, n_excited=2, t_max=5.0, seed=71)
-    _bounds, ledger = run(config)
+    _bounds, ledger = seeded_run(config)
     path = tmp_path / "trajectory.csv"
     write_trajectory_csv(path, config, ledger)
     lines = read_csv(path)
@@ -713,13 +720,13 @@ def test_trajectory_csv(tmp_path):
 def test_trajectory_csv_of_an_empty_ledger_has_the_initial_row(tmp_path):
     config = make_config(n_molecules=5, n_excited=0)
     path = tmp_path / "trajectory.csv"
-    write_trajectory_csv(path, config, run(config)[1])
+    write_trajectory_csv(path, config, seeded_run(config)[1])
     assert read_csv(path)[1:] == [["0", "0", "0", "nan"]]
 
 
 def test_audit_accepts_clean_run():
     config = make_config(n_molecules=10, n_excited=5, t_max=10.0, seed=72)
-    _bounds, events = run(config)
+    _bounds, events = seeded_run(config)
     audit = audit_ledger(events, n_molecules=10, n_excited=5)
     assert audit.passed
     assert audit.n_events == len(events)
@@ -773,7 +780,7 @@ def test_audit_checks_declared_initial_state():
 
 def test_audit_flags_confirmation_set_size_mismatch():
     config = make_config(n_molecules=10, n_excited=5, t_max=10.0, seed=72)
-    _bounds, ledger = run(config)
+    _bounds, ledger = seeded_run(config)
     sizes = ledger.confirmation_set_size.copy()
     sizes[3] += 1
     tampered = dataclasses.replace(ledger, confirmation_set_size=sizes)
@@ -840,7 +847,7 @@ def test_column_audit_matches_the_row_loop_on_corrupted_ledgers():
     kinds = ["float", "float", "int", "int", "float", "int"]
     for trial in range(150):
         config = make_config(n_molecules=10, n_excited=5, t_max=3.0, seed=100 + trial)
-        _bounds, ledger = run(config)
+        _bounds, ledger = seeded_run(config)
         rows = [list(event) for event in ledger_events(ledger)]
         for _ in range(picker.integers(0, 4)):
             row, column = picker.integers(len(rows)), picker.integers(len(kinds))

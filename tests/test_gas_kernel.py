@@ -40,6 +40,7 @@ from gas_oracle import (
     init_gas,
     ledger_events,
     left_half_count,
+    seeded_run,
     stepwise,
 )
 from stosszahl import gas
@@ -110,7 +111,7 @@ def outcome(step, config):
 
 
 def kernel_events(config, rng):
-    return run(config, rng)[1]
+    return run(config, [rng])[1]
 
 
 @settings(max_examples=60)
@@ -134,7 +135,7 @@ def test_kernel_equals_the_composition_across_blocks_and_at_a_block_edge(kind):
         n_molecules=40, n_excited=20, decay_rate=1.0, t_max=60.0, seed=17,
         delay=1e-6, coupling=make_table(kind, 40, 3),
     )
-    _bounds, ledger = run(long_config)
+    _bounds, ledger = seeded_run(long_config)
     slow = column_bytes(outcome(stepwise, long_config))
     for triples in BLOCK_SIZES:
         with block_size(triples):
@@ -153,7 +154,7 @@ def lone_runs(config, children):
     outcomes = []
     for child in children:
         try:
-            bounds, ledger = run(config, np.random.default_rng(child))
+            bounds, ledger = run(config, [np.random.default_rng(child)])
             outcomes.append([bounds.tolist()] + column_bytes(ledger))
         except ZeroCouplingError as exc:
             outcomes.append(str(exc))
@@ -281,7 +282,7 @@ def test_clamp_keeps_a_tiny_weight_from_winning():
         coupling=table,
     )
     uniforms = [0.5, 0.0, 0.0, 0.99]  # wait, emitter rank 0, winner, a wait past t_max
-    _bounds, ledger = run(config, ScriptedUniforms(uniforms))
+    _bounds, ledger = run(config, [ScriptedUniforms(uniforms)])
     assert column_bytes(ledger) == column_bytes(stepwise(config, ScriptedUniforms(uniforms)))
     assert list(ledger.absorber) == [3]
 
@@ -326,7 +327,7 @@ def excluded_values(config, ledger, index, field):
 )
 def test_kernel_ledgers_pass_the_audit_and_every_excluded_edit_fails_it(config, where, field):
     try:
-        _bounds, ledger = run(config)
+        _bounds, ledger = seeded_run(config)
     except ZeroCouplingError:
         return
     assert audit_ledger(ledger, config.n_molecules, config.n_excited).passed
@@ -390,7 +391,7 @@ def test_batch_audit_rates_and_lookups_equal_the_member_calls(config, n_members,
     pooled_lone = [np.zeros((n_labels, n_labels)), np.zeros(n_labels)]
     for member in members:
         if len(member):
-            alone = empirical_rates(config, member)
+            alone = empirical_rates(config, member, [0, len(member)])
             pooled_lone[0] += alone.transition_counts
             pooled_lone[1] += alone.dwell_times
         else:
@@ -444,7 +445,7 @@ def test_batch_audit_names_the_member():
 @pytest.mark.parametrize("bounds", [[0, 5], [1, 6], [0, 3, 2, 6], [[0, 6]], [0]])
 def test_member_bounds_must_rise_from_zero_to_the_ledger_length(bounds):
     config = GasConfig(n_molecules=10, n_excited=5, decay_rate=1.0, t_max=3.0, seed=72)
-    _bounds, ledger = run(config)
+    _bounds, ledger = seeded_run(config)
     ledger = ledger[:6]
     for call in (
         lambda: audit_ledger(ledger, bounds=bounds),
@@ -463,12 +464,11 @@ def test_member_rates_without_transitions_are_float():
     rngs = [np.random.default_rng(child) for child in np.random.SeedSequence(245454).spawn(4)]
     bounds, ledger = run(config, rngs)
     member = ledger[bounds[1]:bounds[2]]
-    alone = empirical_rates(config, member)
-    assert not alone.transition_counts.any()
-    # the same member as a one-member batch, pooled from zero
-    for rates in (alone, empirical_rates(config, member, [0, len(member)])):
-        assert rates.transition_counts.dtype == np.float64
-        assert rates.rates.dtype == np.float64
+    # the member as a one-member batch, pooled from zero
+    rates = empirical_rates(config, member, [0, len(member)])
+    assert not rates.transition_counts.any()
+    assert rates.transition_counts.dtype == np.float64
+    assert rates.rates.dtype == np.float64
 
 
 def test_batch_tally_holds_no_per_member_tally():

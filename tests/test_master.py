@@ -86,6 +86,13 @@ def test_nonzero_diagonal_rejected():
         as_rate_matrix([[0.5, 1.0], [1.0, 0.0]])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_rate_rejected(bad):
+    # a NaN or infinite rate passed the sign and diagonal checks
+    with pytest.raises(ValueError, match="^rates has a non-finite entry$"):
+        as_rate_matrix([[0.0, bad], [1.0, 0.0]])
+
+
 # --- validation --------------------------------------------------------------------
 
 def test_built_operator_validates():
@@ -124,6 +131,22 @@ def test_column_sum_tolerance_scales_with_the_column():
     assert report.messages == (f"column 0 sums to {m[:, 0].sum():.3e}",)
     with pytest.raises(ValueError, match="invalid master operator: column 0 sums to"):
         evolve_probabilities(m, [1.0, 0.0], 1e-7)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("entry", [(0, 1), (1, 1)], ids=["off-diagonal", "diagonal"])
+def test_non_finite_generator_reported(bad, entry):
+    # every comparison with NaN is false: [[-1, nan], [1, nan]] passed, and
+    # an infinite entry left NaN column sums behind a numpy warning
+    m = np.array([[-1.0, 1.0], [1.0, -1.0]])
+    m[entry] = bad
+    report = validate_master(m)
+    assert not report.passed
+    assert report.messages == ("master operator has a non-finite entry",)
+    assert report.worst_off_diagonal == entry and report.worst_column == entry[1]
+    assert math.isnan(report.max_column_residual) and math.isnan(report.min_off_diagonal)
+    with pytest.raises(ValueError, match="^invalid master operator: master operator has a non"):
+        evolve_probabilities(m, [1.0, 0.0], 1.0)
 
 
 def test_negative_off_diagonal_reported():

@@ -7,14 +7,12 @@ PUBLIC_NAMES = {
     "GasConfig",
     "Ledger",
     "Propagator",
-    "Spectrum",
     "audit_ledger",
     "born_weights",
     "build_master_operator",
     "collapse_sample",
     "decohere",
     "density_from_pure",
-    "eig_hermitian",
     "empirical_rates",
     "entropy_series",
     "equilibrium",

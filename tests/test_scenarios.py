@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
+from gas_oracle import seeded_run
 from stosszahl import gas
 from stosszahl.config import SCENARIO_SCHEMAS, ConfigError, ScenarioConfig
-from stosszahl.gas import GasConfig, Ledger, read_ledger, run, write_ledger_csv
+from stosszahl.gas import GasConfig, Ledger, read_ledger, write_ledger_csv
 from stosszahl.scenarios import (
     SCENARIO_CHECKS,
     SCHEMA_VERSION,
@@ -111,8 +112,8 @@ def test_uniform_winner_weight_check_counts_altered_weights(tmp_path, monkeypatc
     real_run = gas.run
     altered = []
 
-    def run_with_one_altered_weight(config, rng=None):
-        bounds, ledger = real_run(config, rng)
+    def run_with_one_altered_weight(config, rngs):
+        bounds, ledger = real_run(config, rngs)
         if not altered:
             weights = ledger.winner_weight.copy()
             weights[3] = np.nextafter(weights[3], 1.0)
@@ -139,7 +140,7 @@ def test_gas_equilibrium_rejects_odd_molecule_count(tmp_path):
 
 def test_ledger_audit_scenario_passes_on_clean_ledger(tmp_path):
     gas_config = GasConfig(n_molecules=10, n_excited=5, decay_rate=1.0, t_max=10.0, seed=5)
-    _bounds, events = run(gas_config)
+    _bounds, events = seeded_run(gas_config)
     ledger_path = tmp_path / "ledger.csv"
     write_ledger_csv(ledger_path, events)
     config = make_config(
@@ -151,7 +152,7 @@ def test_ledger_audit_scenario_passes_on_clean_ledger(tmp_path):
 
 def test_ledger_audit_scenario_fails_on_tampered_ledger(tmp_path):
     gas_config = GasConfig(n_molecules=10, n_excited=5, decay_rate=1.0, t_max=10.0, seed=5)
-    _bounds, events = run(gas_config)
+    _bounds, events = seeded_run(gas_config)
     ledger_path = tmp_path / "ledger.csv"
     # the last event replayed breaks the chain
     replayed = Ledger(*(np.append(column, column[-1]) for column in vars(events).values()))

@@ -107,6 +107,14 @@ def test_probability_validator_rejects_non_finite(bad):
         as_probability_vector([1.0, bad])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_state_vector_validator_rejects_non_finite(bad):
+    # |psi|^2 of a NaN entry is NaN, which passed the norm check; an infinite
+    # one failed as "not normalized"
+    with pytest.raises(ValueError, match="^state has a non-finite entry$"):
+        as_state_vector([bad, 0.0])
+
+
 def test_state_vector_accepts_sequences():
     v = as_state_vector((1.0, 0.0, 0.0))
     assert v.dtype == complex and v.shape == (3,)
