@@ -5,6 +5,11 @@ named after the scenario, holding its parameters. Unknown sections or keys
 are rejected with their full field path; reproducibility beats flexibility,
 so there are no pass-through extras and a seed must always be present
 (either in the file or on the command line).
+
+Each number key's parser in :data:`SCENARIO_SCHEMAS` is a :class:`Number`,
+which declares the key's range as data; every value is checked against it
+once, as it is read. A scenario checks only what involves two or more keys,
+an input file, or the work of the whole run.
 """
 
 from __future__ import annotations
@@ -23,77 +28,103 @@ class ConfigError(Exception):
 REQUIRED = object()
 
 
-def _parse_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"must be finite, got {text.strip()}")
-    return value
+@dataclass(frozen=True)
+class Number:
+    """The parser of a number key (a nonempty comma-separated list if ``many``) and its range.
+
+    Each value must be a finite ``kind`` from ``lo`` to ``hi``, a bound closed
+    unless ``lo_open``/``hi_open``, even if ``even`` and not 0 if ``nonzero``;
+    one that is not raises ValueError such as ``must be >= 0, got -1.0``.
+    """
+
+    kind: type = float
+    lo: float = -math.inf
+    hi: float = math.inf
+    lo_open: bool = False
+    hi_open: bool = False
+    even: bool = False
+    nonzero: bool = False
+    many: bool = False
+
+    def __call__(self, text: str):
+        if not self.many:
+            return self._entry(text)
+        values = tuple(self._entry(part) for part in text.split(",") if part.strip())
+        if not values:
+            raise ValueError("expected a comma-separated list of numbers")
+        return values
+
+    def _entry(self, text: str):
+        value = self.kind(text)
+        if self.kind is float and not math.isfinite(value):
+            raise ValueError(f"must be finite, got {text.strip()}")
+        if value < self.lo or self.lo_open and value == self.lo:
+            rule = f"{'>' if self.lo_open else '>='} {self.lo}"
+        elif value > self.hi or self.hi_open and value == self.hi:
+            rule = f"{'<' if self.hi_open else '<='} {self.hi}"
+        elif self.even and value % 2:
+            rule = "even"
+        elif self.nonzero and value == 0:
+            rule = "nonzero"
+        else:
+            return value
+        raise ValueError(f"must be {rule}, got {value!r}")
 
 
 # The largest count key a run accepts (grid points, unitary steps, ensemble
 # members, samples, Born draws). The committed configs go up to 1e5, and a
 # run holds an array entry or an output row per count.
-_MAX_COUNT = 10**6
-
-
-def _parse_count(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise ValueError("must be >= 1")
-    if value > _MAX_COUNT:
-        raise ValueError(f"must be <= {_MAX_COUNT}, got {value}")
-    return value
-
-
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    values = tuple(_parse_float(part) for part in text.split(",") if part.strip())
-    if not values:
-        raise ValueError("expected a comma-separated list of numbers")
-    return values
-
+_COUNT = Number(int, 1, 10**6)
+_POSITIVE = Number(lo=0, lo_open=True)
 
 SCENARIO_SCHEMAS: dict[str, dict[str, tuple]] = {
     "two-state-relaxation": {
-        "rate_to_1": (_parse_float, 1.0),
-        "rate_to_2": (_parse_float, 1.0),
-        "p1_initial": (_parse_float, 1.0),
-        "t_max": (_parse_float, 5.0),
-        "n_points": (_parse_count, 50),
+        # A zero rate leaves a state empty at equilibrium, and the relative entropy to it infinite.
+        "rate_to_1": (_POSITIVE, 1.0),
+        "rate_to_2": (_POSITIVE, 1.0),
+        "p1_initial": (Number(lo=0, hi=1), 1.0),
+        "t_max": (Number(lo=0), 5.0),
+        "n_points": (_COUNT, 50),
     },
     "unitary-vs-collapse": {
-        "gap": (_parse_float, 1.0),
-        "collapse_rate": (_parse_float, 1.0),
-        "t_max": (_parse_float, 20.0),
-        "n_unitary_steps": (_parse_count, 1000),
-        "n_seeds": (_parse_count, 500),
-        "n_samples": (_parse_count, 81),
+        "gap": (Number(nonzero=True), 1.0),
+        "collapse_rate": (_POSITIVE, 1.0),
+        "t_max": (_POSITIVE, 20.0),
+        "n_unitary_steps": (_COUNT, 1000),
+        "n_seeds": (_COUNT, 500),
+        "n_samples": (_COUNT, 81),
     },
     "born-statistics": {
-        "weights": (_parse_float_list, (1.0 / 3.0, 2.0 / 3.0)),
-        "n_draws": (_parse_count, 100_000),
+        # Any finite entries: the scenario checks the weights as a probability vector.
+        "weights": (Number(many=True), (1.0 / 3.0, 2.0 / 3.0)),
+        "n_draws": (_COUNT, 100_000),
     },
     "gas-equilibrium": {
-        "n_molecules": (int, 100),
-        "n_excited": (int, 50),
-        "decay_rate": (_parse_float, 1.0),
-        "delay": (_parse_float, None),
-        "t_max": (_parse_float, 50.0),
-        "n_seeds": (_parse_count, 500),
-        "n_samples": (_parse_count, 51),
-        "equilibration_time": (_parse_float, 30.0),
-        "check_times": (_parse_float_list, (2.0, 5.0, 10.0)),
+        # Even, for two halves of N / 2 molecules. The rate tally and cross-prediction hold dense
+        # matrices over the N/2 + 1 labels k: a 100-member run of 4000 molecules peaks near 0.45 GB.
+        "n_molecules": (Number(int, 2, 4000, even=True), 100),
+        # Below n_molecules, the scenario's check.
+        "n_excited": (Number(int, 1), 50),
+        "decay_rate": (_POSITIVE, 1.0),
+        "delay": (_POSITIVE, None),
+        "t_max": (_POSITIVE, 50.0),
+        # Ensemble statistics need 100 members or more.
+        "n_seeds": (Number(int, 100, _COUNT.hi), 500),
+        "n_samples": (_COUNT, 51),
+        "equilibration_time": (Number(), 30.0),
+        "check_times": (Number(lo=0, many=True), (2.0, 5.0, 10.0)),
         "coupling_table": (str, None),
     },
     "ledger-audit": {
         "ledger": (str, REQUIRED),
-        "n_molecules": (int, None),
+        "n_molecules": (Number(int, 1), None),
     },
 }
 
 
 @dataclass
 class ScenarioConfig:
-    """A fully validated run request."""
+    """A run request; :func:`load_scenario_config` checks its keys' ranges as it builds one."""
 
     scenario: str
     seed: int
@@ -130,16 +161,13 @@ def load_scenario_config(
         known = ", ".join(sorted(SCENARIO_SCHEMAS))
         raise ConfigError(f"run.scenario: unknown scenario {scenario!r} (known: {known})")
 
-    seed = seed_override
-    if seed is None and "seed" in parser["run"]:
-        try:
-            seed = int(parser["run"]["seed"])
-        except ValueError as exc:
-            raise ConfigError(f"run.seed: {exc}") from exc
+    seed = parser["run"].get("seed") if seed_override is None else str(seed_override)
     if seed is None:
         raise ConfigError("run.seed: a seed is required (in the file or via --seed)")
-    if seed < 0:
-        raise ConfigError("run.seed: must be nonnegative")
+    try:
+        seed = Number(int, 0)(seed)
+    except ValueError as exc:
+        raise ConfigError(f"run.seed: {exc}") from exc
 
     out_dir = Path(out_override if out_override is not None else parser["run"].get("out", "stosszahl_out"))
 

@@ -173,21 +173,16 @@ class Ledger:
 
 
 def _member_rows(bounds, n_events: int) -> tuple[np.ndarray, np.ndarray]:
-    """(bounds, member of each row) for member row bounds, or one member if None.
+    """(bounds, member of each row) for member row bounds.
 
     Member i of a batch ledger owns rows ``bounds[i]:bounds[i + 1]``.
     """
-    if bounds is None:
-        bounds = np.array([0, n_events])
-    else:
-        bounds = np.asarray(bounds, dtype=np.int64)
-        if (
-            bounds.ndim != 1 or bounds.size < 2 or bounds[0] != 0
-            or bounds[-1] != n_events or np.any(bounds[1:] < bounds[:-1])
-        ):
-            raise ValueError(
-                f"member bounds must rise from 0 to the {n_events} ledger rows"
-            )
+    bounds = np.asarray(bounds, dtype=np.int64)
+    if (
+        bounds.ndim != 1 or bounds.size < 2 or bounds[0] != 0
+        or bounds[-1] != n_events or np.any(bounds[1:] < bounds[:-1])
+    ):
+        raise ValueError(f"member bounds must rise from 0 to the {n_events} ledger rows")
     return bounds, np.repeat(np.arange(bounds.size - 1), np.diff(bounds))
 
 
@@ -275,16 +270,16 @@ def run(config: GasConfig, rngs):
     resolved together: the emitter is taken at its rank, the winner at its
     rank among the ground ids, each by a flat ``take``, and the two ids swap
     rows by flat ``put``, each row sorted again (its ids are distinct, so
-    every sort kind gives the same row). With a coupling
-    table the winner rank depends on the state: the
-    confirmation-set weights are gathered into one (members, N - n) array
-    and normalized by their row sums, and the winner is taken as
-    :func:`~stosszahl.measurement.inverse_cdf` takes it, row by row: the
-    ``ZERO_WEIGHT`` clamp (skipped when no weight is below it), then the
-    count of cumulative weights at or below ``u * total`` clipped to
-    N - n - 1, which is ``searchsorted(side="right")`` on a nondecreasing
-    row. Row-wise ``np.add.reduce`` and ``cumsum`` of a C-contiguous array
-    repeat the one-dimensional ones bit for bit.
+    every sort kind gives the same row). With a coupling table the winner rank
+    depends on the state: the confirmation-set weights are gathered into one
+    (members, N - n) array and normalized by their row sums, and the winner is
+    taken as :func:`~stosszahl.measurement.inverse_cdf` takes it, row by row:
+    the ``ZERO_WEIGHT`` clamp (skipped when no weight is below it), then the
+    count of cumulative weights at or below ``u * total`` clipped to N - n - 1,
+    which is ``searchsorted(side="right")`` on a nondecreasing row and so the
+    ``argmin`` of those flags, or N - n - 1 where the last flag is still set.
+    Row-wise ``np.add.reduce`` and ``cumsum`` of a C-contiguous array repeat
+    the one-dimensional ones bit for bit.
 
     The ledger equals the per-event composition of scalar draws bit for bit
     (covered by equivalence and property tests). The generators are
@@ -410,8 +405,9 @@ def _step_members(config: GasConfig, rngs: list) -> list[list[tuple]]:
                 raw /= raw_total[:, None]
                 clamped = raw if raw.min() >= ZERO_WEIGHT else np.where(raw < ZERO_WEIGHT, 0.0, raw)
                 thresholds = win_u[:live, j] * add_reduce(clamped, axis=1)
-                winner = (clamped.cumsum(axis=1) <= thresholds[:, None]).sum(axis=1)
-                np.minimum(winner, m - 1, out=winner)
+                below = clamped.cumsum(axis=1) <= thresholds[:, None]
+                winner = below.argmin(axis=1)
+                winner[below[:, -1]] = m - 1
                 # raw has the (live, N - n) layout of g, so one flat index serves both.
                 at_winner = ground_rows[:live] + winner
                 weights[:live, j] = raw.take(at_winner)
@@ -440,19 +436,16 @@ def _step_members(config: GasConfig, rngs: list) -> list[list[tuple]]:
     return blocks
 
 
-def _left_counts(
-    config: GasConfig, emitter: np.ndarray, absorber: np.ndarray, bounds=None
-) -> np.ndarray:
+def _left_counts(config: GasConfig, emitter: np.ndarray, absorber: np.ndarray, bounds) -> np.ndarray:
     """k at t = 0, then k after each row, from the emitter and absorber columns.
 
-    With member row bounds (see :func:`_member_rows`) entry r + 1 is k after
-    row r within its member: each member starts again from the initial k.
+    Given the member row bounds (see :func:`_member_rows`), entry r + 1 is k
+    after row r within its member: each member starts again from the initial k.
     """
     half = (config.n_molecules + 1) // 2
     steps = (absorber < half).astype(np.int64) - (emitter < half)
     climb = np.concatenate(([0], np.cumsum(steps)))
-    if bounds is not None:
-        climb[1:] -= np.repeat(climb[bounds[:-1]], np.diff(bounds))
+    climb[1:] -= np.repeat(climb[bounds[:-1]], np.diff(bounds))
     return min(config.n_excited, half) + climb
 
 
@@ -713,7 +706,7 @@ def write_trajectory_csv(
     ``n`` is the conserved quanta count and ``S_macro`` the macrostate
     entropy of k (NaN for an odd molecule count).
     """
-    left = _left_counts(config, ledger.emitter, ledger.absorber)
+    left = _left_counts(config, ledger.emitter, ledger.absorber, [0, len(ledger)])
     write_csv(
         path,
         TRAJECTORY_COLUMNS,
@@ -786,7 +779,7 @@ def audit_ledger(
     weight, size = ledger.winner_weight, ledger.confirmation_set_size
     n_events = len(ledger)
     batch = bounds is not None
-    bounds, member = _member_rows(bounds, n_events)
+    bounds, member = _member_rows(bounds if batch else [0, n_events], n_events)
     n_members = bounds.size - 1
     position = np.arange(n_events) - bounds[member]
     # Largest earlier emission time in the same member, from a running max

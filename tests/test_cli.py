@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -12,6 +13,7 @@ import pytest
 from gas_oracle import seeded_run
 from stosszahl import cli, scenarios
 from stosszahl.cli import main
+from stosszahl.config import load_scenario_config
 from stosszahl.csvio import read_csv, write_csv
 from stosszahl.gas import GasConfig, Ledger, write_ledger_csv
 from stosszahl.scenarios import SCENARIO_CHECKS
@@ -72,18 +74,18 @@ def test_run_missing_seed_exit_two(tmp_path, capsys):
         ("[run]\nscenario = two-state-relaxation\nseed = 1\n[two-state-relaxation]\nn_points = 0\n",
          "two-state-relaxation.n_points: must be >= 1"),
         ("[run]\nscenario = two-state-relaxation\nseed = 1\n[two-state-relaxation]\nrate_to_1 = -1\n",
-         "two-state-relaxation: rate_to_1 and rate_to_2 must be positive"),
+         "two-state-relaxation.rate_to_1: must be > 0, got -1.0"),
         ("[run]\nscenario = two-state-relaxation\nseed = 1\n[two-state-relaxation]\nrate_to_2 = -0.5\n",
-         "two-state-relaxation: rate_to_1 and rate_to_2 must be positive"),
+         "two-state-relaxation.rate_to_2: must be > 0, got -0.5"),
         ("[run]\nscenario = two-state-relaxation\nseed = 1\n[two-state-relaxation]\n"
          "rate_to_1 = 0\nrate_to_2 = 0\n",
-         "two-state-relaxation: rate_to_1 and rate_to_2 must be positive"),
+         "two-state-relaxation.rate_to_1: must be > 0, got 0.0"),
         ("[run]\nscenario = two-state-relaxation\nseed = 1\n[two-state-relaxation]\nrate_to_1 = 0\n",
-         "two-state-relaxation: rate_to_1 and rate_to_2 must be positive"),
+         "two-state-relaxation.rate_to_1: must be > 0, got 0.0"),
         ("[run]\nscenario = two-state-relaxation\nseed = 1\n[two-state-relaxation]\np1_initial = 1.5\n",
-         "two-state-relaxation.p1_initial: must lie in [0, 1]"),
+         "two-state-relaxation.p1_initial: must be <= 1, got 1.5"),
         ("[run]\nscenario = two-state-relaxation\nseed = 1\n[two-state-relaxation]\np1_initial = -0.5\n",
-         "two-state-relaxation.p1_initial: must lie in [0, 1]"),
+         "two-state-relaxation.p1_initial: must be >= 0, got -0.5"),
         ("[run]\nscenario = two-state-relaxation\nseed = 1\n[two-state-relaxation]\nt_max = -1\n",
          "two-state-relaxation.t_max: must be >= 0"),
         ("[run]\nscenario = gas-equilibrium\nseed = 1\n[gas-equilibrium]\nn_samples = 0\n",
@@ -213,9 +215,9 @@ def audit_argv(tmp_path, entry, path, n_molecules=None):
     ("n_molecules", "n_excited", "message"),
     [
         # every id out of range: one violation per id, exit 1, before the check
-        ("0", 4, "n_molecules must be >= 1, got 0"),
-        ("-5", 4, "n_molecules must be >= 1, got -5"),
-        ("-3", 4, "n_molecules must be >= 1, got -3"),
+        ("0", 4, "must be >= 1, got 0"),
+        ("-5", 4, "must be >= 1, got -5"),
+        ("-3", 4, "must be >= 1, got -3"),
         # a header-only ledger audited PASS over 0 events
         (None, 0, "the ledger holds no events to audit"),
     ],
@@ -471,8 +473,9 @@ def test_unitary_vs_collapse_rejects_empty_counts(tmp_path, capsys, key):
 @pytest.mark.parametrize(
     "scenario, params, keys",
     [
-        ("gas-equilibrium", "t_max = 1e6\n", "n_excited * decay_rate * t_max = 5e+07"),
-        ("unitary-vs-collapse", "collapse_rate = 1e3\nt_max = 1e6\n", "collapse_rate * t_max = 1e+09"),
+        ("gas-equilibrium", "t_max = 1e6\n", "n_seeds * n_excited * decay_rate * t_max = 25000000000"),
+        ("unitary-vs-collapse", "collapse_rate = 1e3\nt_max = 1e6\n",
+         "n_seeds * collapse_rate * t_max = 500000000000"),
     ],
     ids=["gas", "collapse"],
 )
@@ -484,6 +487,67 @@ def test_unbounded_work_is_a_config_error(tmp_path, capsys, scenario, params, ke
     assert time.perf_counter() - start < 1.0
     assert code == 2
     assert f"config error: {scenario}: {keys} expected" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "scenario, params, message",
+    [
+        # at the defaults this sat exactly on the old per-member cap of 1e6
+        # collapses: 500 members x 1e6 collapses would run for hours
+        ("unitary-vs-collapse", "t_max = 1e6\n",
+         "n_seeds * collapse_rate * t_max = 500000000 expected collapses, above the limit of 1e+06"),
+        # 1e6 transactions per member, 1e5 members, inside the sample table
+        ("gas-equilibrium", "t_max = 2e4\nn_seeds = 100000\nn_samples = 10\n",
+         "n_seeds * n_excited * decay_rate * t_max = 100000000000 expected transactions, "
+         "above the limit of 2.5e+06"),
+        # 1e6 members of 1e6 samples each, at ~30 ns per member sample
+        ("unitary-vs-collapse", "t_max = 1e-3\nn_seeds = 1000000\nn_samples = 1000000\n",
+         "n_seeds * n_samples = 1000000000000 member samples, above the limit of 1e+09"),
+    ],
+    ids=["collapse-members", "gas-members", "collapse-samples"],
+)
+def test_runaway_run_exits_two_before_any_member_is_stepped(tmp_path, monkeypatch, capsys, scenario, params, message):
+    def stepped(*_args):
+        raise AssertionError("a member was stepped")
+
+    monkeypatch.setattr(scenarios, "_collapse_members", stepped)
+    monkeypatch.setattr(scenarios.gas_mod, "run", stepped)
+    config = write_config(tmp_path, f"[run]\nscenario = {scenario}\nseed = 1\n[{scenario}]\n{params}")
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"config error: {scenario}: {message}\n"
+
+
+def benchmark_ensemble_configs():
+    """The config texts of the benchmark's ensemble workloads (perfbench/run.py)."""
+    spec = importlib.util.spec_from_file_location("perfbench_run", CONFIGS.parent / "perfbench" / "run.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    # gas-coupled adds a coupling table to the gas-uniform config, which is read after the bound
+    return [
+        bench.GAS_CONFIG.format(seed=1, members=bench.GAS_MEMBERS),
+        bench.COLLAPSE_CONFIG.format(seed=1, members=bench.COLLAPSE_MEMBERS),
+    ]
+
+
+@pytest.mark.parametrize(
+    "config_text",
+    [(CONFIGS / name).read_text() for name in ("gas_equilibrium.cfg", "unitary_vs_collapse.cfg")]
+    + benchmark_ensemble_configs(),
+    ids=["committed-gas", "committed-collapse", "bench-gas", "bench-collapse"],
+)
+def test_committed_and_benchmark_ensembles_are_within_the_work_bound(tmp_path, monkeypatch, config_text):
+    # the bound is checked before any member is stepped; stop at the first step
+    class Stepped(Exception):
+        pass
+
+    def stepped(*_args):
+        raise Stepped
+
+    monkeypatch.setattr(scenarios, "_collapse_members", stepped)
+    monkeypatch.setattr(scenarios.gas_mod, "run", stepped)
+    config = load_scenario_config(write_config(tmp_path, config_text), out_override=str(tmp_path / "out"))
+    with pytest.raises(Stepped):
+        scenarios.run_scenario(config)
 
 
 def test_unexpected_exception_exits_three_without_traceback(tmp_path, monkeypatch, capsys):
@@ -544,9 +608,9 @@ def write_coupling_table(path, edit, n=10):
 @pytest.mark.parametrize(
     "params, edit, message",
     [
-        ({"delay": "0"}, None, "gas-equilibrium: delay must be strictly positive"),
+        ({"delay": "0"}, None, "gas-equilibrium.delay: must be > 0, got 0.0"),
         ({"n_excited": "12"}, None, "gas-equilibrium.n_excited: must lie in 1..n_molecules - 1"),
-        ({"n_excited": "0"}, None, "gas-equilibrium.n_excited: must lie in 1..n_molecules - 1"),
+        ({"n_excited": "0"}, None, "gas-equilibrium.n_excited: must be >= 1, got 0"),
         ({"coupling_table": "missing.csv"}, None, "gas-equilibrium.coupling_table: cannot read"),
         ({}, ((3, 3), 1.0), "gas-equilibrium.coupling_table: "),
         ({}, (0, 0.0),

@@ -1,8 +1,11 @@
+import math
+import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from stosszahl.config import ConfigError, load_scenario_config
+from stosszahl.config import SCENARIO_SCHEMAS, ConfigError, Number, load_scenario_config
 
 SHIPPED_CONFIGS = sorted((Path(__file__).parent.parent / "configs").glob("*.cfg"))
 
@@ -158,9 +161,99 @@ def test_count_keys_accept_one_up_to_a_million(tmp_path, scenario, key):
             tmp_path, f"[run]\nscenario = {scenario}\nseed = 7\n[{scenario}]\n{key} = {value}\n"
         ))
 
-    assert load(1).params[key] == 1
+    # gas-equilibrium n_seeds starts at 100, the smallest ensemble for its statistics
+    low = SCENARIO_SCHEMAS[scenario][key][0].lo
+    assert load(low).params[key] == low
     assert load(10**6).params[key] == 10**6
-    with pytest.raises(ConfigError, match=rf"^{scenario}\.{key}: must be >= 1$"):
+    with pytest.raises(ConfigError, match=rf"^{scenario}\.{key}: must be >= {low}, got 0$"):
         load(0)
     with pytest.raises(ConfigError, match=rf"^{scenario}\.{key}: must be <= 1000000, got 1000001$"):
         load(10**6 + 1)
+
+
+# Keys that name an input file rather than a number.
+PATH_KEYS = {("gas-equilibrium", "coupling_table"), ("ledger-audit", "ledger")}
+NUMBER_KEYS = [
+    (scenario, key)
+    for scenario, schema in SCENARIO_SCHEMAS.items()
+    for key in schema
+    if (scenario, key) not in PATH_KEYS
+]
+
+
+def test_every_number_key_declares_a_range():
+    for scenario, schema in SCENARIO_SCHEMAS.items():
+        for key, (parse, default) in schema.items():
+            if (scenario, key) in PATH_KEYS:
+                assert parse is str, (scenario, key)
+            else:
+                assert isinstance(parse, Number), (scenario, key)
+
+
+def edges(number):
+    """(value, None) for each value that must load and (value, rule) for each just outside.
+
+    A closed finite edge must load and the next value out must not; an open
+    edge must not load and the next float in must.
+    """
+    found = []
+    for bound, is_open, outward, sign in (
+        (number.lo, number.lo_open, -1, ">"), (number.hi, number.hi_open, 1, "<"),
+    ):
+        if math.isinf(bound):
+            continue
+        rule = f"{sign} {bound}" if is_open else f"{sign}= {bound}"
+        bound = number.kind(bound)
+        if is_open:
+            found.append((bound, rule))
+            found.append((float(np.nextafter(bound, -outward * math.inf)), None))
+        else:
+            found.append((bound, None))
+            if number.kind is int:
+                found.append((bound + outward, rule))
+            else:
+                found.append((float(np.nextafter(bound, outward * math.inf)), rule))
+    return found
+
+
+@pytest.mark.parametrize("scenario, key", NUMBER_KEYS, ids=lambda v: v)
+def test_range_edges_load_and_the_next_value_out_is_rejected(tmp_path, scenario, key):
+    number = SCENARIO_SCHEMAS[scenario][key][0]
+
+    required = "ledger = ledger.csv\n" if scenario == "ledger-audit" else ""
+
+    def load(value):
+        return load_scenario_config(write_config(
+            tmp_path, f"[run]\nscenario = {scenario}\nseed = 7\n[{scenario}]\n{required}{key} = {value!r}\n"
+        )).params[key]
+
+    for value, rule in edges(number):
+        if rule is None:
+            assert load(value) == ((value,) if number.many else value)
+        else:
+            message = rf"^{scenario}\.{key}: must be {re.escape(rule)}, got {re.escape(repr(value))}$"
+            with pytest.raises(ConfigError, match=message):
+                load(value)
+
+
+@pytest.mark.parametrize(
+    "scenario, key, value, rule",
+    [
+        ("gas-equilibrium", "n_molecules", 31, "even"),
+        ("unitary-vs-collapse", "gap", 0.0, "nonzero"),
+        ("unitary-vs-collapse", "gap", -0.0, "nonzero"),
+    ],
+)
+def test_parity_and_nonzero_rules(tmp_path, scenario, key, value, rule):
+    path = write_config(tmp_path, f"[run]\nscenario = {scenario}\nseed = 7\n[{scenario}]\n{key} = {value!r}\n")
+    with pytest.raises(ConfigError, match=rf"^{scenario}\.{key}: must be {rule}, got {re.escape(repr(value))}$"):
+        load_scenario_config(path)
+
+
+def test_negative_seed_rejected_in_the_range_format(tmp_path):
+    path = write_config(tmp_path, "[run]\nscenario = born-statistics\nseed = -1\n")
+    with pytest.raises(ConfigError, match=r"^run\.seed: must be >= 0, got -1$"):
+        load_scenario_config(path)
+    with pytest.raises(ConfigError, match=r"^run\.seed: must be >= 0, got -2$"):
+        load_scenario_config(path, seed_override=-2)
+    assert load_scenario_config(path, seed_override=0).seed == 0

@@ -20,7 +20,7 @@ from gas_oracle import (
     stepwise,
 )
 from stosszahl import gas
-from stosszahl.config import SCENARIO_SCHEMAS, ConfigError, ScenarioConfig
+from stosszahl.config import SCENARIO_SCHEMAS, ConfigError, ScenarioConfig, load_scenario_config
 from stosszahl.csvio import read_csv
 from stosszahl.gas import (
     EmpiricalRates,
@@ -426,12 +426,12 @@ def test_batch_left_counts_step_lookup():
         winner_weight=np.full(2, 1 / 3), confirmation_set_size=np.array([3, 3]),
     )
     queries = [0.0, 0.5, 1.0, 5.0, 1.5]
-    assert batch_left_counts(config, ledger, None, queries).tolist() == [[3, 3, 2, 1, 2]]
+    assert batch_left_counts(config, ledger, [0, 2], queries).tolist() == [[3, 3, 2, 1, 2]]
     assert batch_left_counts(config, ledger, [0, 0, 2], queries).tolist() == [
         [3, 3, 3, 3, 3], [3, 3, 2, 1, 2],
     ]
     with pytest.raises(ValueError, match="trajectory start"):
-        batch_left_counts(config, ledger, None, [1.0, -0.1])
+        batch_left_counts(config, ledger, [0, 2], [1.0, -0.1])
 
 
 # --- empirical rates -------------------------------------------------------------------
@@ -576,13 +576,12 @@ def test_ensemble_series_statistics():
 
 
 def test_ensemble_requires_hundred_seeds(tmp_path):
-    # the gas-equilibrium scenario is where ensemble statistics are taken
-    schema = SCENARIO_SCHEMAS["gas-equilibrium"]
-    params = {key: default for key, (_parse, default) in schema.items()}
-    params["n_seeds"] = 50
-    config = ScenarioConfig("gas-equilibrium", seed=1, out_dir=tmp_path, params=params)
+    # the gas-equilibrium scenario is where ensemble statistics are taken; its
+    # config schema declares the bound
+    path = tmp_path / "run.cfg"
+    path.write_text("[run]\nscenario = gas-equilibrium\nseed = 1\n[gas-equilibrium]\nn_seeds = 50\n")
     with pytest.raises(ConfigError, match=">= 100"):
-        run_scenario(config)
+        load_scenario_config(path)
 
 
 def test_ensemble_members_are_reproducible():

@@ -244,10 +244,12 @@ def test_row_wise_reductions_equal_the_one_dimensional_ones(rows, m, kind, seed)
     cumulative = weights.cumsum(axis=1)
     clamped = np.where(weights < ZERO_WEIGHT, 0.0, weights)
     u = rng.random(rows)
-    winners = np.count_nonzero(
-        clamped.cumsum(axis=1) <= (u * np.add.reduce(clamped, axis=1))[:, None], axis=1
-    )
-    winners = np.minimum(winners, m - 1)
+    below = clamped.cumsum(axis=1) <= (u * np.add.reduce(clamped, axis=1))[:, None]
+    winners = np.minimum(np.count_nonzero(below, axis=1), m - 1)
+    # the kernel takes the count as the first entry above u * total, on a nondecreasing row
+    first_above = below.argmin(axis=1)
+    first_above[below[:, -1]] = m - 1
+    assert np.array_equal(first_above, winners)
     for row in range(rows):
         assert totals[row].tobytes() == np.add.reduce(weights[row]).tobytes()
         assert cumulative[row].tobytes() == weights[row].cumsum().tobytes()
@@ -285,6 +287,31 @@ def test_clamp_keeps_a_tiny_weight_from_winning():
     _bounds, ledger = run(config, [ScriptedUniforms(uniforms)])
     assert column_bytes(ledger) == column_bytes(stepwise(config, ScriptedUniforms(uniforms)))
     assert list(ledger.absorber) == [3]
+
+
+def test_winner_uniform_just_below_one_takes_the_last_ground_molecule():
+    # with these nine weights the pairwise row total exceeds the last
+    # sequential cumulative sum, so (1 - 2**-53) * total lies above every
+    # cumulative weight: the count is N - n, clipped to the last rank
+    weights = [
+        1.3902743520047922, 0.7271575935333797, 1.1231871446860424, 0.5840153435823848,
+        1.3326441476533977, 1.2870983074886833, 0.7393694429929522, 1.376484230810704,
+        0.5585680348051943,
+    ]
+    table = np.ones((10, 10))
+    np.fill_diagonal(table, 0.0)
+    table[0, 1:] = weights
+    raw = table[0, 1:] / np.add.reduce(table[0, 1:])
+    top = float(np.nextafter(1.0, 0.0))
+    assert raw.cumsum()[-1] <= top * np.add.reduce(raw)
+    config = GasConfig(
+        n_molecules=10, n_excited=1, decay_rate=1.0, t_max=1.0, seed=0, delay=0.1,
+        coupling=table,
+    )
+    uniforms = [0.5, 0.0, top, 0.99]  # a wait, emitter rank 0, the winner, a wait past t_max
+    _bounds, ledger = run(config, [ScriptedUniforms(uniforms)])
+    assert column_bytes(ledger) == column_bytes(stepwise(config, ScriptedUniforms(uniforms)))
+    assert list(ledger.absorber) == [9]
 
 
 def levels_before(config, ledger, index):
