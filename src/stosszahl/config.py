@@ -6,10 +6,12 @@ are rejected with their full field path; reproducibility beats flexibility,
 so there are no pass-through extras and a seed must always be present
 (either in the file or on the command line).
 
-Each number key's parser in :data:`SCENARIO_SCHEMAS` is a :class:`Number`,
-which declares the key's range as data; every value is checked against it
-once, as it is read. A scenario checks only what involves two or more keys,
-an input file, or the work of the whole run.
+Each number key's parser in :data:`SCENARIO_SCHEMAS` is a :class:`Number`
+that declares the key's range as data. :meth:`Number.check` holds each value
+to it, with one message format, as the loader parses it and again in
+:func:`check_params`, which :func:`~stosszahl.scenarios.run_scenario` calls
+on every request, built by hand or loaded. A scenario checks only what
+involves two or more keys, an input file, or the work of the whole run.
 """
 
 from __future__ import annotations
@@ -32,43 +34,43 @@ REQUIRED = object()
 class Number:
     """The parser of a number key (a nonempty comma-separated list if ``many``) and its range.
 
-    Each value must be a finite ``kind`` from ``lo`` to ``hi``, a bound closed
-    unless ``lo_open``/``hi_open``, even if ``even`` and not 0 if ``nonzero``;
-    one that is not raises ValueError such as ``must be >= 0, got -1.0``.
+    Each value must be a finite ``kind`` from ``lo`` (excluded if ``lo_open``)
+    to ``hi``, even if ``even`` and not 0 if ``nonzero``; one that is not
+    raises ValueError such as ``must be >= 0, got -1.0``.
     """
 
     kind: type = float
     lo: float = -math.inf
     hi: float = math.inf
     lo_open: bool = False
-    hi_open: bool = False
     even: bool = False
     nonzero: bool = False
     many: bool = False
 
     def __call__(self, text: str):
         if not self.many:
-            return self._entry(text)
-        values = tuple(self._entry(part) for part in text.split(",") if part.strip())
-        if not values:
-            raise ValueError("expected a comma-separated list of numbers")
-        return values
+            return self.check(self.kind(text))
+        return self.check(tuple(self.kind(part) for part in text.split(",") if part.strip()))
 
-    def _entry(self, text: str):
-        value = self.kind(text)
-        if self.kind is float and not math.isfinite(value):
-            raise ValueError(f"must be finite, got {text.strip()}")
-        if value < self.lo or self.lo_open and value == self.lo:
-            rule = f"{'>' if self.lo_open else '>='} {self.lo}"
-        elif value > self.hi or self.hi_open and value == self.hi:
-            rule = f"{'<' if self.hi_open else '<='} {self.hi}"
-        elif self.even and value % 2:
-            rule = "even"
-        elif self.nonzero and value == 0:
-            rule = "nonzero"
-        else:
-            return value
-        raise ValueError(f"must be {rule}, got {value!r}")
+    def check(self, value):
+        """``value`` (a tuple if ``many``) if every entry lies in the range; ValueError if not."""
+        if self.many and not value:
+            raise ValueError("expected a comma-separated list of numbers")
+        for entry in value if self.many else (value,):
+            if self.kind is float and not math.isfinite(entry):
+                rule = "finite"
+            elif entry < self.lo or self.lo_open and entry == self.lo:
+                rule = f"{'>' if self.lo_open else '>='} {self.lo}"
+            elif entry > self.hi:
+                rule = f"<= {self.hi}"
+            elif self.even and entry % 2:
+                rule = "even"
+            elif self.nonzero and entry == 0:
+                rule = "nonzero"
+            else:
+                continue
+            raise ValueError(f"must be {rule}, got {entry!r}")
+        return value
 
 
 # The largest count key a run accepts (grid points, unitary steps, ensemble
@@ -124,13 +126,23 @@ SCENARIO_SCHEMAS: dict[str, dict[str, tuple]] = {
 
 @dataclass
 class ScenarioConfig:
-    """A run request; :func:`load_scenario_config` checks its keys' ranges as it builds one."""
+    """A run request; :func:`check_params` checks its keys' ranges."""
 
     scenario: str
     seed: int
     out_dir: Path
     params: dict = field(default_factory=dict)
     write_timestamp: bool = True
+
+
+def check_params(scenario: str, params: dict) -> None:
+    """Raise ConfigError, with its field path, for the first number key of ``params`` out of range."""
+    for key, (parse, _default) in SCENARIO_SCHEMAS[scenario].items():
+        if isinstance(parse, Number) and params.get(key) is not None:
+            try:
+                parse.check(params[key])
+            except ValueError as exc:
+                raise ConfigError(f"{scenario}.{key}: {exc}") from exc
 
 
 def load_scenario_config(

@@ -270,16 +270,16 @@ def run(config: GasConfig, rngs):
     resolved together: the emitter is taken at its rank, the winner at its
     rank among the ground ids, each by a flat ``take``, and the two ids swap
     rows by flat ``put``, each row sorted again (its ids are distinct, so
-    every sort kind gives the same row). With a coupling table the winner rank
-    depends on the state: the confirmation-set weights are gathered into one
-    (members, N - n) array and normalized by their row sums, and the winner is
-    taken as :func:`~stosszahl.measurement.inverse_cdf` takes it, row by row:
-    the ``ZERO_WEIGHT`` clamp (skipped when no weight is below it), then the
-    count of cumulative weights at or below ``u * total`` clipped to N - n - 1,
-    which is ``searchsorted(side="right")`` on a nondecreasing row and so the
-    ``argmin`` of those flags, or N - n - 1 where the last flag is still set.
-    Row-wise ``np.add.reduce`` and ``cumsum`` of a C-contiguous array repeat
-    the one-dimensional ones bit for bit.
+    every sort kind gives the same row). With a coupling
+    table the winner rank depends on the state: the
+    confirmation-set weights are gathered into one (members, N - n) array
+    and normalized by their row sums, and the winner is taken as
+    :func:`~stosszahl.measurement.inverse_cdf` takes it, row by row: the
+    ``ZERO_WEIGHT`` clamp (skipped when no weight is below it), then the
+    count of cumulative weights at or below ``u * total`` clipped to
+    N - n - 1, which is ``searchsorted(side="right")`` on a nondecreasing
+    row. Row-wise ``np.add.reduce`` and ``cumsum`` of a C-contiguous array
+    repeat the one-dimensional ones bit for bit.
 
     The ledger equals the per-event composition of scalar draws bit for bit
     (covered by equivalence and property tests). The generators are
@@ -405,9 +405,8 @@ def _step_members(config: GasConfig, rngs: list) -> list[list[tuple]]:
                 raw /= raw_total[:, None]
                 clamped = raw if raw.min() >= ZERO_WEIGHT else np.where(raw < ZERO_WEIGHT, 0.0, raw)
                 thresholds = win_u[:live, j] * add_reduce(clamped, axis=1)
-                below = clamped.cumsum(axis=1) <= thresholds[:, None]
-                winner = below.argmin(axis=1)
-                winner[below[:, -1]] = m - 1
+                winner = (clamped.cumsum(axis=1) <= thresholds[:, None]).sum(axis=1)
+                np.minimum(winner, m - 1, out=winner)
                 # raw has the (live, N - n) layout of g, so one flat index serves both.
                 at_winner = ground_rows[:live] + winner
                 weights[:live, j] = raw.take(at_winner)

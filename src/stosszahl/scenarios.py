@@ -20,7 +20,7 @@ import numpy as np
 
 from . import gas as gas_mod
 from . import master as master_mod
-from .config import ConfigError, ScenarioConfig
+from .config import ConfigError, ScenarioConfig, check_params
 from .csvio import fmt, write_csv
 # The benchmark's call spans (perfbench/spans.py) wrap ``evolve_unitary``,
 # ``decohere`` and ``vn_entropy`` as attributes of this module and count
@@ -51,16 +51,20 @@ MEAN_K_TOL = 1.0
 MACRO_ENTROPY_REL_TOL = 0.05
 CROSS_PREDICTION_TV_TOL = 0.1
 
-# The expected events of a whole run, over all its members, may not exceed
-# these: on a 2-core x86 VM a gas transaction costs 0.7 us at 100 molecules,
-# up to 36 us at 4000, and a collapse 11 us in a block (52 us alone), so each
-# bound is at most ~1.5 minutes of stepping. A gas batch holds ~180 B per event.
-MAX_RUN_TRANSACTIONS = 2.5e6
-MAX_RUN_COLLAPSES = 1e6
+# Bounds on a run's work, checked before any member is stepped. A batch of
+# members (256 at most: a gas.iter_ensemble batch or a collapse block of
+# _STACK) holds all of their events at once, ~180 B per gas transaction.
+MAX_BATCH_EVENTS = 1e7
+# The run's stepping time is estimated from costs measured on a 2-core x86 VM
+# and rounded up: a gas transaction takes 1 us plus, per molecule, 2.5 ns with
+# uniform weights or 8 ns with a coupling table (0.9 to 1.4 us at 100
+# molecules, 8.8 and 31 us at 4000); a collapse 13 us, plus 40 us for each
+# lockstep step of its block and 0.05 us per member and sample time read.
+MAX_RUN_SECONDS = 600.0
+_GAS_US, _GAS_US_PER_MOLECULE, _GAS_US_PER_COUPLED_MOLECULE = 1.0, 0.0025, 0.008
+_COLLAPSE_US, _COLLAPSE_STEP_US, _COLLAPSE_SAMPLE_US = 13.0, 40.0, 0.05
 # The gas-equilibrium ensemble holds one int64 k per member and sample time.
 _MAX_GAS_SAMPLES = 10**7
-# Each collapse member's entropies are read at every sample time, ~30 ns each.
-_MAX_COLLAPSE_SAMPLES = 10**9
 
 # The most states one stacked numpy call of unitary-vs-collapse takes: a
 # block of collapse members, branch A's steps or the sample grid.
@@ -124,6 +128,7 @@ def run_scenario(config: ScenarioConfig) -> RunReport:
     """Execute one registered scenario and write its outputs and report."""
     if config.scenario not in _SCENARIOS:
         raise ConfigError(f"run.scenario: unknown scenario {config.scenario!r}")
+    check_params(config.scenario, config.params)
     config.out_dir.mkdir(parents=True, exist_ok=True)
     stamp = None
     if config.write_timestamp:
@@ -151,7 +156,7 @@ def run_scenario(config: ScenarioConfig) -> RunReport:
 
 
 def _require_at_most(scenario: str, product: str, value: float, what: str, limit: float) -> None:
-    """Reject a run whose ``product`` of its keys, ``value``, is above ``limit``."""
+    """Reject a run whose ``product`` of its keys (or estimate from them), ``value``, is above ``limit``."""
     if value > limit:
         raise ConfigError(f"{scenario}: {product} = {value:.15g} {what}, above the limit of {limit:g}")
 
@@ -210,10 +215,12 @@ def _unitary_vs_collapse(config: ScenarioConfig, stamp: str | None):
     gap = p["gap"]
     rate = p["collapse_rate"]
     t_max = p["t_max"]
-    _require_at_most("unitary-vs-collapse", "n_seeds * collapse_rate * t_max",
-                     p["n_seeds"] * rate * t_max, "expected collapses", MAX_RUN_COLLAPSES)
-    _require_at_most("unitary-vs-collapse", "n_seeds * n_samples",
-                     p["n_seeds"] * p["n_samples"], "member samples", _MAX_COLLAPSE_SAMPLES)
+    n_seeds, collapses = p["n_seeds"], rate * t_max
+    _require_at_most("unitary-vs-collapse", f"min(n_seeds, {_STACK}) * collapse_rate * t_max",
+                     min(n_seeds, _STACK) * collapses, "expected events in one batch", MAX_BATCH_EVENTS)
+    us = n_seeds * (collapses * _COLLAPSE_US + p["n_samples"] * _COLLAPSE_SAMPLE_US)
+    us += -(-n_seeds // _STACK) * collapses * _COLLAPSE_STEP_US
+    _require_at_most("unitary-vs-collapse", "estimated stepping time", round(us / 1e6), "s", MAX_RUN_SECONDS)
 
     # Everything is validated here once; the loops below step through the
     # unchecked kernels, and each final state is checked as a density matrix.
@@ -423,9 +430,12 @@ def _gas_equilibrium(config: ScenarioConfig, stamp: str | None):
     n_seeds = p["n_seeds"]
     _require_at_most("gas-equilibrium", "n_seeds * (n_samples + len(check_times))",
                      n_seeds * (p["n_samples"] + len(p["check_times"])), "k samples", _MAX_GAS_SAMPLES)
-    _require_at_most("gas-equilibrium", "n_seeds * n_excited * decay_rate * t_max",
-                     n_seeds * p["n_excited"] * p["decay_rate"] * p["t_max"],
-                     "expected transactions", MAX_RUN_TRANSACTIONS)
+    transactions, batch = p["n_excited"] * p["decay_rate"] * p["t_max"], gas_mod._MEMBERS_PER_RUN
+    _require_at_most("gas-equilibrium", f"min(n_seeds, {batch}) * n_excited * decay_rate * t_max",
+                     min(n_seeds, batch) * transactions, "expected events in one batch", MAX_BATCH_EVENTS)
+    per_molecule = _GAS_US_PER_COUPLED_MOLECULE if p["coupling_table"] else _GAS_US_PER_MOLECULE
+    us = n_seeds * transactions * (_GAS_US + p["n_molecules"] * per_molecule)
+    _require_at_most("gas-equilibrium", "estimated stepping time", round(us / 1e6), "s", MAX_RUN_SECONDS)
     coupling = None
     if p["coupling_table"]:
         try:

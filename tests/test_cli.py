@@ -212,25 +212,27 @@ def audit_argv(tmp_path, entry, path, n_molecules=None):
 
 @pytest.mark.parametrize("entry", ["audit", "ledger-audit"])
 @pytest.mark.parametrize(
-    ("n_molecules", "n_excited", "message"),
+    ("n_molecules", "n_excited", "messages"),
     [
         # every id out of range: one violation per id, exit 1, before the check
-        ("0", 4, "must be >= 1, got 0"),
-        ("-5", 4, "must be >= 1, got -5"),
-        ("-3", 4, "must be >= 1, got -3"),
+        ("0", 4, {"audit": "error: n_molecules must be >= 1, got 0",
+                  "ledger-audit": "config error: ledger-audit.n_molecules: must be >= 1, got 0"}),
+        ("-5", 4, {"audit": "error: n_molecules must be >= 1, got -5",
+                   "ledger-audit": "config error: ledger-audit.n_molecules: must be >= 1, got -5"}),
+        ("-3", 4, {"audit": "error: n_molecules must be >= 1, got -3",
+                   "ledger-audit": "config error: ledger-audit.n_molecules: must be >= 1, got -3"}),
         # a header-only ledger audited PASS over 0 events
-        (None, 0, "the ledger holds no events to audit"),
+        (None, 0, {"audit": "error: {path}: the ledger holds no events to audit",
+                   "ledger-audit": "config error: ledger-audit: {path}: the ledger holds no events to audit"}),
     ],
     ids=["n-molecules-0", "n-molecules-minus-5", "n-molecules-minus-3", "header-only-ledger"],
 )
-def test_audit_input_that_checks_nothing_exits_two(tmp_path, capsys, entry, n_molecules, n_excited, message):
+def test_audit_input_that_checks_nothing_exits_two(tmp_path, capsys, entry, n_molecules, n_excited, messages):
     gas_config = GasConfig(n_molecules=8, n_excited=n_excited, decay_rate=1.0, t_max=10.0, seed=6)
     path = tmp_path / "ledger.csv"
     write_ledger_csv(path, seeded_run(gas_config)[1])
     assert main(audit_argv(tmp_path, entry, path, n_molecules)) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error:" if entry == "ledger-audit" else "error:")
-    assert message in err
+    assert capsys.readouterr().err == messages[entry].format(path=path) + "\n"
 
 
 @pytest.fixture(scope="module")
@@ -473,9 +475,10 @@ def test_unitary_vs_collapse_rejects_empty_counts(tmp_path, capsys, key):
 @pytest.mark.parametrize(
     "scenario, params, keys",
     [
-        ("gas-equilibrium", "t_max = 1e6\n", "n_seeds * n_excited * decay_rate * t_max = 25000000000"),
+        ("gas-equilibrium", "t_max = 1e6\n",
+         "min(n_seeds, 256) * n_excited * decay_rate * t_max = 12800000000"),
         ("unitary-vs-collapse", "collapse_rate = 1e3\nt_max = 1e6\n",
-         "n_seeds * collapse_rate * t_max = 500000000000"),
+         "min(n_seeds, 256) * collapse_rate * t_max = 256000000000"),
     ],
     ids=["gas", "collapse"],
 )
@@ -495,16 +498,31 @@ def test_unbounded_work_is_a_config_error(tmp_path, capsys, scenario, params, ke
         # at the defaults this sat exactly on the old per-member cap of 1e6
         # collapses: 500 members x 1e6 collapses would run for hours
         ("unitary-vs-collapse", "t_max = 1e6\n",
-         "n_seeds * collapse_rate * t_max = 500000000 expected collapses, above the limit of 1e+06"),
+         "min(n_seeds, 256) * collapse_rate * t_max = 256000000 expected events in one batch, "
+         "above the limit of 1e+07"),
         # 1e6 transactions per member, 1e5 members, inside the sample table
         ("gas-equilibrium", "t_max = 2e4\nn_seeds = 100000\nn_samples = 10\n",
-         "n_seeds * n_excited * decay_rate * t_max = 100000000000 expected transactions, "
-         "above the limit of 2.5e+06"),
-        # 1e6 members of 1e6 samples each, at ~30 ns per member sample
+         "min(n_seeds, 256) * n_excited * decay_rate * t_max = 256000000 expected events in one batch, "
+         "above the limit of 1e+07"),
+        # 1e4 transactions per member, small batches, but 1e9 transactions in all
+        ("gas-equilibrium", "t_max = 200\nn_seeds = 100000\nn_samples = 10\n",
+         "estimated stepping time = 1250 s, above the limit of 600"),
+        # 1e8 transactions cost more with more molecules, and more with a coupling
+        # table, which is not read before the bound
+        ("gas-equilibrium", "n_molecules = 4000\nt_max = 20\nn_seeds = 100000\nn_samples = 10\n",
+         "estimated stepping time = 1100 s, above the limit of 600"),
+        ("gas-equilibrium",
+         "n_molecules = 1000\nt_max = 20\nn_seeds = 100000\nn_samples = 10\ncoupling_table = missing.csv\n",
+         "estimated stepping time = 900 s, above the limit of 600"),
+        # 100 collapses per member, 1e6 members
+        ("unitary-vs-collapse", "t_max = 100\nn_seeds = 1000000\n",
+         "estimated stepping time = 1320 s, above the limit of 600"),
+        # 1e6 members of 1e6 samples each
         ("unitary-vs-collapse", "t_max = 1e-3\nn_seeds = 1000000\nn_samples = 1000000\n",
-         "n_seeds * n_samples = 1000000000000 member samples, above the limit of 1e+09"),
+         "estimated stepping time = 50000 s, above the limit of 600"),
     ],
-    ids=["collapse-members", "gas-members", "collapse-samples"],
+    ids=["collapse-batch", "gas-batch", "gas-time", "gas-4000-molecules-time", "gas-coupled-time",
+         "collapse-time", "collapse-samples"],
 )
 def test_runaway_run_exits_two_before_any_member_is_stepped(tmp_path, monkeypatch, capsys, scenario, params, message):
     def stepped(*_args):
@@ -529,11 +547,27 @@ def benchmark_ensemble_configs():
     ]
 
 
+# Runs of seconds to minutes that the bound must leave alone: 1.25e7
+# transactions (~10 s), 5e6 transactions, 1.5e6 collapses (~15 s), 5e6
+# transactions of 4000 molecules (~1 minute) and 1e8 of 1000 molecules with
+# uniform weights (~5 minutes).
+MODERATE_ENSEMBLE_CONFIGS = [
+    "[run]\nscenario = gas-equilibrium\nseed = 1\n[gas-equilibrium]\nt_max = 500\n",
+    "[run]\nscenario = gas-equilibrium\nseed = 1\n[gas-equilibrium]\nn_seeds = 2000\n",
+    "[run]\nscenario = unitary-vs-collapse\nseed = 1\n[unitary-vs-collapse]\nt_max = 3000\n",
+    "[run]\nscenario = gas-equilibrium\nseed = 1\n[gas-equilibrium]\n"
+    "n_molecules = 4000\nn_excited = 2000\nt_max = 25\nn_seeds = 100\nequilibration_time = 10\n",
+    "[run]\nscenario = gas-equilibrium\nseed = 1\n[gas-equilibrium]\n"
+    "n_molecules = 1000\nt_max = 20\nn_seeds = 100000\nn_samples = 10\n",
+]
+
+
 @pytest.mark.parametrize(
     "config_text",
     [(CONFIGS / name).read_text() for name in ("gas_equilibrium.cfg", "unitary_vs_collapse.cfg")]
-    + benchmark_ensemble_configs(),
-    ids=["committed-gas", "committed-collapse", "bench-gas", "bench-collapse"],
+    + benchmark_ensemble_configs() + MODERATE_ENSEMBLE_CONFIGS,
+    ids=["committed-gas", "committed-collapse", "bench-gas", "bench-collapse",
+         "gas-t-max-x10", "gas-seeds-x4", "collapse-t-max-3000", "gas-4000-molecules", "gas-1000-molecules"],
 )
 def test_committed_and_benchmark_ensembles_are_within_the_work_bound(tmp_path, monkeypatch, config_text):
     # the bound is checked before any member is stepped; stop at the first step

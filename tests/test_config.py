@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stosszahl.config import SCENARIO_SCHEMAS, ConfigError, Number, load_scenario_config
+from stosszahl.config import SCENARIO_SCHEMAS, ConfigError, Number, check_params, load_scenario_config
 
 SHIPPED_CONFIGS = sorted((Path(__file__).parent.parent / "configs").glob("*.cfg"))
 
@@ -194,12 +194,10 @@ def edges(number):
     """(value, None) for each value that must load and (value, rule) for each just outside.
 
     A closed finite edge must load and the next value out must not; an open
-    edge must not load and the next float in must.
+    lower edge must not load and the next float in must.
     """
     found = []
-    for bound, is_open, outward, sign in (
-        (number.lo, number.lo_open, -1, ">"), (number.hi, number.hi_open, 1, "<"),
-    ):
+    for bound, is_open, outward, sign in ((number.lo, number.lo_open, -1, ">"), (number.hi, False, 1, "<")):
         if math.isinf(bound):
             continue
         rule = f"{sign} {bound}" if is_open else f"{sign}= {bound}"
@@ -227,13 +225,18 @@ def test_range_edges_load_and_the_next_value_out_is_rejected(tmp_path, scenario,
             tmp_path, f"[run]\nscenario = {scenario}\nseed = 7\n[{scenario}]\n{required}{key} = {value!r}\n"
         )).params[key]
 
+    # a request built in code, as run_scenario checks it, holds to the same rules
     for value, rule in edges(number):
+        built = {key: (value,) if number.many else value}
         if rule is None:
-            assert load(value) == ((value,) if number.many else value)
+            assert load(value) == built[key]
+            check_params(scenario, built)
         else:
             message = rf"^{scenario}\.{key}: must be {re.escape(rule)}, got {re.escape(repr(value))}$"
             with pytest.raises(ConfigError, match=message):
                 load(value)
+            with pytest.raises(ConfigError, match=message):
+                check_params(scenario, built)
 
 
 @pytest.mark.parametrize(
@@ -246,8 +249,11 @@ def test_range_edges_load_and_the_next_value_out_is_rejected(tmp_path, scenario,
 )
 def test_parity_and_nonzero_rules(tmp_path, scenario, key, value, rule):
     path = write_config(tmp_path, f"[run]\nscenario = {scenario}\nseed = 7\n[{scenario}]\n{key} = {value!r}\n")
-    with pytest.raises(ConfigError, match=rf"^{scenario}\.{key}: must be {rule}, got {re.escape(repr(value))}$"):
+    message = rf"^{scenario}\.{key}: must be {rule}, got {re.escape(repr(value))}$"
+    with pytest.raises(ConfigError, match=message):
         load_scenario_config(path)
+    with pytest.raises(ConfigError, match=message):
+        check_params(scenario, {key: value})
 
 
 def test_negative_seed_rejected_in_the_range_format(tmp_path):

@@ -20,7 +20,7 @@ from gas_oracle import (
     stepwise,
 )
 from stosszahl import gas
-from stosszahl.config import SCENARIO_SCHEMAS, ConfigError, ScenarioConfig, load_scenario_config
+from stosszahl.config import SCENARIO_SCHEMAS, ConfigError, ScenarioConfig
 from stosszahl.csvio import read_csv
 from stosszahl.gas import (
     EmpiricalRates,
@@ -576,12 +576,13 @@ def test_ensemble_series_statistics():
 
 
 def test_ensemble_requires_hundred_seeds(tmp_path):
-    # the gas-equilibrium scenario is where ensemble statistics are taken; its
-    # config schema declares the bound
-    path = tmp_path / "run.cfg"
-    path.write_text("[run]\nscenario = gas-equilibrium\nseed = 1\n[gas-equilibrium]\nn_seeds = 50\n")
+    # the gas-equilibrium scenario is where ensemble statistics are taken
+    schema = SCENARIO_SCHEMAS["gas-equilibrium"]
+    params = {key: default for key, (_parse, default) in schema.items()}
+    params["n_seeds"] = 50
+    config = ScenarioConfig("gas-equilibrium", seed=1, out_dir=tmp_path, params=params)
     with pytest.raises(ConfigError, match=">= 100"):
-        load_scenario_config(path)
+        run_scenario(config)
 
 
 def test_ensemble_members_are_reproducible():

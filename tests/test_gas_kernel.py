@@ -244,12 +244,10 @@ def test_row_wise_reductions_equal_the_one_dimensional_ones(rows, m, kind, seed)
     cumulative = weights.cumsum(axis=1)
     clamped = np.where(weights < ZERO_WEIGHT, 0.0, weights)
     u = rng.random(rows)
-    below = clamped.cumsum(axis=1) <= (u * np.add.reduce(clamped, axis=1))[:, None]
-    winners = np.minimum(np.count_nonzero(below, axis=1), m - 1)
-    # the kernel takes the count as the first entry above u * total, on a nondecreasing row
-    first_above = below.argmin(axis=1)
-    first_above[below[:, -1]] = m - 1
-    assert np.array_equal(first_above, winners)
+    winners = np.count_nonzero(
+        clamped.cumsum(axis=1) <= (u * np.add.reduce(clamped, axis=1))[:, None], axis=1
+    )
+    winners = np.minimum(winners, m - 1)
     for row in range(rows):
         assert totals[row].tobytes() == np.add.reduce(weights[row]).tobytes()
         assert cumulative[row].tobytes() == weights[row].cumsum().tobytes()

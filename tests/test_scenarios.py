@@ -9,7 +9,7 @@ from scipy.stats import chisquare
 
 from gas_oracle import seeded_run
 from stosszahl import gas
-from stosszahl.config import SCENARIO_SCHEMAS, ConfigError, ScenarioConfig, load_scenario_config
+from stosszahl.config import SCENARIO_SCHEMAS, ConfigError, ScenarioConfig
 from stosszahl.gas import GasConfig, Ledger, read_ledger, write_ledger_csv
 from stosszahl.scenarios import (
     SCENARIO_CHECKS,
@@ -133,11 +133,9 @@ def test_uniform_winner_weight_check_counts_altered_weights(tmp_path, monkeypatc
 
 
 def test_gas_equilibrium_rejects_odd_molecule_count(tmp_path):
-    # the gas-equilibrium config schema declares the parity
-    path = tmp_path / "run.cfg"
-    path.write_text("[run]\nscenario = gas-equilibrium\nseed = 1\n[gas-equilibrium]\nn_molecules = 31\n")
+    config = make_config("gas-equilibrium", tmp_path, n_molecules=31)
     with pytest.raises(ConfigError, match="even"):
-        load_scenario_config(path)
+        run_scenario(config)
 
 
 def test_ledger_audit_scenario_passes_on_clean_ledger(tmp_path):
