@@ -15,7 +15,11 @@ field (``t_e, t_a, emitter, absorber, winner_weight,
 confirmation_set_size``) and one row per event, members one after another,
 and the member row bounds. The columns are the only record
 of the events: the audit, the rate estimator, the k lookup and the CSV
-writers read them, and a slice copies one member's rows out.
+writers read them, and a slice copies one member's rows out. In a ledger
+from :func:`run`, ``confirmation_set_size`` (N - n at every event) and, with
+uniform coupling, ``winner_weight`` (1 / (N - n)) are read-only zero-stride
+views of their one value; every other column, and every column of a slice or
+of :func:`read_ledger`, is materialized.
 
 Ledger files: :func:`write_ledger_csv` numbers the rows in an ``event_index``
 column and :func:`read_ledger` reads them back into a Ledger, so the audit
@@ -43,14 +47,16 @@ leaves them is not part of the contract.
 
 Block stepping: :func:`run` steps a batch of members in lockstep, along one
 path for uniform coupling and for a coupling table. Each member draws its
-uniforms from its own generator in blocks sized to its expected event count.
-The waiting times (with ``math.log1p``, not ``np.log1p``, whose vectorized
-loops may round differently), the emission and absorption times, the horizon,
+uniforms from its own generator in blocks sized to its expected event count,
+straight into its row of the batch's block array. The waiting times (with
+``math.log1p``, not ``np.log1p``, whose vectorized loops may round
+differently), the emission and absorption times, the horizon,
 the emitter picks and the uniform-coupling winner ranks are computed for a
 whole block of every member at once. Event j of every member is then resolved
 together on the sorted excited and ground ids of all members, read and written
 at flat indices; only a coupling table computes its winner ranks there, from
-one (members, N - n) weight array.
+one (members, N - n) weight array. Each block array is dropped once it is
+used, so a batch holds each transaction about once at a time.
 The result equals composing scalar draws event by event, one member at a
 time, bit for bit.
 
@@ -153,7 +159,10 @@ class Ledger:
     Columns follow the CSV schema without its index: ``t_e`` and ``t_a``
     (float), ``emitter`` and ``absorber`` (int64), ``winner_weight`` (float)
     and ``confirmation_set_size`` (int64). A slice gives a Ledger of copies
-    of those rows; a ledger is not indexed by event.
+    of those rows; a ledger is not indexed by event. :func:`run` gives
+    ``confirmation_set_size``, and with uniform coupling ``winner_weight``,
+    as read-only zero-stride views of their constant value (copy one to edit
+    it); a slice and :func:`read_ledger` materialize every column.
     """
 
     t_e: np.ndarray
@@ -230,6 +239,8 @@ def _entropy_table(n_molecules: int, n_excited: int) -> tuple[int, np.ndarray]:
 
 # Ensemble members that :func:`iter_ensemble` steps together in one call of run.
 _MEMBERS_PER_RUN = 256
+# Rows of a block whose uniforms go through math.log1p as one list of Python floats.
+_LOG1P_ROWS = 16
 
 
 def run(config: GasConfig, rngs):
@@ -251,11 +262,12 @@ def run(config: GasConfig, rngs):
     total emission rate n * decay_rate and the confirmation-set size N - n
     are constants of the run, and the members of a batch step in lockstep.
     Each member draws a block of (wait, pick, winner) triples (:func:`_block_triples`)
-    into a row of one array (``Generator.random(k)`` fills the same doubles as k
-    scalar draws). For every member's block at once:
+    into its row of one array (``Generator.random(out=row)`` fills the same
+    doubles as k scalar draws). For every member's block at once:
 
-    - waiting times ``log1p(-u) / -(n * decay_rate)``, one ``math.log1p`` pass
-      over the batch: ``np.log1p`` may differ from it in the last bit;
+    - waiting times ``log1p(-u) / -(n * decay_rate)``, by ``math.log1p`` over
+      a chunk of rows at a time, in the batch's order: ``np.log1p`` may differ
+      from it in the last bit;
     - emission and absorption times from a row-wise ``cumsum`` over
       ``[t, w1, delay, w2, delay, ...]``, a sequential sum, so it repeats the
       scalar recurrence ``t_emit = t + w; t = t_emit + delay`` exactly;
@@ -288,15 +300,18 @@ def run(config: GasConfig, rngs):
     blocks = _step_members(config, rngs)
     bounds = np.cumsum([0] + [sum(len(block[0]) for block in member) for member in blocks])
     t_e = _column(blocks, 0, float)
+    m = config.n_molecules - config.n_excited
     ledger = Ledger(
         t_e=t_e,
         t_a=t_e + config.delay,
         emitter=_column(blocks, 1, np.int64),
         absorber=_column(blocks, 2, np.int64),
-        winner_weight=_column(blocks, 3, float),
-        confirmation_set_size=np.full(
-            t_e.size, config.n_molecules - config.n_excited, dtype=np.int64
+        # A uniform winner weight is 1 / (N - n) at every event; N = n has none.
+        winner_weight=(
+            np.broadcast_to(1.0 / max(m, 1), t_e.shape) if config.coupling is None
+            else _column(blocks, 3, float)
         ),
+        confirmation_set_size=np.broadcast_to(np.int64(m), t_e.shape),
     )
     return bounds, ledger
 
@@ -318,7 +333,7 @@ def _block_triples(config: GasConfig) -> int:
 
 
 def _step_members(config: GasConfig, rngs: list) -> list[list[tuple]]:
-    """Per member, the (t_e, emitters, absorbers, weights) of each block it stepped.
+    """Per member, the (t_e, int32 emitters and absorbers[, table weights]) of each block it stepped.
 
     See :func:`run`.
     """
@@ -350,34 +365,37 @@ def _step_members(config: GasConfig, rngs: list) -> list[list[tuple]]:
         rows = active.size
         u = np.empty((rows, 3 * triples))
         for row, member in enumerate(active.tolist()):
-            u[row] = rngs[member].random(3 * triples)
-        # chain = [t, w1, delay, w2, delay, ...]; its cumsum interleaves t_e and t_a.
-        chain = np.empty((rows, 2 * triples + 1))
-        chain[:, 0] = t
-        chain[:, 2::2] = config.delay
-        waits = np.fromiter(map(log1p, (-u[:, 0::3]).ravel().tolist()), float, rows * triples)
-        # Equal to -log1p(-u) / rate bit for bit: division is sign-symmetric.
-        chain[:, 1::2] = waits.reshape(rows, triples) / -total_rate
-        times = chain.cumsum(axis=1, out=chain)
+            rngs[member].random(out=u[row])
+        # times = cumsum of [t, w1, delay, w2, delay, ...]: it interleaves t_e and t_a.
+        times = np.empty((rows, 2 * triples + 1))
+        times[:, 0] = t
+        times[:, 2::2] = config.delay
+        # One math.log1p pass over the batch, a chunk of rows at a time.
+        for first in range(0, rows, _LOG1P_ROWS):
+            chunk = -u[first : first + _LOG1P_ROWS, 0::3]
+            waits = np.fromiter(map(log1p, chunk.ravel().tolist()), float, chunk.size)
+            # Equal to -log1p(-u) / rate bit for bit: division is sign-symmetric.
+            times[first : first + _LOG1P_ROWS, 1::2] = waits.reshape(chunk.shape) / -total_rate
+        times.cumsum(axis=1, out=times)
         # Events whose absorption is at or before t_max; the next one is the horizon.
         counts = np.count_nonzero(times[:, 2::2] <= t_max, axis=1)
         # Members step in order of descending event count, so the members
         # with an event j are a prefix of the rows.
         order = np.argsort(-counts, kind="stable")
-        active, counts, times = active[order], counts[order], times[order]
-        excited, ground = excited[order], ground[order]
-        width = int(counts[0])
+        width = int(counts[order[0]])
         # Ranks become flat indices into the C-contiguous id rows: row * row length + rank.
         ground_rows = np.arange(0, rows * m, m)
         picks = np.minimum((u[order, 1 : 3 * width : 3] * n_quanta).astype(np.int64), n_quanta - 1)
         picks += np.arange(0, rows * n_quanta, n_quanta)[:, None]
         win_u = u[order, 2 : 3 * width : 3]
-        emitted = np.empty((rows, width), dtype=np.int64)
-        absorbed = np.empty((rows, width), dtype=np.int64)
+        del u
+        active, counts, times = active[order], counts[order], times[order]
+        excited, ground = excited[order], ground[order]
+        emitted = np.empty((rows, width), dtype=np.int32)
+        absorbed = np.empty((rows, width), dtype=np.int32)
         if coupling is None:
             winners = inverse_cdf(uniform, win_u)
             winners += ground_rows[:, None]
-            weights = np.full((rows, width), 1.0 / m)
         else:
             weights = np.empty((rows, width))
         live = rows
@@ -418,16 +436,12 @@ def _step_members(config: GasConfig, rngs: list) -> list[list[tuple]]:
             g.put(at_winner, e)
             g.sort(axis=1)
         carry_on = counts == triples
+        columns = (times[:, 1::2], emitted, absorbed) + (() if coupling is None else (weights,))
         for row, (member, count) in enumerate(zip(active.tolist(), counts.tolist())):
             if member in failures:
                 carry_on[row] = False
             elif count:
-                blocks[member].append((
-                    times[row, 1 : 2 * count : 2].copy(),
-                    emitted[row, :count].copy(),
-                    absorbed[row, :count].copy(),
-                    weights[row, :count].copy(),
-                ))
+                blocks[member].append(tuple(column[row, :count].copy() for column in columns))
         active, t = active[carry_on], times[carry_on, -1]
         excited, ground = excited[carry_on], ground[carry_on]
     if failures:
@@ -721,24 +735,76 @@ def write_trajectory_csv(
 
 # --- ledger audit -----------------------------------------------------------
 
-def _chain_keys(molecules: np.ndarray, member: np.ndarray, n_members: int) -> np.ndarray:
+def _previous_emissions(t_e: np.ndarray, bounds: np.ndarray, member: np.ndarray) -> np.ndarray:
+    """The largest earlier emission time of each row's member, -inf at its first row.
+
+    A running max over a -inf-led row per member; fmax skips NaN as the
+    running max() does.
+    """
+    n_members = bounds.size - 1
+    width = int(np.diff(bounds).max()) + 1
+    # Row r of member i sits at i * width + 1 + (r - bounds[i]) of the padded rows.
+    slots = (np.arange(n_members) * width + 1 - bounds[:-1])[member]
+    slots += np.arange(t_e.size)
+    running = np.full((n_members, width), -math.inf)
+    running.ravel()[slots] = t_e
+    np.fmax.accumulate(running, axis=1, out=running)
+    return running.take(slots - 1)
+
+
+def _role_chains(emitter, absorber, member: np.ndarray, n_members: int, n_excited: int | None):
+    """(repeated, wrong firsts) of the role chains keyed by (member, molecule).
+
+    Each event's (emitter, emit) and (absorber, absorb) appearances are
+    interleaved, absorptions in the odd slots, and a stable sort by
+    (member, molecule) keeps each chain in ledger order. ``repeated[r]``
+    flags row r's emitter and absorber when they repeat their chain's last
+    role. Given ``n_excited``, the wrong firsts are the (member, molecule,
+    absorbs first) of each chain whose first role does not match molecules
+    0..n_excited - 1 excited, in (member, molecule) order.
+    """
+    keys = _chain_keys(emitter, absorber, member, n_members)
+    order = np.argsort(keys, kind="stable")
+    first = np.ones(order.size, dtype=bool)  # sorted slot s starts its chain
+    first[1:] = keys.take(order[1:]) != keys.take(order[:-1])
+    del keys
+    # The odd slots are absorptions; the buffered cast makes no int64 temporary.
+    roles = np.bitwise_and(order, 1, out=np.empty(order.size, dtype=bool), casting="unsafe")
+    repeated = np.zeros((emitter.size, 2), dtype=bool)
+    repeated.ravel()[order[1:]] = ~first[1:] & (roles[1:] == roles[:-1])
+    if n_excited is None:
+        return repeated, []
+    absorbs = roles[first]
+    rows = order[first]
+    del order
+    rows >>= 1
+    molecules = np.where(absorbs, absorber[rows], emitter[rows])
+    wrong = absorbs == ((0 <= molecules) & (molecules < n_excited))
+    rows = rows[wrong]
+    return repeated, list(zip(member[rows].tolist(), molecules[wrong].tolist(), absorbs[wrong].tolist()))
+
+
+def _chain_keys(emitter, absorber, member: np.ndarray, n_members: int) -> np.ndarray:
     """Keys in (member, molecule) order of interleaved emitter and absorber ids.
 
-    ``molecules`` holds each row's emitter and absorber, row after row, and
-    ``member`` the member of each row. The keys take the narrowest unsigned
-    type, so that numpy's stable sort takes its radix path on keys of 16
-    bits or less. Ids too far apart to pack beside the member index in an
-    int64 are replaced by their ranks first.
+    The keys take the narrowest unsigned type, so that numpy's stable sort
+    takes its radix path on keys of 16 bits or less. Ids too far apart to
+    pack beside the member index in an int64 are replaced by their ranks
+    first.
     """
-    if not molecules.size:
-        return molecules
-    lo = int(molecules.min())
-    span = int(molecules.max()) - lo + 1
+    if not emitter.size:
+        return np.empty(0, dtype=np.uint8)
+    lo = min(int(emitter.min()), int(absorber.min()))
+    span = max(int(emitter.max()), int(absorber.max())) - lo + 1
     if n_members * span > _INT64.max:
-        molecules = np.unique(molecules, return_inverse=True)[1]
-        lo, span = 0, int(molecules.max()) + 1
-    keys = member[:, None] * span + (molecules - lo).reshape(-1, 2)
-    return keys.ravel().astype(np.min_scalar_type(n_members * span - 1))
+        ranks = np.unique(np.column_stack((emitter, absorber)), return_inverse=True)[1]
+        emitter, absorber = ranks.reshape(-1, 2).T
+        lo, span = 0, int(ranks.max()) + 1
+    keys = np.empty((emitter.size, 2), dtype=np.min_scalar_type(n_members * span - 1))
+    np.subtract(emitter, lo, out=keys[:, 0], casting="unsafe")
+    np.subtract(absorber, lo, out=keys[:, 1], casting="unsafe")
+    keys += (member * span).astype(keys.dtype)[:, None]
+    return keys.ravel()
 
 
 @dataclass(frozen=True)
@@ -772,6 +838,8 @@ def audit_ledger(
     and the event rows restart at each member, and each member's messages
     are those of its lone audit, in member order, prefixed ``member <m> ``
     with m the member's position in the batch (so ``member 2 event 5: ...``).
+    Each check's flags are computed, and reduced to the flagged rows, one
+    check at a time.
     """
     t_e, t_a = ledger.t_e, ledger.t_a
     emitter, absorber = ledger.emitter, ledger.absorber
@@ -779,80 +847,40 @@ def audit_ledger(
     n_events = len(ledger)
     batch = bounds is not None
     bounds, member = _member_rows(bounds if batch else [0, n_events], n_events)
-    n_members = bounds.size - 1
-    position = np.arange(n_events) - bounds[member]
-    # Largest earlier emission time in the same member, from a running max
-    # over a -inf-led row per member; fmax skips NaN as the running max() does.
-    width = int(np.diff(bounds).max()) + 1
-    slots = member * width + position + 1
-    emissions = np.full(n_members * width, -math.inf)
-    emissions[slots] = t_e
-    running = np.fmax.accumulate(emissions.reshape(n_members, width), axis=1)
-    previous_emit = running.ravel()[slots - 1]
-
-    # Interleave each event's (emitter, emit) and (absorber, absorb) appearances,
-    # absorptions in the odd slots; a stable sort by (member, molecule) keeps
-    # each role chain in ledger order.
-    molecules = np.column_stack((emitter, absorber)).ravel()
-    keys = _chain_keys(molecules, member, n_members)
-    order = np.argsort(keys, kind="stable")
-    by_chain = keys[order]
-    roles = (order & 1).astype(bool)
-    same_chain = by_chain[1:] == by_chain[:-1]
-    repeated = np.zeros(2 * n_events, dtype=bool)
-    repeated[order[1:]] = same_chain & (roles[1:] == roles[:-1])
-    repeated = repeated.reshape(n_events, 2)
-    first = np.ones(keys.size, dtype=bool)
-    first[1:] = ~same_chain
-    first_slots = order[first]
-    first_molecules = molecules[first_slots]
-    first_owners = member[first_slots >> 1]
-    first_absorbs = roles[first]
-
+    previous_emit = _previous_emissions(t_e, bounds, member)
+    repeated, wrong_firsts = _role_chains(emitter, absorber, member, bounds.size - 1, n_excited)
     id_limit = math.inf if n_molecules is None else n_molecules
-    if n_excited is not None and n_molecules is not None:
-        expected_size = n_molecules - n_excited
-        size_mismatch = size != expected_size
-    else:
-        size_mismatch = np.zeros(n_events, dtype=bool)
+    expected_size = None if n_excited is None or n_molecules is None else n_molecules - n_excited
 
-    # Per-event checks, in the order their messages appear within one event.
+    # Per-event checks, in the order their messages appear within one event:
+    # (flags of the rows that fail, message of row i).
     checks = (
-        (~(t_e < t_a), lambda i: (
-            f"t_e {t_e[i].item()!r} not strictly before t_a {t_a[i].item()!r}"
-        )),
-        (t_e < previous_emit, lambda i: (
+        (lambda: ~(t_e < t_a), lambda i: f"t_e {t_e[i].item()!r} not strictly before t_a {t_a[i].item()!r}"),
+        (lambda: t_e < previous_emit, lambda i: (
             f"emission time decreased ({t_e[i].item()!r} after {previous_emit[i].item()!r})"
         )),
-        (emitter == absorber, lambda i: f"emitter equals absorber ({emitter[i]})"),
-        (~((0.0 < weight) & (weight <= 1.0)), lambda i: (
-            f"winner weight {weight[i].item()!r} outside (0, 1]"
-        )),
-        (size < 1, lambda i: f"confirmation set size {size[i]} < 1"),
-        (size_mismatch, lambda i: (
-            f"confirmation set size {size[i]} != {expected_size} ground molecules"
-        )),
-        ((emitter < 0) | (emitter >= id_limit), lambda i: f"molecule id {emitter[i]} out of range"),
-        ((absorber < 0) | (absorber >= id_limit), lambda i: f"molecule id {absorber[i]} out of range"),
-        (repeated[:, 0], lambda i: f"molecule {emitter[i]} would emit while ground"),
-        (repeated[:, 1], lambda i: f"molecule {absorber[i]} would absorb while excited"),
+        (lambda: emitter == absorber, lambda i: f"emitter equals absorber ({emitter[i]})"),
+        (lambda: ~((0.0 < weight) & (weight <= 1.0)),
+         lambda i: f"winner weight {weight[i].item()!r} outside (0, 1]"),
+        (lambda: size < 1, lambda i: f"confirmation set size {size[i]} < 1"),
+        (lambda: () if expected_size is None else size != expected_size,
+         lambda i: f"confirmation set size {size[i]} != {expected_size} ground molecules"),
+        (lambda: (emitter < 0) | (emitter >= id_limit), lambda i: f"molecule id {emitter[i]} out of range"),
+        (lambda: (absorber < 0) | (absorber >= id_limit),
+         lambda i: f"molecule id {absorber[i]} out of range"),
+        (lambda: repeated[:, 0], lambda i: f"molecule {emitter[i]} would emit while ground"),
+        (lambda: repeated[:, 1], lambda i: f"molecule {absorber[i]} would absorb while excited"),
     )
     flagged = sorted(
-        (i, rank)
-        for rank, (flags, _message) in enumerate(checks)
-        if flags.any()
-        for i in np.flatnonzero(flags).tolist()
+        (i, rank) for rank, (flags, _message) in enumerate(checks) for i in np.flatnonzero(flags()).tolist()
     )
     # (member, message) pairs: each member's event messages, then its molecule messages.
-    found = [(member[i], f"event {position[i]}: {checks[rank][1](i)}") for i, rank in flagged]
-    if n_excited is not None:
-        wrong = first_absorbs == ((0 <= first_molecules) & (first_molecules < n_excited))
-        for slot in np.flatnonzero(wrong).tolist():
-            mol = first_molecules[slot]
-            found.append((first_owners[slot], (
-                f"molecule {mol} absorbs first but was initially excited" if first_absorbs[slot]
-                else f"molecule {mol} emits first but was not initially excited"
-            )))
+    found = [(member[i], f"event {i - bounds[member[i]]}: {checks[rank][1](i)}") for i, rank in flagged]
+    for owner, mol, absorbs in wrong_firsts:
+        found.append((owner, (
+            f"molecule {mol} absorbs first but was initially excited" if absorbs
+            else f"molecule {mol} emits first but was not initially excited"
+        )))
     if batch:
         found.sort(key=lambda pair: pair[0])
         violations = tuple(f"member {m} {message}" for m, message in found)

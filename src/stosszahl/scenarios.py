@@ -53,7 +53,9 @@ CROSS_PREDICTION_TV_TOL = 0.1
 
 # Bounds on a run's work, checked before any member is stepped. A batch of
 # members (256 at most: a gas.iter_ensemble batch or a collapse block of
-# _STACK) holds all of their events at once, ~180 B per gas transaction.
+# _STACK) holds all of their events at once. A gas batch peaks at ~100 B per
+# transaction (80 to 97 B in tracemalloc, 39k and 1e6 events, either coupling),
+# so near 1 GB at the limit.
 MAX_BATCH_EVENTS = 1e7
 # The run's stepping time is estimated from costs measured on a 2-core x86 VM
 # and rounded up: a gas transaction takes 1 us plus, per molecule, 2.5 ns with
@@ -65,6 +67,12 @@ _GAS_US, _GAS_US_PER_MOLECULE, _GAS_US_PER_COUPLED_MOLECULE = 1.0, 0.0025, 0.008
 _COLLAPSE_US, _COLLAPSE_STEP_US, _COLLAPSE_SAMPLE_US = 13.0, 40.0, 0.05
 # The gas-equilibrium ensemble holds one int64 k per member and sample time.
 _MAX_GAS_SAMPLES = 10**7
+# A collapse member's stepped state is never renormalized: its trace drifts by
+# at most 3.78e-16 per collapse (measured at gap / collapse_rate from 1e-6 to
+# 1e3, seeds 1-3), so lam + 7 sqrt(lam) collapses at a mean of lam = 2.5e5 stay
+# within NORM_TOL = 1e-10. A closed form of each member's state would keep no
+# state to drift, and no need for this bound.
+_MAX_MEMBER_COLLAPSES = 2.5e5
 
 # The most states one stacked numpy call of unitary-vs-collapse takes: a
 # block of collapse members, branch A's steps or the sample grid.
@@ -221,6 +229,8 @@ def _unitary_vs_collapse(config: ScenarioConfig, stamp: str | None):
     us = n_seeds * (collapses * _COLLAPSE_US + p["n_samples"] * _COLLAPSE_SAMPLE_US)
     us += -(-n_seeds // _STACK) * collapses * _COLLAPSE_STEP_US
     _require_at_most("unitary-vs-collapse", "estimated stepping time", round(us / 1e6), "s", MAX_RUN_SECONDS)
+    _require_at_most("unitary-vs-collapse", "collapse_rate * t_max", collapses,
+                     "expected collapses per member", _MAX_MEMBER_COLLAPSES)
 
     # Everything is validated here once; the loops below step through the
     # unchecked kernels, and each final state is checked as a density matrix.

@@ -520,9 +520,13 @@ def test_unbounded_work_is_a_config_error(tmp_path, capsys, scenario, params, ke
         # 1e6 members of 1e6 samples each
         ("unitary-vs-collapse", "t_max = 1e-3\nn_seeds = 1000000\nn_samples = 1000000\n",
          "estimated stepping time = 50000 s, above the limit of 600"),
+        # one member of 1e6 collapses, inside the batch and time bounds: its
+        # state drifted off unit trace and the run exited 3 after ~1 minute
+        ("unitary-vs-collapse", "t_max = 1e6\nn_seeds = 1\n",
+         "collapse_rate * t_max = 1000000 expected collapses per member, above the limit of 250000"),
     ],
     ids=["collapse-batch", "gas-batch", "gas-time", "gas-4000-molecules-time", "gas-coupled-time",
-         "collapse-time", "collapse-samples"],
+         "collapse-time", "collapse-samples", "collapse-member"],
 )
 def test_runaway_run_exits_two_before_any_member_is_stepped(tmp_path, monkeypatch, capsys, scenario, params, message):
     def stepped(*_args):
@@ -549,8 +553,8 @@ def benchmark_ensemble_configs():
 
 # Runs of seconds to minutes that the bound must leave alone: 1.25e7
 # transactions (~10 s), 5e6 transactions, 1.5e6 collapses (~15 s), 5e6
-# transactions of 4000 molecules (~1 minute) and 1e8 of 1000 molecules with
-# uniform weights (~5 minutes).
+# transactions of 4000 molecules (~1 minute), 1e8 of 1000 molecules with
+# uniform weights (~5 minutes) and one member at the per-member collapse limit.
 MODERATE_ENSEMBLE_CONFIGS = [
     "[run]\nscenario = gas-equilibrium\nseed = 1\n[gas-equilibrium]\nt_max = 500\n",
     "[run]\nscenario = gas-equilibrium\nseed = 1\n[gas-equilibrium]\nn_seeds = 2000\n",
@@ -559,6 +563,7 @@ MODERATE_ENSEMBLE_CONFIGS = [
     "n_molecules = 4000\nn_excited = 2000\nt_max = 25\nn_seeds = 100\nequilibration_time = 10\n",
     "[run]\nscenario = gas-equilibrium\nseed = 1\n[gas-equilibrium]\n"
     "n_molecules = 1000\nt_max = 20\nn_seeds = 100000\nn_samples = 10\n",
+    "[run]\nscenario = unitary-vs-collapse\nseed = 1\n[unitary-vs-collapse]\nt_max = 2.5e5\nn_seeds = 1\n",
 ]
 
 
@@ -567,7 +572,8 @@ MODERATE_ENSEMBLE_CONFIGS = [
     [(CONFIGS / name).read_text() for name in ("gas_equilibrium.cfg", "unitary_vs_collapse.cfg")]
     + benchmark_ensemble_configs() + MODERATE_ENSEMBLE_CONFIGS,
     ids=["committed-gas", "committed-collapse", "bench-gas", "bench-collapse",
-         "gas-t-max-x10", "gas-seeds-x4", "collapse-t-max-3000", "gas-4000-molecules", "gas-1000-molecules"],
+         "gas-t-max-x10", "gas-seeds-x4", "collapse-t-max-3000", "gas-4000-molecules", "gas-1000-molecules",
+         "collapse-lone-member"],
 )
 def test_committed_and_benchmark_ensembles_are_within_the_work_bound(tmp_path, monkeypatch, config_text):
     # the bound is checked before any member is stepped; stop at the first step

@@ -18,7 +18,10 @@ produces must pass the audit, and every single-field edit of one row to a
 value the invariants exclude must fail it. For a batch ledger with its
 member row bounds, the audit and the rate tallies must equal the calls on
 each member's rows alone, bit for bit, and the k lookups must equal a
-replay of each member's rows on the reference state.
+replay of each member's rows on the reference state. A batch of the
+gas-uniform benchmark's shape must keep ``run`` and the audit within a
+budget of bytes per transaction (tracemalloc), and a ledger whose constant
+columns are views must give the results of one with materialized columns.
 """
 
 import bisect
@@ -52,7 +55,7 @@ from stosszahl.gas import (
     empirical_rates,
     run,
 )
-from stosszahl.measurement import ZERO_WEIGHT, inverse_cdf
+from stosszahl.measurement import ZERO_WEIGHT, inverse_cdf, spawn_generators
 
 LEDGER_FIELDS = Event._fields
 # Triples per block forced on the kernel; None keeps the size it derives from the config.
@@ -255,19 +258,25 @@ def test_row_wise_reductions_equal_the_one_dimensional_ones(rows, m, kind, seed)
 
 
 class ScriptedUniforms:
-    """A stand-in generator that hands out ``values`` in order, then 0.5."""
+    """A stand-in generator that hands out ``values`` in order, then 0.5.
+
+    Like ``Generator.random``, it fills ``out`` in place when given one.
+    """
 
     def __init__(self, values):
         self.values = list(values)
         self.drawn = 0
 
-    def random(self, size=None):
-        count = 1 if size is None else size
+    def random(self, size=None, out=None):
+        count = out.size if out is not None else 1 if size is None else size
         drawn = [
             self.values[i] if i < len(self.values) else 0.5
             for i in range(self.drawn, self.drawn + count)
         ]
         self.drawn += count
+        if out is not None:
+            out[...] = drawn
+            return out
         return drawn[0] if size is None else np.array(drawn)
 
 
@@ -514,9 +523,10 @@ def test_batch_tally_holds_no_per_member_tally():
 
 
 def test_coupled_batch_run_peaks_below_the_recorded_bound():
-    # 6,461,212 bytes is this run's tracemalloc peak when each member drew its
-    # 768 uniforms into an array of its own; one (members, 3 * triples) array
-    # of uniforms per batch may add at most its own size to that
+    # 3,631,370 bytes is this run's tracemalloc peak when each block drops its
+    # temporaries once they are used and the constant columns are views; the
+    # bound leaves 10% above it (each member drawing into an array of its own
+    # peaked at 6,461,212 bytes)
     config = GasConfig(
         n_molecules=100, n_excited=50, decay_rate=1.0, t_max=3.0, seed=3, delay=1e-12,
         coupling=make_table("dense", 100, 3),
@@ -529,4 +539,77 @@ def test_coupled_batch_run_peaks_below_the_recorded_bound():
     finally:
         tracemalloc.stop()
     assert len(ledger) > 30_000
-    assert peak < 6_461_212 + 256 * 3 * gas._block_triples(config) * 8
+    assert peak < 1.1 * 3_631_370
+
+
+def gas_uniform_batch(coupling):
+    """The config and 256 generators of a batch of the gas-uniform benchmark's shape."""
+    config = GasConfig(
+        n_molecules=100, n_excited=50, decay_rate=1.0, t_max=3.0, seed=20260809, delay=1e-12,
+        coupling=make_table(coupling, 100, 20260809),
+    )
+    return config, spawn_generators(20260809, 0, 256)
+
+
+@pytest.mark.parametrize("coupling", ["uniform", "dense"])
+def test_batch_run_peaks_at_most_125_bytes_per_transaction(coupling):
+    # the run held each transaction in several places at once: 181 bytes per
+    # ledger row with uniform weights and 171 with a coupling table
+    config, rngs = gas_uniform_batch(coupling)
+    tracemalloc.start()
+    try:
+        _bounds, ledger = run(config, rngs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ledger) > 30_000
+    assert peak <= 125 * len(ledger)
+
+
+@pytest.mark.parametrize("coupling", ["uniform", "dense"])
+def test_batch_audit_with_its_ledger_peaks_at_most_120_bytes_per_transaction(coupling):
+    # the peak counts the ledger the audit reads, traced since it was made;
+    # it was 174 bytes per row with every column materialized
+    config, rngs = gas_uniform_batch(coupling)
+    tracemalloc.start()
+    try:
+        bounds, ledger = run(config, rngs)
+        tracemalloc.reset_peak()
+        audit = audit_ledger(ledger, 100, 50, bounds=bounds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert audit.passed and len(ledger) > 30_000
+    assert peak <= 120 * len(ledger)
+
+
+def test_view_columns_give_the_results_of_materialized_columns(tmp_path):
+    # a uniform-coupling ledger holds its winner weight and confirmation set
+    # size as read-only zero-stride views; the audit, member slices and the
+    # file round trip must not tell them from materialized columns
+    config = GasConfig(n_molecules=10, n_excited=5, decay_rate=1.0, t_max=3.0, seed=5, delay=1e-12)
+    bounds, ledger = run(config, spawn_generators(5, 0, 4))
+    for column in (ledger.winner_weight, ledger.confirmation_set_size):
+        assert column.strides == (0,) and not column.flags.writeable
+    materialized = gas.Ledger(*(np.array(column) for column in vars(ledger).values()))
+    tampered = materialized.t_e.copy()
+    tampered[bounds[2] + 1] = math.nan
+    for view, full in (
+        (ledger, materialized),
+        (dataclasses.replace(ledger, t_e=tampered), dataclasses.replace(materialized, t_e=tampered)),
+    ):
+        for args in ((), (10,), (10, 5)):
+            assert audit_ledger(view, *args, bounds=bounds) == audit_ledger(full, *args, bounds=bounds)
+    assert not audit_ledger(dataclasses.replace(ledger, t_e=tampered), bounds=bounds).passed
+    for m, (start, stop) in enumerate(zip(bounds[:-1], bounds[1:])):
+        member = ledger[start:stop]
+        assert column_bytes(member) == column_bytes(materialized[start:stop])
+        columns = vars(member).values()
+        assert all(column.flags.writeable and column.flags.c_contiguous for column in columns)
+        gas.write_ledger_csv(tmp_path / f"view{m}.csv", member)
+        gas.write_ledger_csv(tmp_path / f"full{m}.csv", materialized[start:stop])
+        assert (tmp_path / f"view{m}.csv").read_bytes() == (tmp_path / f"full{m}.csv").read_bytes()
+        read = gas.read_ledger(tmp_path / f"view{m}.csv")
+        assert column_bytes(read) == column_bytes(member)
+        audits = [audit_ledger(rows, 10, 5) for rows in (read, member, materialized[start:stop])]
+        assert audits[0] == audits[1] == audits[2]
