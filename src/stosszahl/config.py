@@ -78,12 +78,17 @@ class Number:
 # run holds an array entry or an output row per count.
 _COUNT = Number(int, 1, 10**6)
 _POSITIVE = Number(lo=0, lo_open=True)
+# A two-state rate. In a sweep of single keys and pairs (p1_initial at 0, 0.5
+# and 1), a rate at or below 3.6e-307 leaves the null-space equilibrium entry 0
+# (a support violation), and two rates whose larger is 2.3e5 or more leave an
+# equilibrium residual above its absolute tolerance.
+_RATE = Number(lo=1e-300, hi=10_000)
 
 SCENARIO_SCHEMAS: dict[str, dict[str, tuple]] = {
     "two-state-relaxation": {
         # A zero rate leaves a state empty at equilibrium, and the relative entropy to it infinite.
-        "rate_to_1": (_POSITIVE, 1.0),
-        "rate_to_2": (_POSITIVE, 1.0),
+        "rate_to_1": (_RATE, 1.0),
+        "rate_to_2": (_RATE, 1.0),
         "p1_initial": (Number(lo=0, hi=1), 1.0),
         "t_max": (Number(lo=0), 5.0),
         "n_points": (_COUNT, 50),

@@ -1,10 +1,13 @@
 """The one CSV format of the package: every file it writes or reads.
 
-A file is an optional ``# <comment>`` line (the run's timestamp stamp), a
-header row of column names, then data rows, written by :mod:`csv` with its
-default ``\\r\\n`` row terminator. Floats are formatted by :func:`fmt` with 17
-significant digits, so they read back bit for bit. Readers skip every line
-that starts with ``#`` and every blank row.
+A file is a header row of column names, then data rows, written by
+:mod:`csv` with its default ``\\r\\n`` row terminator. Callers pass raw
+numbers: :func:`write_csv` formats every float value (a Python float or a
+numpy float64, NaN and -0.0 included) by :func:`fmt` with 17 significant
+digits, so it reads back bit for bit, and writes ints and strings as they
+are. A run may prepend one ``# generated <UTC time>`` line to a file it
+wrote (:func:`~stosszahl.scenarios.run_scenario` does, once per run), so
+readers skip every line that starts with ``#`` and every blank row.
 """
 
 from __future__ import annotations
@@ -17,14 +20,12 @@ def fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
-def write_csv(path, columns, rows, header_comment: str | None = None) -> None:
-    """Write the header row ``columns`` and ``rows``, after ``# header_comment`` if given."""
+def write_csv(path, columns, rows) -> None:
+    """Write the header row ``columns`` and ``rows``, each float formatted by :func:`fmt`."""
     with open(path, "w", newline="") as handle:
-        if header_comment:
-            handle.write(f"# {header_comment}\n")
         writer = csv.writer(handle)
         writer.writerow(columns)
-        writer.writerows(rows)
+        writer.writerows([fmt(x) if isinstance(x, float) else x for x in row] for row in rows)
 
 
 def read_csv(path) -> list[list[str]]:

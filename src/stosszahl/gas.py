@@ -84,7 +84,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvio import fmt, read_csv, write_csv
+from .csvio import read_csv, write_csv
 # perfbench/spans.py counts calls to ``collapse_sample`` looked up in this module.
 from .measurement import ZERO_WEIGHT, collapse_sample, inverse_cdf, spawn_generators  # noqa: F401
 from .states import neg_sum_x_ln_x
@@ -658,23 +658,11 @@ TRAJECTORY_COLUMNS = ("t", "n", "k", "S_macro")
 _INT64 = np.iinfo(np.int64)
 
 
-def write_ledger_csv(path, ledger: Ledger, header_comment: str | None = None) -> None:
+def write_ledger_csv(path, ledger: Ledger) -> None:
     """Write a :class:`Ledger` with 17-digit floats, its rows numbered from 0."""
-    columns = (
-        ledger.t_e, ledger.t_a, ledger.emitter, ledger.absorber,
-        ledger.winner_weight, ledger.confirmation_set_size,
-    )
-    write_csv(
-        path,
-        LEDGER_COLUMNS,
-        (
-            (index, fmt(t_e), fmt(t_a), emitter, absorber, fmt(weight), size)
-            for index, (t_e, t_a, emitter, absorber, weight, size) in enumerate(
-                zip(*(column.tolist() for column in columns))
-            )
-        ),
-        header_comment,
-    )
+    # The Ledger's fields are the columns after event_index, in order.
+    columns = (column.tolist() for column in vars(ledger).values())
+    write_csv(path, LEDGER_COLUMNS, zip(range(len(ledger)), *columns))
 
 
 def read_ledger(path) -> Ledger:
@@ -711,26 +699,15 @@ def read_ledger(path) -> Ledger:
     ))
 
 
-def write_trajectory_csv(
-    path, config: GasConfig, ledger: Ledger, header_comment: str | None = None
-) -> None:
+def write_trajectory_csv(path, config: GasConfig, ledger: Ledger) -> None:
     """Write one member's k trajectory, at t = 0 and at every absorption, with 17-digit floats.
 
     ``n`` is the conserved quanta count and ``S_macro`` the macrostate
     entropy of k (NaN for an odd molecule count).
     """
     left = _left_counts(config, ledger.emitter, ledger.absorber, [0, len(ledger)])
-    write_csv(
-        path,
-        TRAJECTORY_COLUMNS,
-        (
-            [fmt(t), config.n_excited, k, fmt(s)]
-            for t, k, s in zip(
-                [0.0] + ledger.t_a.tolist(), left.tolist(), _macro_entropies(config, left).tolist()
-            )
-        ),
-        header_comment,
-    )
+    quanta, entropies = [config.n_excited] * left.size, _macro_entropies(config, left).tolist()
+    write_csv(path, TRAJECTORY_COLUMNS, zip([0.0] + ledger.t_a.tolist(), quanta, left.tolist(), entropies))
 
 
 # --- ledger audit -----------------------------------------------------------

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .csvio import fmt, read_csv, write_csv
+from .csvio import read_csv, write_csv
 from .states import as_probability_vector, neg_sum_x_ln_x
 
 # Structural acceptance tolerances for a master operator.
@@ -299,11 +299,6 @@ def rate_matrix_from_csv(path) -> tuple[list[str], np.ndarray]:
     return labels, as_rate_matrix(np.array(values), name=str(path))
 
 
-def entropy_series_to_csv(path, series, header_comment: str | None = None) -> None:
+def entropy_series_to_csv(path, series) -> None:
     """Write (t, S, D) diagnostic records with 17-significant-digit floats."""
-    write_csv(
-        path,
-        ["t", "shannon_entropy", "relative_entropy_to_equilibrium"],
-        ([fmt(t), fmt(s), fmt(d)] for t, s, d in series),
-        header_comment,
-    )
+    write_csv(path, ["t", "shannon_entropy", "relative_entropy_to_equilibrium"], series)

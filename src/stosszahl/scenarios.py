@@ -3,10 +3,11 @@
 Each scenario executes a fixed, versioned set of named checks and emits CSV
 data files plus a machine-readable ``report.json``. Check thresholds are
 pinned here as constants, not configurable, so a passing report means the
-same thing in every run. Every CSV is written by
-:func:`stosszahl.csvio.write_csv` with 17-significant-digit floats; the only
-nondeterministic output line is the timestamp comment, one stamp per run,
-which can be suppressed for byte-identical regression runs.
+same thing in every run. A scenario passes raw numbers to
+:func:`stosszahl.csvio.write_csv`, which formats the floats, and returns the
+names of its outputs. The only nondeterministic output line is the timestamp
+comment: :func:`run_scenario` makes one stamp per run and prepends it to each
+output, unless ``write_timestamp`` is off for byte-identical regression runs.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from . import gas as gas_mod
 from . import master as master_mod
 from .config import ConfigError, ScenarioConfig, check_params
-from .csvio import fmt, write_csv
+from .csvio import write_csv
 # The benchmark's call spans (perfbench/spans.py) wrap ``evolve_unitary``,
 # ``decohere`` and ``vn_entropy`` as attributes of this module and count
 # collapse events as calls to ``decohere``; so all three stay importable from
@@ -65,6 +66,10 @@ MAX_BATCH_EVENTS = 1e7
 MAX_RUN_SECONDS = 600.0
 _GAS_US, _GAS_US_PER_MOLECULE, _GAS_US_PER_COUPLED_MOLECULE = 1.0, 0.0025, 0.008
 _COLLAPSE_US, _COLLAPSE_STEP_US, _COLLAPSE_SAMPLE_US = 13.0, 40.0, 0.05
+# The two-state solve breaks the unit sum of p(t) once (rate_to_1 + rate_to_2)
+# * t_max reaches 1.1e6 (the least found in a sweep of rate splits and
+# p1_initial at 0, 0.5 and 1).
+_MAX_RELAXATION_TIMES = 1e5
 # The gas-equilibrium ensemble holds one int64 k per member and sample time.
 _MAX_GAS_SAMPLES = 10**7
 # A collapse member's stepped state is never renormalized: its trace drifts by
@@ -138,10 +143,7 @@ def run_scenario(config: ScenarioConfig) -> RunReport:
         raise ConfigError(f"run.scenario: unknown scenario {config.scenario!r}")
     check_params(config.scenario, config.params)
     config.out_dir.mkdir(parents=True, exist_ok=True)
-    stamp = None
-    if config.write_timestamp:
-        stamp = f"generated {datetime.now(timezone.utc).isoformat()}"
-    checks, outputs = _SCENARIOS[config.scenario](config, stamp)
+    checks, outputs = _SCENARIOS[config.scenario](config)
 
     expected = SCENARIO_CHECKS[config.scenario]
     produced = tuple(check.name for check in checks)
@@ -149,6 +151,13 @@ def run_scenario(config: ScenarioConfig) -> RunReport:
         raise RuntimeError(
             f"scenario {config.scenario} produced checks {produced}, registered {expected}"
         )
+
+    if config.write_timestamp:
+        # The one stamp of the run; bytes, as the rows end in \r\n.
+        stamp = f"# generated {datetime.now(timezone.utc).isoformat()}\n".encode()
+        for name in outputs:
+            path = config.out_dir / name
+            path.write_bytes(stamp + path.read_bytes())
 
     report = RunReport(
         scenario=config.scenario,
@@ -171,8 +180,11 @@ def _require_at_most(scenario: str, product: str, value: float, what: str, limit
 
 # --- scenario 1: two-state relaxation ---------------------------------------
 
-def _two_state_relaxation(config: ScenarioConfig, stamp: str | None):
+def _two_state_relaxation(config: ScenarioConfig):
     p = config.params
+    total = p["rate_to_1"] + p["rate_to_2"]
+    _require_at_most("two-state-relaxation", "(rate_to_1 + rate_to_2) * t_max", total * p["t_max"],
+                     "relaxation times", _MAX_RELAXATION_TIMES)
     rates = np.array([[0.0, p["rate_to_1"]], [p["rate_to_2"], 0.0]])
     m = master_mod.build_master_operator(rates)
     p0 = np.array([p["p1_initial"], 1.0 - p["p1_initial"]])
@@ -184,21 +196,14 @@ def _two_state_relaxation(config: ScenarioConfig, stamp: str | None):
     worst = float(np.max(np.abs(p_solver - p_closed), initial=0.0))
     # The solver rows and p_eq are validated probability vectors already.
     rows = [
-        [fmt(x) for x in (t, *p_t, neg_sum_x_ln_x(p_t), master_mod._divergence(p_t, p_eq))]
-        for t, p_t in zip(grid, p_solver)
+        (t, *p_t, neg_sum_x_ln_x(p_t), master_mod._divergence(p_t, p_eq)) for t, p_t in zip(grid, p_solver)
     ]
 
-    total = p["rate_to_1"] + p["rate_to_2"]
     expected_eq = np.array([p["rate_to_1"] / total, p["rate_to_2"] / total])
     eq_gap = float(np.max(np.abs(p_eq - expected_eq)))
 
     out_file = config.out_dir / "two_state_relaxation.csv"
-    write_csv(
-        out_file,
-        ["t", "p1", "p2", "shannon_entropy", "relative_entropy_to_equilibrium"],
-        rows,
-        stamp,
-    )
+    write_csv(out_file, ["t", "p1", "p2", "shannon_entropy", "relative_entropy_to_equilibrium"], rows)
     checks = [
         CheckResult(
             "solver_matches_closed_form",
@@ -218,7 +223,7 @@ def _two_state_relaxation(config: ScenarioConfig, stamp: str | None):
 
 # --- scenario 2: unitary vs collapse -----------------------------------------
 
-def _unitary_vs_collapse(config: ScenarioConfig, stamp: str | None):
+def _unitary_vs_collapse(config: ScenarioConfig):
     p = config.params
     gap = p["gap"]
     rate = p["collapse_rate"]
@@ -284,12 +289,8 @@ def _unitary_vs_collapse(config: ScenarioConfig, stamp: str | None):
         ]
     )
     out_file = config.out_dir / "unitary_vs_collapse.csv"
-    write_csv(
-        out_file,
-        ["t", "entropy_unitary", "mean_entropy_collapse"],
-        [[fmt(t), fmt(su), fmt(sc)] for t, su, sc in zip(grid, unitary_entropy, mean_entropy)],
-        stamp,
-    )
+    columns = ["t", "entropy_unitary", "mean_entropy_collapse"]
+    write_csv(out_file, columns, zip(grid, unitary_entropy, mean_entropy))
 
     target = COLLAPSE_ENTROPY_FRACTION * math.log(2.0)
     final_mean = float(mean_entropy[-1])
@@ -387,7 +388,7 @@ def _chi_square_tail(dof: int, x: float) -> float:
     return math.fsum([math.erfc(math.sqrt(y)) if dof % 2 else 0.0, *terms])
 
 
-def _born_statistics(config: ScenarioConfig, stamp: str | None):
+def _born_statistics(config: ScenarioConfig):
     p = config.params
     try:
         weights = as_probability_vector(p["weights"], name="weights")
@@ -408,15 +409,8 @@ def _born_statistics(config: ScenarioConfig, stamp: str | None):
     p_value = _chi_square_tail(np.count_nonzero(support) - 1, float(statistic))
 
     out_file = config.out_dir / "born_statistics.csv"
-    write_csv(
-        out_file,
-        ["outcome", "weight", "observed", "expected", "frequency"],
-        [
-            [k, fmt(weights[k]), int(counts[k]), fmt(expected[k]), fmt(counts[k] / n_draws)]
-            for k in range(weights.size)
-        ],
-        stamp,
-    )
+    columns = ["outcome", "weight", "observed", "expected", "frequency"]
+    write_csv(out_file, columns, zip(range(weights.size), weights, counts, expected, counts / n_draws))
     checks = [
         CheckResult(
             "chi_square_significance",
@@ -431,7 +425,7 @@ def _born_statistics(config: ScenarioConfig, stamp: str | None):
 
 # --- scenario 4: gas equilibrium ---------------------------------------------
 
-def _gas_equilibrium(config: ScenarioConfig, stamp: str | None):
+def _gas_equilibrium(config: ScenarioConfig):
     p = config.params
     if p["n_excited"] >= p["n_molecules"]:
         raise ConfigError(
@@ -469,8 +463,12 @@ def _gas_equilibrium(config: ScenarioConfig, stamp: str | None):
     check_times = np.asarray(p["check_times"], dtype=float)
     if np.any(check_times > gas_config.t_max):
         raise ConfigError("gas-equilibrium.check_times: must lie in [0, t_max]")
-
     grid = np.linspace(0.0, gas_config.t_max, p["n_samples"])
+    # The equilibrium band checks read the late-time samples.
+    late = grid >= p["equilibration_time"]
+    if not np.any(late):
+        raise ConfigError("gas-equilibrium.equilibration_time: beyond every sample time")
+
     queries = np.concatenate((grid, check_times))
     counts = np.empty((n_seeds, queries.size), dtype=int)
     pooled = None
@@ -516,10 +514,6 @@ def _gas_equilibrium(config: ScenarioConfig, stamp: str | None):
 
     series = gas_mod.summarize_ensemble(gas_config, counts_grid)
 
-    # Equilibrium band checks on the late-time samples.
-    late = grid >= p["equilibration_time"]
-    if not np.any(late):
-        raise ConfigError("gas-equilibrium.equilibration_time: beyond every sample time")
     target_k = gas_config.n_excited * (gas_config.n_molecules // 2) / gas_config.n_molecules
     mean_k_gap = float(np.max(np.abs(series.mean_left_count[late] - target_k)))
 
@@ -542,25 +536,14 @@ def _gas_equilibrium(config: ScenarioConfig, stamp: str | None):
     trajectory_file = config.out_dir / "gas_trajectory_member0.csv"
     series_file = config.out_dir / "gas_ensemble_series.csv"
     rates_file = config.out_dir / "gas_empirical_rates.csv"
-    gas_mod.write_ledger_csv(ledger_file, events0, header_comment=stamp)
-    gas_mod.write_trajectory_csv(trajectory_file, gas_config, events0, header_comment=stamp)
+    gas_mod.write_ledger_csv(ledger_file, events0)
+    gas_mod.write_trajectory_csv(trajectory_file, gas_config, events0)
     write_csv(
         series_file,
         ["t", "k_distribution_entropy", "mean_macrostate_entropy", "mean_k"],
-        [
-            [fmt(t), fmt(s), fmt(sm), fmt(mk)]
-            for t, s, sm, mk in zip(
-                grid, series.k_entropy, series.mean_macro_entropy, series.mean_left_count
-            )
-        ],
-        stamp,
+        zip(grid, series.k_entropy, series.mean_macro_entropy, series.mean_left_count),
     )
-    write_csv(
-        rates_file,
-        [f"k{j}" for j in range(n_labels)],
-        [[fmt(x) for x in row] for row in pooled.rates],
-        stamp,
-    )
+    write_csv(rates_file, [f"k{j}" for j in range(n_labels)], pooled.rates)
 
     checks = [
         CheckResult(
@@ -595,7 +578,7 @@ def _gas_equilibrium(config: ScenarioConfig, stamp: str | None):
 
 # --- scenario 5: ledger audit --------------------------------------------------
 
-def _ledger_audit(config: ScenarioConfig, stamp: str | None):
+def _ledger_audit(config: ScenarioConfig):
     p = config.params
     try:
         audit = gas_mod.audit_ledger_file(p["ledger"], p["n_molecules"])

@@ -74,14 +74,14 @@ def test_run_missing_seed_exit_two(tmp_path, capsys):
         ("[run]\nscenario = two-state-relaxation\nseed = 1\n[two-state-relaxation]\nn_points = 0\n",
          "two-state-relaxation.n_points: must be >= 1"),
         ("[run]\nscenario = two-state-relaxation\nseed = 1\n[two-state-relaxation]\nrate_to_1 = -1\n",
-         "two-state-relaxation.rate_to_1: must be > 0, got -1.0"),
+         "two-state-relaxation.rate_to_1: must be >= 1e-300, got -1.0"),
         ("[run]\nscenario = two-state-relaxation\nseed = 1\n[two-state-relaxation]\nrate_to_2 = -0.5\n",
-         "two-state-relaxation.rate_to_2: must be > 0, got -0.5"),
+         "two-state-relaxation.rate_to_2: must be >= 1e-300, got -0.5"),
         ("[run]\nscenario = two-state-relaxation\nseed = 1\n[two-state-relaxation]\n"
          "rate_to_1 = 0\nrate_to_2 = 0\n",
-         "two-state-relaxation.rate_to_1: must be > 0, got 0.0"),
+         "two-state-relaxation.rate_to_1: must be >= 1e-300, got 0.0"),
         ("[run]\nscenario = two-state-relaxation\nseed = 1\n[two-state-relaxation]\nrate_to_1 = 0\n",
-         "two-state-relaxation.rate_to_1: must be > 0, got 0.0"),
+         "two-state-relaxation.rate_to_1: must be >= 1e-300, got 0.0"),
         ("[run]\nscenario = two-state-relaxation\nseed = 1\n[two-state-relaxation]\np1_initial = 1.5\n",
          "two-state-relaxation.p1_initial: must be <= 1, got 1.5"),
         ("[run]\nscenario = two-state-relaxation\nseed = 1\n[two-state-relaxation]\np1_initial = -0.5\n",
@@ -555,6 +555,62 @@ def benchmark_ensemble_configs():
 # transactions (~10 s), 5e6 transactions, 1.5e6 collapses (~15 s), 5e6
 # transactions of 4000 molecules (~1 minute), 1e8 of 1000 molecules with
 # uniform weights (~5 minutes) and one member at the per-member collapse limit.
+RATE_LO, RATE_HI = 1e-300, 1e4
+TWO_STATE_CONFIGS = [
+    # these exited 3: the unit sum of p(t), a non-finite p(t), the absolute
+    # equilibrium residual, or a support violation of the relative entropy
+    ({"rate_to_1": 1e6}, 2),
+    ({"rate_to_1": 1e300, "rate_to_2": 1e300}, 2),
+    ({"rate_to_1": 5e-324}, 2),
+    ({"rate_to_1": 1e300}, 2),
+    ({"rate_to_2": 1e300}, 2),
+    ({"t_max": 1e300}, 2),
+    ({"rate_to_1": 1e7}, 2),
+    ({"rate_to_1": 1e8}, 2),
+    ({"rate_to_1": 1e10}, 2),
+    ({"t_max": 1e7}, 2),
+    ({"rate_to_1": 1e6, "rate_to_2": 1e6, "t_max": 1e-12}, 2),
+    ({"rate_to_1": 1e-307}, 2),
+    # these passed, some by luck, and lie outside the declared space now
+    ({"rate_to_1": 1e5}, 2),
+    ({"t_max": 1e6}, 2),
+    ({"rate_to_1": 1e20}, 2),
+    ({"rate_to_1": 1e8, "rate_to_2": 1e8}, 2),
+    # each declared edge, and the next float outside it
+    ({"rate_to_1": RATE_LO}, 0),
+    ({"rate_to_1": RATE_LO, "rate_to_2": RATE_LO}, 0),
+    ({"rate_to_2": RATE_LO, "rate_to_1": RATE_HI}, 0),
+    ({"rate_to_1": RATE_LO, "rate_to_2": RATE_HI}, 0),
+    ({"rate_to_1": float(np.nextafter(RATE_LO, 0.0))}, 2),
+    ({"rate_to_2": float(np.nextafter(RATE_LO, 0.0))}, 2),
+    ({"rate_to_1": RATE_HI, "rate_to_2": RATE_HI, "t_max": 0.0}, 0),
+    ({"rate_to_1": float(np.nextafter(RATE_HI, math.inf)), "t_max": 0.0}, 2),
+    ({"rate_to_2": float(np.nextafter(RATE_HI, math.inf)), "t_max": 0.0}, 2),
+    # (rate_to_1 + rate_to_2) * t_max at its limit of 1e5, and past it
+    ({"rate_to_1": RATE_HI, "rate_to_2": RATE_HI, "t_max": 5.0}, 0),
+    ({"rate_to_1": RATE_HI, "rate_to_2": RATE_HI, "t_max": float(np.nextafter(5.0, math.inf))}, 2),
+    ({"t_max": 5e4}, 0),
+    ({"t_max": float(np.nextafter(5e4, math.inf))}, 2),
+    ({"rate_to_1": RATE_LO, "rate_to_2": RATE_LO, "t_max": 1e304}, 0),
+    ({"rate_to_1": RATE_LO, "rate_to_2": RATE_LO, "t_max": 1.7976931348623157e308}, 2),
+]
+
+
+@pytest.mark.parametrize("p1_initial", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize(
+    "values, expected", TWO_STATE_CONFIGS,
+    ids=[",".join(f"{key}={value!r}" for key, value in values.items()) for values, _ in TWO_STATE_CONFIGS],
+)
+def test_two_state_configs_exit_zero_or_two(tmp_path, capsys, values, expected, p1_initial):
+    text = "[run]\nscenario = two-state-relaxation\nseed = 1\n[two-state-relaxation]\n" + "".join(
+        f"{key} = {value!r}\n" for key, value in {**values, "p1_initial": p1_initial}.items()
+    )
+    code = main(["run", "--config", str(write_config(tmp_path, text)), "--out", str(tmp_path / "out"),
+                 "--no-header-timestamp"])
+    err = capsys.readouterr().err
+    assert code == expected, err
+
+
 MODERATE_ENSEMBLE_CONFIGS = [
     "[run]\nscenario = gas-equilibrium\nseed = 1\n[gas-equilibrium]\nt_max = 500\n",
     "[run]\nscenario = gas-equilibrium\nseed = 1\n[gas-equilibrium]\nn_seeds = 2000\n",
@@ -562,7 +618,7 @@ MODERATE_ENSEMBLE_CONFIGS = [
     "[run]\nscenario = gas-equilibrium\nseed = 1\n[gas-equilibrium]\n"
     "n_molecules = 4000\nn_excited = 2000\nt_max = 25\nn_seeds = 100\nequilibration_time = 10\n",
     "[run]\nscenario = gas-equilibrium\nseed = 1\n[gas-equilibrium]\n"
-    "n_molecules = 1000\nt_max = 20\nn_seeds = 100000\nn_samples = 10\n",
+    "n_molecules = 1000\nt_max = 20\nn_seeds = 100000\nn_samples = 10\nequilibration_time = 10\n",
     "[run]\nscenario = unitary-vs-collapse\nseed = 1\n[unitary-vs-collapse]\nt_max = 2.5e5\nn_seeds = 1\n",
 ]
 

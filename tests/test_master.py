@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from stosszahl import master
+from stosszahl.csvio import read_csv
 from stosszahl.master import (
     as_rate_matrix,
     build_master_operator,
@@ -530,8 +531,11 @@ def test_entropy_series_csv(tmp_path):
     m = build_master_operator([[0.0, 1.0], [1.0, 0.0]])
     records = entropy_series(m, [1.0, 0.0], [0.0, 1.0, 2.0])
     path = tmp_path / "series.csv"
-    entropy_series_to_csv(path, records, header_comment="demo")
+    entropy_series_to_csv(path, records)
+    path.write_bytes(b"# demo\n" + path.read_bytes())
     lines = path.read_text().splitlines()
     assert lines[0] == "# demo"
     assert lines[1] == "t,shannon_entropy,relative_entropy_to_equilibrium"
     assert len(lines) == 5
+    rows = read_csv(path)
+    assert rows[0] == lines[1].split(",") and len(rows) == 4

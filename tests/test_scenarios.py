@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -316,3 +317,45 @@ def test_one_timestamp_stamp_per_run(tmp_path):
     stamps = {(tmp_path / name).read_text().splitlines()[0] for name in report.outputs}
     assert len(report.outputs) == 4
     assert len(stamps) == 1 and stamps.pop().startswith("# generated ")
+
+
+# A small run of every scenario that writes outputs.
+SMALL_RUNS = {
+    "two-state-relaxation": {"n_points": 5},
+    "unitary-vs-collapse": {"t_max": 2.0, "n_unitary_steps": 10, "n_seeds": 2, "n_samples": 5},
+    "born-statistics": {"n_draws": 100},
+    "gas-equilibrium": {"n_molecules": 10, "n_excited": 5, "t_max": 5.0, "n_seeds": 100, "n_samples": 11,
+                        "equilibration_time": 2.0, "check_times": (1.0, 2.0, 5.0)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_RUNS))
+def test_stamped_outputs_are_one_stamp_line_then_the_unstamped_bytes(tmp_path, name):
+    assert set(SMALL_RUNS) == set(list_scenarios()) - {"ledger-audit"}
+    plain = run_scenario(make_config(name, tmp_path / "plain", **SMALL_RUNS[name]))
+    config = make_config(name, tmp_path / "stamped", **SMALL_RUNS[name])
+    config.write_timestamp = True
+    stamped = run_scenario(config)
+    assert stamped.outputs == plain.outputs != []
+    stamps = set()
+    for output in plain.outputs:
+        unstamped = (tmp_path / "plain" / output).read_bytes()
+        stamp, rest = (tmp_path / "stamped" / output).read_bytes().split(b"\n", 1)
+        assert rest == unstamped and not unstamped.startswith(b"#")
+        assert re.fullmatch(rb"# generated \d{4}-\d\d-\d\dT\d\d:\d\d:\d\d(\.\d+)?\+00:00", stamp)
+        stamps.add(stamp)
+    assert len(stamps) == 1
+    reports = [(tmp_path / out / "report.json").read_bytes() for out in ("plain", "stamped")]
+    assert reports[0] == reports[1]
+
+
+def test_equilibration_time_past_every_sample_is_rejected_before_stepping(tmp_path, monkeypatch):
+    # it used to be checked after the whole ensemble had run: 8 s at n_seeds = 5000
+    def stepped(*_args):
+        raise AssertionError("a member was stepped")
+
+    monkeypatch.setattr(gas, "run", stepped)
+    config = make_config("gas-equilibrium", tmp_path, equilibration_time=60.0)
+    message = r"^gas-equilibrium\.equilibration_time: beyond every sample time$"
+    with pytest.raises(ConfigError, match=message):
+        run_scenario(config)
