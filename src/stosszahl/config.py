@@ -97,7 +97,8 @@ SCENARIO_SCHEMAS: dict[str, dict[str, tuple]] = {
         "gap": (Number(nonzero=True), 1.0),
         "collapse_rate": (_POSITIVE, 1.0),
         "t_max": (_POSITIVE, 20.0),
-        "n_unitary_steps": (_COUNT, 1000),
+        # Each step moves the state's trace by up to 2.2e-16; at 1e6 steps it left NORM_TOL = 1e-10.
+        "n_unitary_steps": (Number(int, 1, 100_000), 1000),
         "n_seeds": (_COUNT, 500),
         "n_samples": (_COUNT, 81),
     },
@@ -112,7 +113,8 @@ SCENARIO_SCHEMAS: dict[str, dict[str, tuple]] = {
         "n_molecules": (Number(int, 2, 4000, even=True), 100),
         # Below n_molecules, the scenario's check.
         "n_excited": (Number(int, 1), 50),
-        "decay_rate": (_POSITIVE, 1.0),
+        # A waiting time is up to 37 / (n_excited * decay_rate): at 5e-324 it overflowed to inf.
+        "decay_rate": (Number(lo=1e-300), 1.0),
         "delay": (_POSITIVE, None),
         "t_max": (_POSITIVE, 50.0),
         # Ensemble statistics need 100 members or more.
@@ -159,8 +161,9 @@ def load_scenario_config(
     parser = configparser.ConfigParser(interpolation=None, strict=True)
     parser.optionxform = str  # keys are case-sensitive
     try:
-        read = parser.read(path)
-    except configparser.Error as exc:  # a repeated key or section, a line outside any section
+        read = parser.read(path, encoding="utf-8")
+    # A repeated key or section, a line outside any section, a byte that is not UTF-8.
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     if not read:
         raise ConfigError(f"cannot read config file {path}")

@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import require_hermitian
-from .states import as_density_matrix
+from .states import as_density_matrix, require_hermitian
 
 
 class Propagator:

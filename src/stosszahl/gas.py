@@ -80,7 +80,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -102,7 +102,8 @@ class GasConfig:
     above half the float spacing at t_max, so the event ordering invariant
     t_emit < t_absorb holds in floats; it defaults to 1e-6 / decay_rate.
     ``coupling`` is None for uniform weights over the confirmation set, or an
-    (N, N) table of nonnegative per-pair weights indexed [emitter, absorber].
+    (N, N) table of nonnegative per-pair weights indexed [emitter, absorber],
+    each row with a finite sum.
     """
 
     n_molecules: int
@@ -145,8 +146,11 @@ class GasConfig:
                 raise ValueError(
                     f"coupling table must have shape ({n}, {n}), got {table.shape}"
                 )
-            if not np.all(np.isfinite(table)):
-                raise ValueError("coupling weights must be finite")
+            # A finite row sum makes each weight, and each confirmation set's total, finite.
+            with np.errstate(over="ignore", invalid="ignore"):
+                row_sums = table.sum(axis=1)
+            if not np.all(np.isfinite(row_sums)):
+                raise ValueError("coupling weights and each emitter's sum of them must be finite")
             if np.min(table) < 0.0:
                 raise ValueError("coupling weights must be nonnegative")
             object.__setattr__(self, "coupling", table)
@@ -643,15 +647,8 @@ def empirical_rates(config: GasConfig, ledger: Ledger, bounds, pooled=None):
 
 # --- ledger and trajectory files -------------------------------------------
 
-LEDGER_COLUMNS = (
-    "event_index",
-    "t_e",
-    "t_a",
-    "emitter",
-    "absorber",
-    "winner_weight",
-    "confirmation_set_size",
-)
+# An event_index column numbers the rows; the Ledger's fields follow, in order.
+LEDGER_COLUMNS = ("event_index", *(column.name for column in fields(Ledger)))
 
 TRAJECTORY_COLUMNS = ("t", "n", "k", "S_macro")
 
@@ -660,7 +657,6 @@ _INT64 = np.iinfo(np.int64)
 
 def write_ledger_csv(path, ledger: Ledger) -> None:
     """Write a :class:`Ledger` with 17-digit floats, its rows numbered from 0."""
-    # The Ledger's fields are the columns after event_index, in order.
     columns = (column.tolist() for column in vars(ledger).values())
     write_csv(path, LEDGER_COLUMNS, zip(range(len(ledger)), *columns))
 

@@ -29,8 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import require_square
-from .states import as_density_matrix, as_probability_vector, as_state_vector
+from .states import as_density_matrix, as_probability_vector, as_state_vector, require_square
 
 # Orthonormality acceptance tolerance for measurement bases.
 BASIS_TOL = 1e-10

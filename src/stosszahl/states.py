@@ -1,9 +1,15 @@
-"""Quantum state containers and the entropy functionals defined on them.
+"""Validation of quantum states and matrices, and the entropy functionals defined on them.
 
-States are plain numpy arrays validated at the boundary: a state vector is a
-unit-norm complex vector, a density matrix is a Hermitian, unit-trace,
+Everything here works on small dense numpy arrays validated at the boundary;
+the quantum side of the laboratory is desk-scale by design (dimension capped
+at ``MAX_DIMENSION``) and never needs sparse or iterative methods.
+:func:`require_square` checks a matrix's shape, the cap and that every entry
+is finite, and every matrix validator of the quantum layer starts from it;
+:func:`require_hermitian` adds Hermiticity. A state vector is a unit-norm
+complex vector, a density matrix is a Hermitian, unit-trace,
 positive-semidefinite complex matrix, and a probability vector is a
-nonnegative real vector summing to one.
+nonnegative real vector summing to one. The one eigendecomposition of a
+Hamiltonian is numpy's ``eigh``, taken by :class:`stosszahl.evolution.Propagator`.
 
 The convention 0 * ln 0 = 0 is applied in exactly one place,
 :func:`neg_sum_x_ln_x`, and shared by the von Neumann and Shannon entropies
@@ -14,7 +20,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import HERMITIAN_TOL, require_hermitian
+# Hard cap on matrix dimension accepted anywhere in the quantum layer.
+MAX_DIMENSION = 64
+
+# Tolerance for accepting a matrix as Hermitian (max entrywise |A - A^dag|).
+HERMITIAN_TOL = 1e-10
 
 # Unit norm / unit trace acceptance tolerance.
 NORM_TOL = 1e-10
@@ -26,6 +36,38 @@ PSD_TOL = 1e-10
 # Probability entries in [-PROB_NEG_TOL, 0) are clamped to zero.
 PROB_NEG_TOL = 1e-12
 PROB_SUM_TOL = 1e-10
+
+
+def require_square(matrix, name: str = "matrix") -> np.ndarray:
+    """Return ``matrix`` as a finite complex square array within the dimension cap."""
+    a = np.asarray(matrix, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"{name} must be square, got shape {a.shape}")
+    if a.shape[0] < 1:
+        raise ValueError(f"{name} must have dimension >= 1")
+    if a.shape[0] > MAX_DIMENSION:
+        raise ValueError(
+            f"{name} dimension {a.shape[0]} exceeds the configured cap {MAX_DIMENSION}"
+        )
+    # Every comparison with NaN is false, so a later tolerance check would pass it.
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} has a non-finite entry")
+    return a
+
+
+def require_hermitian(matrix, name: str = "matrix") -> np.ndarray:
+    """Validate Hermiticity and return a complex array copy.
+
+    Rejection carries the measured asymmetry, the largest entrywise
+    |A - A^dag|, so a caller can see how far off the input was.
+    """
+    a = require_square(matrix, name)
+    defect = float(np.max(np.abs(a - a.conj().T)))
+    if defect > HERMITIAN_TOL:
+        raise ValueError(
+            f"{name} is not Hermitian: max |A - A^dag| = {defect:.3e} exceeds {HERMITIAN_TOL:.1e}"
+        )
+    return a.copy()
 
 
 def as_state_vector(psi, name: str = "state") -> np.ndarray:
@@ -123,11 +165,11 @@ def purity(rho) -> float:
 
 
 def neg_sum_x_ln_x(values: np.ndarray) -> float:
-    """-sum x ln x with the 0 ln 0 = 0 convention, for nonnegative x.
+    """-sum x ln x with the 0 ln 0 = 0 convention; roundoff-negative x count as 0.
 
-    Summed in ascending order so the result depends only on the multiset of
-    values; the Shannon entropy of p and the von Neumann entropy of diag(p)
-    then agree exactly, not just to roundoff.
+    Only the positive values are summed, in ascending order, so the result
+    depends only on the multiset of values; the Shannon entropy of p and the
+    von Neumann entropy of diag(p) then agree exactly, not just to roundoff.
     """
     x = np.sort(values[values > 0.0])
     return float(-np.sum(x * np.log(x)))
@@ -141,19 +183,16 @@ def vn_entropy(rho) -> float:
     eigenvalues the entropy is taken from, so one ``eigh`` does both.
     """
     eigenvalues = _validated(rho, "rho", lambda a: np.linalg.eigh(a)[0])[1]
-    return neg_sum_x_ln_x(np.where(eigenvalues < 0.0, 0.0, eigenvalues))
+    return neg_sum_x_ln_x(eigenvalues)
 
 
 def spectral_entropy(a: np.ndarray) -> float:
     """The entropy of :func:`vn_entropy`, without its validation.
 
     Computed from the eigenvalues of the Hermitian matrix ``a``, which is
-    not checked; roundoff-negative eigenvalues are clamped to zero before
-    taking logarithms.
+    not checked; roundoff-negative eigenvalues count as zero.
     """
-    eigenvalues, _eigenvectors = np.linalg.eigh(a)
-    clamped = np.where(eigenvalues < 0.0, 0.0, eigenvalues)
-    return neg_sum_x_ln_x(clamped)
+    return neg_sum_x_ln_x(np.linalg.eigh(a)[0])
 
 
 def shannon_entropy(p) -> float:

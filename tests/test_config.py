@@ -147,7 +147,6 @@ def test_non_finite_floats_rejected_with_path(tmp_path, scenario, key, value):
     "scenario, key",
     [
         ("two-state-relaxation", "n_points"),
-        ("unitary-vs-collapse", "n_unitary_steps"),
         ("unitary-vs-collapse", "n_seeds"),
         ("unitary-vs-collapse", "n_samples"),
         ("born-statistics", "n_draws"),
@@ -169,6 +168,20 @@ def test_count_keys_accept_one_up_to_a_million(tmp_path, scenario, key):
         load(0)
     with pytest.raises(ConfigError, match=rf"^{scenario}\.{key}: must be <= 1000000, got 1000001$"):
         load(10**6 + 1)
+
+
+def test_unitary_steps_stop_at_a_hundred_thousand(tmp_path):
+    # the unitary branch's stepped state drifts off unit trace by up to 2.2e-16
+    # per step: at 1e6 steps its final-state check failed with exit 3
+    def load(value):
+        text = "[run]\nscenario = unitary-vs-collapse\nseed = 7\n[unitary-vs-collapse]\n"
+        text += f"n_unitary_steps = {value}\n"
+        return load_scenario_config(write_config(tmp_path, text))
+
+    assert load(100_000).params["n_unitary_steps"] == 100_000
+    message = r"^unitary-vs-collapse\.n_unitary_steps: must be <= 100000, got 100001$"
+    with pytest.raises(ConfigError, match=message):
+        load(100_001)
 
 
 # Keys that name an input file rather than a number.

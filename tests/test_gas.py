@@ -37,6 +37,7 @@ from stosszahl.gas import (
     write_ledger_csv,
     write_trajectory_csv,
 )
+from stosszahl.measurement import spawn_generators
 from stosszahl.scenarios import run_scenario
 
 
@@ -125,6 +126,16 @@ def test_config_rejects_negative_coupling():
         make_config(coupling=table)
 
 
+def test_config_rejects_coupling_rows_whose_sum_overflows():
+    # each weight is finite; a confirmation set's sum is at most its row's
+    table = np.full((10, 10), 1e307)
+    np.fill_diagonal(table, 0.0)
+    assert make_config(coupling=table).coupling is not None
+    table[4, 5] = 1e308
+    with pytest.raises(ValueError, match="^coupling weights and each emitter's sum of them must be finite$"):
+        make_config(coupling=table)
+
+
 # --- single events --------------------------------------------------------------
 
 def test_forced_pair_is_selected():
@@ -175,6 +186,55 @@ def test_coupling_table_biases_winner():
         assert event.winner_weight in (0.75, 0.25)
     sigma = math.sqrt(0.75 * 0.25 / n)
     assert abs(wins[1] / n - 0.75) < 3 * sigma
+
+
+# The Stosszahlansatz: the quantum has no memory. Within a member, let X_j =
+# [absorber_j = emitter_{j-1}] for each event after the first. The previous
+# emitter is always in the confirmation set, so with uniform coupling
+# P(X_j = 1) = p = 1 / (N - n) given the past, and sum_j (X_j - p) is a
+# martingale with variance sum_j p (1 - p).
+UNIFORM_GAS = dict(n_molecules=100, n_excited=50, decay_rate=1.0, t_max=3.0, delay=1e-12)
+
+
+def memory_z(batches):
+    """The z of sum_j (X_j - p) over every member of (bounds, ledger) batches, with uniform coupling."""
+    p = 1.0 / (UNIFORM_GAS["n_molecules"] - UNIFORM_GAS["n_excited"])
+    hits = trials = 0
+    for bounds, ledger in batches:
+        follows = np.ones(len(ledger), dtype=bool)
+        follows[bounds[:-1][np.diff(bounds) > 0]] = False
+        x = (ledger.absorber[1:] == ledger.emitter[:-1])[follows[1:]]
+        hits += int(x.sum())
+        trials += x.size
+    return (hits - p * trials) / math.sqrt(trials * p * (1.0 - p))
+
+
+@pytest.mark.parametrize("seed", [20260809, 1, 7])
+def test_the_quantum_has_no_memory(seed):
+    # 1000 members at the benchmark's gas-uniform size, ~150,000 events;
+    # z read -0.75, 0.26 and 0.90 at these seeds
+    config = GasConfig(seed=seed, **UNIFORM_GAS)
+    assert abs(memory_z(iter_ensemble(config, 1000))) < 4
+
+
+def test_a_kernel_with_memory_is_caught():
+    # 1% of the time the previous emitter takes the quantum back: P(X_j = 1)
+    # rises from 0.02 to 0.03, z ~ 0.07 sqrt(events): 9.4 over these 150 members
+    def remembering_member(config, rng):
+        state, events = init_gas(config), []
+        while True:
+            event = next_event(state, config, rng)
+            if event is None or event.t_a > config.t_max:
+                return events
+            if events and rng.random() < 0.01:
+                event = event._replace(absorber=events[-1].emitter)
+            state = apply_event(state, event)
+            events.append(event)
+
+    config = GasConfig(seed=1, **UNIFORM_GAS)
+    members = [remembering_member(config, rng) for rng in spawn_generators(config.seed, 0, 150)]
+    bounds = np.cumsum([0] + [len(events) for events in members])
+    assert memory_z([(bounds, ledger_of(itertools.chain(*members)))]) > 4
 
 
 def test_zero_coupling_row_rejected():

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from stosszahl.evolution import Propagator, evolve_observable, evolve_unitary
-from stosszahl.linalg import MAX_DIMENSION, require_hermitian
 from stosszahl.measurement import as_measurement_basis, process1
-from stosszahl.states import as_density_matrix, vn_entropy
+from stosszahl.states import MAX_DIMENSION, as_density_matrix, require_hermitian, vn_entropy
 
 # The eigendecomposition of a Hamiltonian is Propagator's: its constructor
 # validates with require_hermitian and keeps numpy's eigh of the result.

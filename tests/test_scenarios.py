@@ -6,10 +6,10 @@ import re
 import mpmath
 import numpy as np
 import pytest
-from scipy.stats import chisquare
+from scipy.stats import binom, chisquare
 
 from gas_oracle import seeded_run
-from stosszahl import gas
+from stosszahl import gas, scenarios
 from stosszahl.config import SCENARIO_SCHEMAS, ConfigError, ScenarioConfig
 from stosszahl.gas import GasConfig, Ledger, read_ledger, write_ledger_csv
 from stosszahl.scenarios import (
@@ -178,14 +178,6 @@ def test_outputs_byte_identical_without_timestamp(tmp_path):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
-def test_timestamp_header_present_by_default(tmp_path):
-    config = make_config("two-state-relaxation", tmp_path)
-    config.write_timestamp = True
-    run_scenario(config)
-    first = (tmp_path / "two_state_relaxation.csv").read_text().splitlines()[0]
-    assert first.startswith("# generated ")
-
-
 def test_floats_written_with_17_significant_digits(tmp_path):
     run_scenario(make_config("two-state-relaxation", tmp_path, seed=11))
     lines = (tmp_path / "two_state_relaxation.csv").read_text().splitlines()
@@ -201,6 +193,17 @@ def test_unknown_scenario_rejected(tmp_path):
         run_scenario(config)
 
 
+def merged_bins(expected, observed):
+    """Cochran's merge as a plain loop: the smallest expected count into the next smallest."""
+    e, o = list(expected), list(observed)
+    while len(e) > 1 and min(e) < 5:
+        smallest, into = sorted(range(len(e)), key=lambda i: (e[i], i))[:2]
+        e[into] += e[smallest]
+        o[into] += o[smallest]
+        del e[smallest], o[smallest]
+    return e, o
+
+
 @pytest.mark.parametrize(
     "weights, n_draws, seed",
     [
@@ -209,7 +212,11 @@ def test_unknown_scenario_rejected(tmp_path):
         ((0.2, 0.3, 0.5), 1000, 2),
         ((0.1, 0.2, 0.3, 0.4), 50, 3),
         ((0.05, 0.15, 0.25, 0.25, 0.3), 20_000, 4),
-        ((0.999, 0.001), 7, 5),
+        # expected counts 120, 60, 14, 4, 2: the last two merge
+        ((0.6, 0.3, 0.07, 0.02, 0.01), 200, 5),
+        # 90, 4, 3, 2, 1: 1 into 2, 3 into the merged 3, then 4 into 6
+        ((0.9, 0.04, 0.03, 0.02, 0.01), 100, 6),
+        ((0.5, 0.4999, 1e-4), 10_000, 7),
     ],
 )
 def test_born_chi_square_matches_scipy_stats(tmp_path, weights, n_draws, seed):
@@ -218,11 +225,35 @@ def test_born_chi_square_matches_scipy_stats(tmp_path, weights, n_draws, seed):
     )
     with open(tmp_path / "born_statistics.csv") as handle:
         observed = [int(line.split(",")[2]) for line in handle.readlines()[1:]]
-    statistic, p_value = chisquare(observed, np.asarray(weights) * n_draws)
+    expected, observed = merged_bins(np.asarray(weights) * n_draws, observed)
+    statistic, p_value = chisquare(observed, expected)
     check = report.checks[0]
     # the closed-form tail and scipy's chdtrc may round differently in the last bits
     assert check.measured == pytest.approx(float(p_value), rel=1e-12, abs=0.0)
     assert f"(statistic {statistic:.6g}, " in check.requirement
+
+
+@pytest.mark.parametrize("weights, n_draws", [((0.999, 0.001), 7), ((0.5, 0.5), 9), ((1.0, 0.0), 1000)])
+def test_born_statistics_rejects_weights_that_leave_one_bin(tmp_path, weights, n_draws):
+    # every bin must expect 5 draws or more, so these merge into one bin and a test of nothing
+    config = make_config("born-statistics", tmp_path, weights=weights, n_draws=n_draws)
+    with pytest.raises(ConfigError, match=r"^born-statistics: the chi-square test needs two or more bins"):
+        run_scenario(config)
+
+
+def test_born_statistics_holds_its_stated_alpha(tmp_path, monkeypatch):
+    # an outcome that expects 1 draw put one term of up to ~(count - 1)^2 into
+    # Pearson's sum: 47 FAILs in 10,000 seeds against alpha = 0.001, where the
+    # binomial 1e-6 bound is 28; with the merged bins, 5
+    monkeypatch.setattr(scenarios, "write_csv", lambda *_args: None)
+    n_seeds = 10_000
+    fails = 0
+    for seed in range(n_seeds):
+        config = make_config(
+            "born-statistics", tmp_path, seed=seed, weights=(0.5, 0.4999, 1e-4), n_draws=10_000
+        )
+        fails += not scenarios._born_statistics(config)[0][0].passed
+    assert fails <= binom.isf(1e-6, n_seeds, scenarios.CHI_SQUARE_SIGNIFICANCE)
 
 
 @pytest.mark.parametrize("dof", range(1, 64))
@@ -298,25 +329,6 @@ def test_gas_outputs_do_not_depend_on_the_batch_width(tmp_path, monkeypatch, cou
     assert len(outputs[1]) == 5
     for width in (7, 64, 256):
         assert outputs[width] == outputs[1], width
-
-
-def test_one_timestamp_stamp_per_run(tmp_path):
-    config = make_config(
-        "gas-equilibrium",
-        tmp_path,
-        n_molecules=10,
-        n_excited=5,
-        t_max=5.0,
-        n_seeds=100,
-        n_samples=11,
-        equilibration_time=2.0,
-        check_times=(1.0, 2.0, 5.0),
-    )
-    config.write_timestamp = True
-    report = run_scenario(config)
-    stamps = {(tmp_path / name).read_text().splitlines()[0] for name in report.outputs}
-    assert len(report.outputs) == 4
-    assert len(stamps) == 1 and stamps.pop().startswith("# generated ")
 
 
 # A small run of every scenario that writes outputs.
