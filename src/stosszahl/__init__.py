@@ -30,7 +30,6 @@ from .measurement import (
     CollapseOutcome,
     born_weights,
     collapse_sample,
-    decohere,
     measure,
     process1,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "born_weights",
     "build_master_operator",
     "collapse_sample",
-    "decohere",
     "density_from_pure",
     "empirical_rates",
     "entropy_series",

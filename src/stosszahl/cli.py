@@ -1,9 +1,9 @@
 """Command-line entry point.
 
 Exit codes: 0 every check passed, 1 at least one check failed, 2 the
-configuration or an input file was unusable, 3 the program itself failed:
-an unexpected exception (a bug, or a numerical invariant such as a
-scenario's final-state check breaking), reported as one
+configuration, an input file or the output location was unusable, 3 the
+program itself failed: an unexpected exception (a bug, or a numerical
+invariant such as a scenario's final-state check breaking), reported as one
 ``internal error: <Type>: <message>`` line on stderr without a traceback,
 so it never reads as a failed check. The ``STOSSZAHL_OUT``
 environment variable overrides the config file's output directory; an

@@ -21,6 +21,8 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .gas import MIN_DECAY_RATE
+
 
 class ConfigError(Exception):
     """Malformed scenario configuration; the message carries the field path."""
@@ -113,8 +115,7 @@ SCENARIO_SCHEMAS: dict[str, dict[str, tuple]] = {
         "n_molecules": (Number(int, 2, 4000, even=True), 100),
         # Below n_molecules, the scenario's check.
         "n_excited": (Number(int, 1), 50),
-        # A waiting time is up to 37 / (n_excited * decay_rate): at 5e-324 it overflowed to inf.
-        "decay_rate": (Number(lo=1e-300), 1.0),
+        "decay_rate": (Number(lo=MIN_DECAY_RATE), 1.0),
         "delay": (_POSITIVE, None),
         "t_max": (_POSITIVE, 50.0),
         # Ensemble statistics need 100 members or more.

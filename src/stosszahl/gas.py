@@ -90,6 +90,10 @@ from .measurement import ZERO_WEIGHT, collapse_sample, inverse_cdf, spawn_genera
 from .states import neg_sum_x_ln_x
 
 
+# A waiting time is up to 37 / (n_excited * decay_rate): at 5e-324 it overflowed to inf.
+MIN_DECAY_RATE = 1e-300
+
+
 class ZeroCouplingError(ValueError):
     """An emitter's coupling weights to its confirmation set sum to zero."""
 
@@ -121,8 +125,8 @@ class GasConfig:
             raise ValueError(
                 f"n_excited must be in [0, {self.n_molecules}], got {self.n_excited}"
             )
-        if not self.decay_rate > 0.0:
-            raise ValueError(f"decay_rate must be positive, got {self.decay_rate}")
+        if not self.decay_rate >= MIN_DECAY_RATE:
+            raise ValueError(f"decay_rate must be >= {MIN_DECAY_RATE}, got {self.decay_rate}")
         if not self.t_max > 0.0:
             raise ValueError(f"t_max must be positive, got {self.t_max}")
         if self.delay is None:
@@ -493,10 +497,7 @@ def iter_ensemble(config: GasConfig, n_members: int):
         raise ValueError(f"n_members must be >= 1, got {n_members}")
     for first in range(0, n_members, _MEMBERS_PER_RUN):
         rngs = spawn_generators(config.seed, first, min(first + _MEMBERS_PER_RUN, n_members))
-        bounds, ledger = run(config, rngs)
-        yield bounds, ledger
-        # Free this batch before the next one is stepped.
-        del ledger
+        yield run(config, rngs)
 
 
 def batch_left_counts(config: GasConfig, ledger: Ledger, bounds, query_times) -> np.ndarray:

@@ -167,18 +167,11 @@ def evolve_probabilities(matrix, p0, t) -> np.ndarray:
     return out
 
 
-# scipy.linalg.expm, bound by the first call of expm.
-_scipy_expm = None
-
-
 def expm(a: np.ndarray) -> np.ndarray:
     """Matrix exponential by ``scipy.linalg.expm``, imported on the first call."""
-    global _scipy_expm
-    if _scipy_expm is None:
-        from scipy.linalg import expm as scipy_expm
+    from scipy.linalg import expm as scipy_expm
 
-        _scipy_expm = scipy_expm
-    return _scipy_expm(a)
+    return scipy_expm(a)
 
 
 def _propagate(m: np.ndarray, p: np.ndarray, t: float) -> np.ndarray:

@@ -17,6 +17,7 @@ import json
 import math
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
+from pathlib import Path
 
 import numpy as np
 
@@ -102,7 +103,6 @@ class RunReport:
     """Machine-readable outcome of one scenario run."""
 
     scenario: str
-    schema_version: int
     seed: int
     parameters: dict
     checks: list[CheckResult]
@@ -115,7 +115,7 @@ class RunReport:
     def to_json(self) -> str:
         payload = {
             "scenario": self.scenario,
-            "schema_version": self.schema_version,
+            "schema_version": SCHEMA_VERSION,
             "seed": self.seed,
             "passed": self.passed,
             "parameters": self.parameters,
@@ -126,36 +126,47 @@ class RunReport:
 
 
 def run_scenario(config: ScenarioConfig) -> RunReport:
-    """Execute one registered scenario and write its outputs and report."""
+    """Execute one registered scenario and write its outputs and report.
+
+    An output location that cannot be written is unusable input: an OSError
+    from creating ``out_dir``, or one on a path in ``out_dir`` while the run
+    writes, becomes a ConfigError that names the path.
+    """
     if config.scenario not in _SCENARIOS:
         raise ConfigError(f"run.scenario: unknown scenario {config.scenario!r}")
     check_params(config.scenario, config.params)
-    config.out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        config.out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"run.out: cannot create the output directory ({exc})") from exc
     run, expected = _SCENARIOS[config.scenario]
-    checks, outputs = run(config)
-    produced = tuple(check.name for check in checks)
-    if produced != expected:
-        raise RuntimeError(
-            f"scenario {config.scenario} produced checks {produced}, registered {expected}"
+    try:
+        checks, outputs = run(config)
+        produced = tuple(check.name for check in checks)
+        if produced != expected:
+            raise RuntimeError(
+                f"scenario {config.scenario} produced checks {produced}, registered {expected}"
+            )
+
+        if config.write_timestamp:
+            # The one stamp of the run; bytes, as the rows end in \r\n.
+            stamp = f"# generated {datetime.now(timezone.utc).isoformat()}\n".encode()
+            for name in outputs:
+                path = config.out_dir / name
+                path.write_bytes(stamp + path.read_bytes())
+
+        report = RunReport(
+            scenario=config.scenario,
+            seed=config.seed,
+            parameters=dict(config.params),
+            checks=list(checks),
+            outputs=list(outputs),
         )
-
-    if config.write_timestamp:
-        # The one stamp of the run; bytes, as the rows end in \r\n.
-        stamp = f"# generated {datetime.now(timezone.utc).isoformat()}\n".encode()
-        for name in outputs:
-            path = config.out_dir / name
-            path.write_bytes(stamp + path.read_bytes())
-
-    report = RunReport(
-        scenario=config.scenario,
-        schema_version=SCHEMA_VERSION,
-        seed=config.seed,
-        parameters=dict(config.params),
-        checks=list(checks),
-        outputs=list(outputs),
-    )
-    report_path = config.out_dir / "report.json"
-    report_path.write_text(report.to_json() + "\n")
+        (config.out_dir / "report.json").write_text(report.to_json() + "\n")
+    except OSError as exc:
+        if exc.filename is None or Path(exc.filename).parent != config.out_dir:
+            raise
+        raise ConfigError(f"run.out: cannot write an output ({exc})") from exc
     return report
 
 
@@ -346,7 +357,7 @@ def _collapse_times(rng, rate: float, t_max: float) -> list[float]:
 
 
 def _qubit_entropies(states: np.ndarray) -> np.ndarray:
-    """:func:`stosszahl.states.spectral_entropy` of each 2 x 2 matrix of a stack, bit for bit.
+    """:func:`stosszahl.states.vn_entropy`, unvalidated, of each 2 x 2 matrix of a stack, bit for bit.
 
     Clamped eigenvalues are kept as zeros whose x ln x term is 0 rather than
     dropped. The row sums then equal the sums over the positive eigenvalues

@@ -178,21 +178,12 @@ def neg_sum_x_ln_x(values: np.ndarray) -> float:
 def vn_entropy(rho) -> float:
     """von Neumann entropy -Tr(rho ln rho) in nats.
 
-    Validates ``rho`` as a density matrix and returns the entropy of
-    :func:`spectral_entropy`; the PSD check reads the smallest of the
-    eigenvalues the entropy is taken from, so one ``eigh`` does both.
+    Validates ``rho`` as a density matrix and returns :func:`neg_sum_x_ln_x`
+    of the eigenvalues of numpy's ``eigh``; the PSD check reads the smallest
+    of the eigenvalues the entropy is taken from, so one ``eigh`` does both.
     """
     eigenvalues = _validated(rho, "rho", lambda a: np.linalg.eigh(a)[0])[1]
     return neg_sum_x_ln_x(eigenvalues)
-
-
-def spectral_entropy(a: np.ndarray) -> float:
-    """The entropy of :func:`vn_entropy`, without its validation.
-
-    Computed from the eigenvalues of the Hermitian matrix ``a``, which is
-    not checked; roundoff-negative eigenvalues count as zero.
-    """
-    return neg_sum_x_ln_x(np.linalg.eigh(a)[0])
 
 
 def shannon_entropy(p) -> float:

@@ -7,7 +7,9 @@ with one ``Propagator.evolve``, ``decohere`` and ``spectral_entropy`` call
 per collapse. It defines what the scenario's lockstep ensemble must produce
 bit for bit. ``where_pinching`` is ``decohere`` as it was written before it
 clamped in place, through ``np.where``; ``decohere`` must stay bit-equal to
-it. Nothing in ``src/`` calls either.
+it. ``spectral_entropy`` is the entropy of ``vn_entropy`` without its
+validation, so the reference runs on whatever state a member reaches. Nothing
+in ``src/`` calls any of them.
 """
 
 import math
@@ -17,7 +19,7 @@ import numpy as np
 from stosszahl.csvio import fmt
 from stosszahl.evolution import Propagator
 from stosszahl.measurement import as_measurement_basis, decohere
-from stosszahl.states import as_density_matrix, density_from_pure, spectral_entropy, vn_entropy
+from stosszahl.states import as_density_matrix, density_from_pure, neg_sum_x_ln_x, vn_entropy
 
 
 def unitary_vs_collapse(params: dict, seed: int):
@@ -70,3 +72,8 @@ def where_pinching(rho, basis):
     diagonal = np.einsum("ij,jk,ki->i", basis.conj().T, rho, basis).real
     diagonal = np.where(diagonal < 0.0, 0.0, diagonal)
     return (basis * diagonal) @ basis.conj().T
+
+
+def spectral_entropy(rho):
+    """The entropy of ``vn_entropy`` from numpy's ``eigh`` of ``rho``, which is not checked."""
+    return neg_sum_x_ln_x(np.linalg.eigh(rho)[0])

@@ -164,6 +164,28 @@ def test_out_flag_beats_env_var(tmp_path, monkeypatch):
     assert not (tmp_path / "env_out").exists()
 
 
+@pytest.mark.parametrize(
+    "out, blocker, message",
+    [
+        ("taken", "taken", "cannot create the output directory ([Errno 17] File exists: '{out}')"),
+        ("taken/sub", "taken", "cannot create the output directory ([Errno 20] Not a directory: '{out}')"),
+        ("out", "out/born_statistics.csv/", "cannot write an output ([Errno 21] Is a directory: '{path}')"),
+        ("out", "out/report.json/", "cannot write an output ([Errno 21] Is a directory: '{path}')"),
+    ],
+    ids=["out-is-a-file", "out-below-a-file", "csv-is-a-directory", "report-is-a-directory"],
+)
+def test_unwritable_output_location_exits_two(tmp_path, capsys, out, blocker, message):
+    blocked = tmp_path / blocker
+    if blocker.endswith("/"):
+        blocked.mkdir(parents=True)
+    else:
+        blocked.touch()
+    argv = ["run", "--config", str(CONFIGS / "born_statistics.cfg"), "--out", str(tmp_path / out)]
+    assert main(argv) == 2
+    expected = message.format(out=tmp_path / out, path=blocked)
+    assert capsys.readouterr().err == f"config error: run.out: {expected}\n"
+
+
 def test_audit_clean_ledger_exit_zero(tmp_path, capsys):
     gas_config = GasConfig(n_molecules=8, n_excited=4, decay_rate=1.0, t_max=10.0, seed=6)
     _bounds, events = seeded_run(gas_config)

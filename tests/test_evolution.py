@@ -6,7 +6,7 @@ import scipy.linalg
 
 from stosszahl import evolution
 from stosszahl.evolution import Propagator, evolve_observable, evolve_unitary, propagator
-from stosszahl.states import density_from_pure, purity, vn_entropy
+from stosszahl.states import MAX_DIMENSION, density_from_pure, purity, require_hermitian, vn_entropy
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -196,3 +196,45 @@ def test_memo_keeps_rejecting_invalid_hamiltonians(built):
     # the rejected Hamiltonians were never kept: h is still a hit
     evolve_unitary(rho, h, 0.5)
     assert len(built) == 4
+
+
+# --- Propagator ---------------------------------------------------------------
+
+# The eigendecomposition of a Hamiltonian is Propagator's: its constructor
+# validates with require_hermitian and keeps numpy's eigh of the result.
+
+
+def test_identity_eigenvalues():
+    assert np.allclose(Propagator(np.eye(3)).eigenvalues, [1.0, 1.0, 1.0])
+
+
+def test_diagonal_already_sorted_ascending():
+    assert np.allclose(Propagator(np.diag([2.0, -1.0])).eigenvalues, [-1.0, 2.0])
+
+
+def test_pauli_x_form_eigenvalues():
+    # characteristic polynomial lambda^2 - 1 = 0
+    propagator = Propagator(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    assert np.allclose(propagator.eigenvalues, [-1.0, 1.0], atol=1e-12)
+
+
+def test_reconstruction_and_unitarity():
+    rng = np.random.default_rng(42)
+    for d in (1, 2, 5, 8, 16):
+        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        a = (g + g.conj().T) / 2
+        propagator = Propagator(a)
+        assert np.all(np.diff(propagator.eigenvalues) >= 0)
+        v = propagator.eigenvectors
+        assert np.max(np.abs((v * propagator.eigenvalues) @ v.conj().T - a)) < 1e-8
+        assert np.max(np.abs(v.conj().T @ v - np.eye(d))) < 1e-8
+        # the same bits as numpy's eigh of the validated copy
+        eigenvalues, eigenvectors = np.linalg.eigh(require_hermitian(a))
+        assert propagator.eigenvalues.tobytes() == eigenvalues.tobytes()
+        assert propagator.eigenvectors.tobytes() == eigenvectors.tobytes()
+
+
+def test_dimension_cap_enforced():
+    assert Propagator(np.eye(MAX_DIMENSION)).shape == (MAX_DIMENSION, MAX_DIMENSION)
+    with pytest.raises(ValueError, match=f"hamiltonian dimension {MAX_DIMENSION + 1} exceeds"):
+        Propagator(np.eye(MAX_DIMENSION + 1))

@@ -75,6 +75,19 @@ def test_config_rejects_nonpositive_rate():
         make_config(decay_rate=0.0)
 
 
+@pytest.mark.parametrize("rate", [5e-324, math.nextafter(1e-300, 0.0)])
+def test_config_rejects_a_decay_rate_whose_waiting_times_overflow(rate):
+    with pytest.raises(ValueError, match=rf"^decay_rate must be >= 1e-300, got {rate!r}$"):
+        make_config(n_molecules=4, n_excited=2, decay_rate=rate, t_max=1.0)
+
+
+def test_the_least_decay_rate_runs():
+    # Warnings are errors here: the waiting times 37 / (n * rate) stay finite.
+    config = make_config(n_molecules=4, n_excited=1, decay_rate=1e-300, t_max=1.0)
+    assert [len(ledger) for _bounds, ledger in gas.iter_ensemble(config, 3)] == [0]
+    assert SCENARIO_SCHEMAS["gas-equilibrium"]["decay_rate"][0].lo == gas.MIN_DECAY_RATE == 1e-300
+
+
 def test_config_rejects_zero_delay():
     with pytest.raises(ValueError, match="delay"):
         make_config(delay=0.0)

@@ -1,7 +1,8 @@
 """Property tests: each unchecked kernel against its validating public function.
 
 The unitary-vs-collapse loop validates its state, Hamiltonian and basis once
-and then steps through ``Propagator.evolve``, ``decohere`` and
+and then steps through ``Propagator.evolve`` and ``decohere``; its per-member
+reference in ``collapse_oracle`` also takes the unvalidated
 ``spectral_entropy``. On valid input these must be bit-equal to
 ``evolve_unitary``, ``process1`` and ``vn_entropy``, which in turn must keep
 rejecting invalid input. Both must also stay bit-equal to the reference
@@ -22,11 +23,11 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from collapse_oracle import where_pinching
+from collapse_oracle import spectral_entropy, where_pinching
 from stosszahl.evolution import Propagator, apply_unitary, evolve_unitary, propagator
 from stosszahl.measurement import decohere, process1
 from stosszahl.scenarios import _qubit_entropies
-from stosszahl.states import spectral_entropy, vn_entropy
+from stosszahl.states import vn_entropy
 
 def reference_evolve(rho, h, t):
     eigenvalues, v = np.linalg.eigh(h)

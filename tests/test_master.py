@@ -427,7 +427,6 @@ def test_series_equals_the_validating_per_point_functions():
 def test_every_exponential_goes_through_the_module_attribute(monkeypatch):
     # The benchmark's master.expm span wraps this attribute before any solve,
     # so the first call, which imports scipy, must not rebind it either.
-    monkeypatch.setattr(master, "_scipy_expm", None)
     calls = []
     lazy = master.expm
 

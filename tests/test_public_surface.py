@@ -11,7 +11,6 @@ PUBLIC_NAMES = {
     "born_weights",
     "build_master_operator",
     "collapse_sample",
-    "decohere",
     "density_from_pure",
     "empirical_rates",
     "entropy_series",

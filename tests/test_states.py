@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from stosszahl.evolution import Propagator, evolve_observable, evolve_unitary
+from stosszahl.measurement import as_measurement_basis, process1
 from stosszahl.states import (
     as_density_matrix,
     as_probability_vector,
@@ -10,6 +12,7 @@ from stosszahl.states import (
     density_from_pure,
     mix_states,
     purity,
+    require_hermitian,
     shannon_entropy,
     vn_entropy,
 )
@@ -184,3 +187,63 @@ def test_vn_entropy_bounded_by_log_dimension():
             rho = random_density(rng, d)
             s = vn_entropy(rho)
             assert -1e-9 <= s <= math.log(d) + 1e-9
+
+
+# --- matrix validators --------------------------------------------------------
+
+def test_non_hermitian_rejected_with_diagnostic():
+    # the message carries the measured max |A - A^dag| and the tolerance
+    bad = np.array([[0.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(
+        ValueError,
+        match=r"^hamiltonian is not Hermitian: max \|A - A\^dag\| = 1\.000e\+00 exceeds 1\.0e-10$",
+    ):
+        Propagator(bad)
+    with pytest.raises(ValueError, match=r"max \|A - A\^dag\| = 2\.500e-01 exceeds"):
+        require_hermitian(np.array([[0.0, 0.5], [0.25, 0.0]]))
+
+
+def test_non_square_rejected():
+    with pytest.raises(ValueError, match="square"):
+        require_hermitian(np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="hamiltonian must be square"):
+        Propagator(np.zeros((2, 3)))
+
+
+def with_entry(matrix, index, value):
+    """A complex copy of ``matrix`` with ``value`` at ``index``."""
+    out = np.array(matrix, dtype=complex)
+    out[index] = value
+    return out
+
+
+QUBIT_H = np.array([[1.0, 0.0], [0.0, 0.0]])
+MIXED = np.eye(2) / 2
+
+
+# Each call puts the bad value in one entry of an otherwise valid argument;
+# every tolerance comparison with NaN is false, so each passed, or failed
+# with another message, before require_square checked finiteness.
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda v: require_hermitian(with_entry(QUBIT_H, (0, 1), v)), "matrix"),
+        (lambda v: as_density_matrix(with_entry(MIXED, (0, 0), v)), "rho"),
+        (lambda v: as_measurement_basis(with_entry(np.eye(2), (1, 1), v)), "basis"),
+        (lambda v: Propagator(with_entry(QUBIT_H, (0, 1), v)), "hamiltonian"),
+        (lambda v: evolve_unitary(MIXED, with_entry(QUBIT_H, (1, 1), v), 1.0), "hamiltonian"),
+        (lambda v: evolve_unitary(with_entry(MIXED, (1, 0), v), QUBIT_H, 1.0), "rho"),
+        (lambda v: evolve_observable(with_entry(QUBIT_H, (0, 0), v), QUBIT_H, 1.0), "observable"),
+        (lambda v: process1(MIXED, with_entry(np.eye(2), (0, 1), v)), "basis"),
+        (lambda v: vn_entropy(with_entry(MIXED, (0, 1), v)), "rho"),
+    ],
+    ids=[
+        "require_hermitian", "as_density_matrix", "as_measurement_basis", "Propagator",
+        "evolve_unitary-hamiltonian", "evolve_unitary-rho", "evolve_observable", "process1",
+        "vn_entropy",
+    ],
+)
+def test_non_finite_matrix_entries_are_rejected(call, name, value):
+    with pytest.raises(ValueError, match=f"^{name} has a non-finite entry$"):
+        call(value)
