@@ -42,8 +42,15 @@ class Propagator:
         return self.eigenvectors.shape
 
     def unitary(self, t) -> np.ndarray:
-        """U(t) = V exp(-i Lambda t) V^dag; a ``(...,)`` array of times gives ``(..., d, d)``."""
-        phases = np.exp(-1j * self.eigenvalues * np.asarray(t)[..., None])
+        """U(t) = V exp(-i Lambda t) V^dag; a ``(...,)`` array of times gives ``(..., d, d)``.
+
+        Raises ValueError if a phase lambda * t is not finite: U would be all NaN.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            angles = self.eigenvalues * np.asarray(t)[..., None]
+        if not np.isfinite(angles).all():
+            raise ValueError("a phase eigenvalue * t of exp(-iHt) is not finite")
+        phases = np.exp(-1j * angles)
         return (self.eigenvectors * phases[..., None, :]) @ self._eigenvectors_dag
 
     def evolve(self, a: np.ndarray, t) -> np.ndarray:

@@ -247,8 +247,6 @@ def _entropy_table(n_molecules: int, n_excited: int) -> tuple[int, np.ndarray]:
 
 # Ensemble members that :func:`iter_ensemble` steps together in one call of run.
 _MEMBERS_PER_RUN = 256
-# Rows of a block whose uniforms go through math.log1p as one list of Python floats.
-_LOG1P_ROWS = 16
 
 
 def run(config: GasConfig, rngs):
@@ -273,9 +271,8 @@ def run(config: GasConfig, rngs):
     into its row of one array (``Generator.random(out=row)`` fills the same
     doubles as k scalar draws). For every member's block at once:
 
-    - waiting times ``log1p(-u) / -(n * decay_rate)``, by ``math.log1p`` over
-      a chunk of rows at a time, in the batch's order: ``np.log1p`` may differ
-      from it in the last bit;
+    - waiting times ``log1p(-u) / -(n * decay_rate)``, by one ``math.log1p``
+      pass in the batch's order: ``np.log1p`` may differ from it in the last bit;
     - emission and absorption times from a row-wise ``cumsum`` over
       ``[t, w1, delay, w2, delay, ...]``, a sequential sum, so it repeats the
       scalar recurrence ``t_emit = t + w; t = t_emit + delay`` exactly;
@@ -378,12 +375,13 @@ def _step_members(config: GasConfig, rngs: list) -> list[list[tuple]]:
         times = np.empty((rows, 2 * triples + 1))
         times[:, 0] = t
         times[:, 2::2] = config.delay
-        # One math.log1p pass over the batch, a chunk of rows at a time.
-        for first in range(0, rows, _LOG1P_ROWS):
-            chunk = -u[first : first + _LOG1P_ROWS, 0::3]
-            waits = np.fromiter(map(log1p, chunk.ravel().tolist()), float, chunk.size)
-            # Equal to -log1p(-u) / rate bit for bit: division is sign-symmetric.
-            times[first : first + _LOG1P_ROWS, 1::2] = waits.reshape(chunk.shape) / -total_rate
+        # One math.log1p pass over the batch; iterating a memoryview builds no list.
+        neg_u = -u[:, 0::3]
+        waits = np.fromiter(map(log1p, memoryview(neg_u.ravel())), float, neg_u.size)
+        # Equal to -log1p(-u) / rate bit for bit: division is sign-symmetric.
+        times[:, 1::2] = waits.reshape(neg_u.shape) / -total_rate
+        # Both are dropped before the stepping below, where a batch peaks.
+        del neg_u, waits
         times.cumsum(axis=1, out=times)
         # Events whose absorption is at or before t_max; the next one is the horizon.
         counts = np.count_nonzero(times[:, 2::2] <= t_max, axis=1)

@@ -265,7 +265,11 @@ def entropy_series(matrix, p0, times) -> list[tuple[float, float, float]]:
     grid call of :func:`evolve_probabilities`.
     """
     p_eq = equilibrium(matrix)
-    rows = evolve_probabilities(matrix, p0, times)
+    return _entropy_records(times, evolve_probabilities(matrix, p0, times), p_eq)
+
+
+def _entropy_records(times, rows, p_eq) -> list[tuple[float, float, float]]:
+    """The (t, S, D) records of :func:`entropy_series` from its solved rows and equilibrium."""
     return [(float(t), neg_sum_x_ln_x(p_t), _divergence(p_t, p_eq)) for t, p_t in zip(times, rows)]
 
 

@@ -82,8 +82,12 @@ _MAX_GAS_SAMPLES = 10**7
 # state to drift, and no need for this bound.
 _MAX_MEMBER_COLLAPSES = 2.5e5
 
+# The phases +-(gap / 2) * t of the qubit's U(t) overflow, and its states turn
+# NaN, once their difference |gap| * t passes 3.6e308 (twice the largest double).
+_MAX_RELATIVE_PHASE = 1e307
+
 # The most states one stacked numpy call of unitary-vs-collapse takes: a
-# block of collapse members, branch A's steps or the sample grid.
+# block of collapse members or of the sample grid.
 _STACK = 256
 # Uniforms a collapse member draws from its generator at a time.
 _CLOCK_DRAWS = 8
@@ -193,7 +197,7 @@ def _two_state_relaxation(config: ScenarioConfig):
     p_closed = master_mod.two_state_closed_form(p["rate_to_1"], p["rate_to_2"], p0, grid)
     worst = float(np.max(np.abs(p_solver - p_closed), initial=0.0))
     # (t, Shannon entropy, relative entropy to p_eq) of each grid point.
-    series = master_mod.entropy_series(m, p0, grid)
+    series = master_mod._entropy_records(grid, p_solver, p_eq)
 
     expected_eq = np.array([p["rate_to_1"] / total, p["rate_to_2"] / total])
     eq_gap = float(np.max(np.abs(p_eq - expected_eq)))
@@ -233,6 +237,8 @@ def _unitary_vs_collapse(config: ScenarioConfig):
     _require_at_most("unitary-vs-collapse", "estimated stepping time", round(us / 1e6), "s", MAX_RUN_SECONDS)
     _require_at_most("unitary-vs-collapse", "collapse_rate * t_max", collapses,
                      "expected collapses per member", _MAX_MEMBER_COLLAPSES)
+    _require_at_most("unitary-vs-collapse", "|gap| * t_max", abs(gap) * t_max,
+                     "radians of relative phase", _MAX_RELATIVE_PHASE)
 
     # Everything is validated here once; the loops below step through the
     # unchecked kernels, and each final state is checked as a density matrix.
@@ -249,18 +255,15 @@ def _unitary_vs_collapse(config: ScenarioConfig):
     # U(dt) formed once, and only their entropies are stacked.
     entropy_0 = vn_entropy(rho0)  # validates rho0
     rho = rho0
-    drift = 0.0
     dt = t_max / p["n_unitary_steps"]
     u = unitary.unitary(dt)
     u_dagger = u.conj().swapaxes(-1, -2)
-    steps = np.empty((min(p["n_unitary_steps"], _STACK), 2, 2), dtype=complex)
-    for first in range(0, p["n_unitary_steps"], _STACK):
-        block = steps[: min(_STACK, p["n_unitary_steps"] - first)]
-        for i in range(block.shape[0]):
-            rho = apply_unitary(u, u_dagger, rho)
-            block[i] = rho
-        drift = max(drift, float(np.max(np.abs(_qubit_entropies(block) - entropy_0))))
+    steps = np.empty((p["n_unitary_steps"], 2, 2), dtype=complex)
+    for i in range(steps.shape[0]):
+        rho = apply_unitary(u, u_dagger, rho)
+        steps[i] = rho
     as_density_matrix(rho, name="unitary branch final state")
+    drift = float(np.max(np.abs(_qubit_entropies(steps) - entropy_0)))
 
     # Branch B: same Hamiltonian, interrupted by Poisson-clocked collapses.
     grid = np.linspace(0.0, t_max, p["n_samples"])

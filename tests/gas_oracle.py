@@ -7,10 +7,13 @@ for bit, one member at a time or in a batch; ``seeded_run`` runs one member
 on ``default_rng(config.seed)``, the stream the reference is usually given.
 The reference keeps its own per-event record, :class:`Event`, whose fields
 are named after the ledger columns, and ``column_bytes`` compares the two
-field by field. Nothing in ``src/`` calls these.
+field by field. ``configuration_chain`` is the gas's law as one Markov chain
+over its C(N, n) configurations, and ``lump_by_left_count`` projects it onto
+k. Nothing in ``src/`` calls these.
 """
 
 import copy
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -18,6 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from stosszahl.gas import GasConfig, Ledger, ZeroCouplingError, run
+from stosszahl.master import build_master_operator
 from stosszahl.measurement import collapse_sample
 
 
@@ -182,3 +186,49 @@ def stepwise(config: GasConfig, rng) -> list[Event]:
             return events
         state = apply_event(state, event)
         events.append(event)
+
+
+def configuration_chain(config: GasConfig) -> tuple[list[frozenset], np.ndarray]:
+    """(excited sets, generator) of the gas as a chain over its C(N, n) configurations.
+
+    Each excited molecule e emits at ``decay_rate``, and its quantum goes to
+    ground molecule g with probability W[e, g] / (sum of W[e, ·] over the
+    ground molecules), W = 1 for uniform coupling. ``generator[y][x]`` is the
+    rate from configuration x to y, the convention of :mod:`stosszahl.master`.
+    The propagation delay is left out: it only shifts each absorption.
+    """
+    n_molecules = config.n_molecules
+    states = [frozenset(c) for c in itertools.combinations(range(n_molecules), config.n_excited)]
+    index = {state: i for i, state in enumerate(states)}
+    weights = np.ones((n_molecules, n_molecules)) if config.coupling is None else config.coupling
+    rates = np.zeros((len(states), len(states)))
+    for x, excited in enumerate(states):
+        ground = [g for g in range(n_molecules) if g not in excited]
+        for e in excited:
+            total = sum(weights[e, g] for g in ground)
+            for g in ground:
+                rates[index[excited - {e} | {g}], x] += config.decay_rate * weights[e, g] / total
+    return states, build_master_operator(rates)
+
+
+def lump_by_left_count(config: GasConfig, states, generator) -> tuple[np.ndarray, np.ndarray, float]:
+    """(k labels, lumped generator, lumpability defect) of a configuration chain.
+
+    The lumped rate from label K to K' is the configuration chain's rate
+    from the first configuration of K into all of K'. The defect is the
+    largest spread of that rate over the configurations of one K: the chain
+    is lumpable for the k partition, so k alone is Markov, iff it is 0
+    (Kemeny and Snell, Finite Markov Chains, 1960, section 6.3).
+    """
+    half = config.n_molecules // 2
+    k = np.array([sum(1 for i in state if i < half) for state in states])
+    labels = np.unique(k)
+    # into[j, x]: the rate from configuration x into the configurations of labels[j]
+    into = np.stack([generator[k == label].sum(axis=0) for label in labels])
+    lumped = np.empty((labels.size, labels.size))
+    defect = 0.0
+    for j, label in enumerate(labels):
+        block = into[:, k == label]
+        lumped[:, j] = block[:, 0]
+        defect = max(defect, float(np.max(block.max(axis=1) - block.min(axis=1))))
+    return labels, lumped, defect

@@ -528,9 +528,16 @@ def test_unbounded_work_is_a_config_error(tmp_path, capsys, scenario, params, ke
         # state drifted off unit trace and the run exited 3 after ~1 minute
         ("unitary-vs-collapse", "t_max = 1e6\nn_seeds = 1\n",
          "collapse_rate * t_max = 1000000 expected collapses per member, above the limit of 250000"),
+        # a phase (gap / 2) * t past the largest double: the collapse member's
+        # state turned NaN (exit 3), or the unitary branch's states past t = 3.6
+        # did, read as entropy -0 with two RuntimeWarnings (exit 0)
+        ("unitary-vs-collapse", "gap = 1e300\nt_max = 1e10\nn_seeds = 1\ncollapse_rate = 1e-9\n",
+         "|gap| * t_max = inf radians of relative phase, above the limit of 1e+307"),
+        ("unitary-vs-collapse", "gap = 1e308\nt_max = 10\nn_seeds = 1\n",
+         "|gap| * t_max = inf radians of relative phase, above the limit of 1e+307"),
     ],
     ids=["collapse-batch", "gas-batch", "gas-time", "gas-4000-molecules-time", "gas-coupled-time",
-         "collapse-time", "collapse-samples", "collapse-member"],
+         "collapse-time", "collapse-samples", "collapse-member", "phase-collapse", "phase-unitary"],
 )
 def test_runaway_run_exits_two_before_any_member_is_stepped(tmp_path, monkeypatch, capsys, scenario, params, message):
     def stepped(*_args):

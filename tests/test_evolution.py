@@ -133,6 +133,16 @@ def test_dimension_mismatch_rejected():
         evolve_observable(np.eye(2), np.eye(3), 1.0)
 
 
+def test_a_phase_past_the_largest_double_is_rejected():
+    # exp(-iHt) of this used to come back all NaN, with RuntimeWarnings
+    rho = density_from_pure(np.array([SQ2, SQ2]))
+    with pytest.raises(ValueError, match="phase eigenvalue \\* t of exp\\(-iHt\\) is not finite"):
+        evolve_unitary(rho, np.diag([5e307, -5e307]), 10.0)
+    # one non-finite time of a grid is enough
+    with pytest.raises(ValueError, match="is not finite"):
+        Propagator(np.diag([1.0, -1.0])).unitary(np.array([0.0, np.inf]))
+
+
 @pytest.fixture
 def built(monkeypatch):
     """Start from an empty memo and record every Propagator the functions build."""

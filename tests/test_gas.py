@@ -11,10 +11,12 @@ from gas_oracle import (
     TransactionError,
     apply_event,
     column_bytes,
+    configuration_chain,
     init_gas,
     ledger_events,
     ledger_of,
     left_half_count,
+    lump_by_left_count,
     next_event,
     seeded_run,
     stepwise,
@@ -37,8 +39,9 @@ from stosszahl.gas import (
     write_ledger_csv,
     write_trajectory_csv,
 )
+from stosszahl.master import evolve_probabilities
 from stosszahl.measurement import spawn_generators
-from stosszahl.scenarios import run_scenario
+from stosszahl.scenarios import CHI_SQUARE_SIGNIFICANCE, _chi_square, run_scenario
 
 
 def make_config(**overrides):
@@ -961,3 +964,50 @@ def test_column_audit_matches_the_row_loop_on_ids_at_the_int64_limits():
 def test_audit_respects_molecule_range():
     audit = audit_ledger(ledger_of([(0.5, 0.6, 0, 7, 1.0, 1)]), n_molecules=4)
     assert any("out of range" in v for v in audit.violations)
+
+
+# --- the configuration-space oracle -------------------------------------------------------
+
+# 8 molecules and 4 quanta: C(8, 4) = 70 configurations, k from 0 to 4.
+ORACLE_SIZE = dict(n_molecules=8, n_excited=4)
+
+
+def test_uniform_gas_lumps_to_the_bernoulli_laplace_chain():
+    config = make_config(**ORACLE_SIZE, decay_rate=1.3)
+    states, generator = configuration_chain(config)
+    assert len(states) == 70
+    labels, lumped, defect = lump_by_left_count(config, states, generator)
+    assert labels.tolist() == [0, 1, 2, 3, 4]
+    assert defect <= 1e-14
+    n_mol, n, rate = config.n_molecules, config.n_excited, config.decay_rate
+    half = n_mol // 2
+    expected = np.zeros_like(lumped)
+    for k in labels.tolist():
+        if k < n:
+            expected[k + 1, k] = rate * (n - k) * (half - k) / (n_mol - n)
+        if k > 0:
+            expected[k - 1, k] = rate * k * (half - n + k) / (n_mol - n)
+        expected[k, k] = -expected[:, k].sum()
+    np.testing.assert_allclose(lumped, expected, rtol=1e-14, atol=1e-14)
+
+
+def test_coupled_gas_is_not_lumpable_by_k():
+    table = np.exp(np.random.default_rng(20).uniform(math.log(0.1), math.log(10.0), (8, 8)))
+    config = make_config(**ORACLE_SIZE, coupling=table)
+    _labels, _lumped, defect = lump_by_left_count(config, *configuration_chain(config))
+    assert defect > 0.01
+
+
+def test_ensemble_k_histogram_follows_the_lumped_chain():
+    config = make_config(**ORACLE_SIZE, t_max=0.4, seed=20260809)
+    n_members = 4000
+    labels, lumped, _defect = lump_by_left_count(config, *configuration_chain(config))
+    # every member starts with molecules 0..3 excited, all in the left half: k = 4
+    predicted = evolve_probabilities(lumped, labels == 4, config.t_max)
+    counts = np.concatenate(
+        [batch_left_counts(config, ledger, bounds, [config.t_max])[:, 0]
+         for bounds, ledger in iter_ensemble(config, n_members)]
+    )
+    observed = np.bincount(counts, minlength=labels.size)
+    _statistic, p_value = _chi_square(predicted * n_members, observed)
+    assert p_value >= CHI_SQUARE_SIGNIFICANCE

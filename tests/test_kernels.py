@@ -11,7 +11,8 @@ as the package computed them before the kernels were split off: the golden
 output digests depend on every last bit.
 The scenario's lockstep ensemble stacks states, so a stacked
 ``Propagator.evolve`` and the scenario's stacked qubit entropy must equal
-the 2-D calls on each matrix of the stack, bit for bit, and so must
+the 2-D calls on each matrix of the stack, bit for bit (the entropy of a
+stack also the concatenated entropies of its parts), and so must
 ``apply_unitary`` with a U formed once, which the scenario's unitary branch
 steps with. ``decohere`` clamps negative roundoff in place; it must equal the
 ``np.where`` form bit for bit, signs of zero and NaNs included, for d = 1..64.
@@ -232,6 +233,15 @@ def test_stacked_qubit_entropy_equals_spectral_entropy(states):
     assert got.shape == expected.shape
     # bit for bit, the sign of a zero included
     assert got.tobytes() == expected.tobytes()
+
+
+@given(st.lists(qubit_states(), min_size=1, max_size=40), st.data())
+def test_stacked_qubit_entropy_equals_its_calls_on_any_split(states, data):
+    # the unitary branch takes all of its steps' entropies in one call
+    stack = np.stack(states)
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(states)), max_size=6)))
+    parts = [_qubit_entropies(part) for part in np.split(stack, cuts)]
+    assert _qubit_entropies(stack).tobytes() == np.concatenate(parts).tobytes()
 
 
 # --- the validating functions still reject -----------------------------------

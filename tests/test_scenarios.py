@@ -62,6 +62,19 @@ def test_two_state_relaxation_asymmetric_rates(tmp_path):
     assert report.passed
 
 
+def test_two_state_relaxation_solves_its_grid_once(tmp_path, monkeypatch):
+    # the entropy columns used to solve the grid again inside entropy_series
+    calls = dict.fromkeys(["equilibrium", "evolve_probabilities", "expm"], 0)
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(scenarios.master_mod, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(scenarios.master_mod, name, counted)
+    run_scenario(make_config("two-state-relaxation", tmp_path, n_points=30))
+    assert calls == {"equilibrium": 1, "evolve_probabilities": 1, "expm": 30}
+
+
 def test_unitary_vs_collapse_report(tmp_path):
     config = make_config("unitary-vs-collapse", tmp_path, seed=2, n_seeds=100)
     report = run_scenario(config)
